@@ -34,6 +34,7 @@ from ..errors import WorkloadError
 from ..ir.invindex import InvertedIndex
 from ..storage import kernel, stats
 from ..storage.bat import BAT
+from ..storage.buffer import get_buffer_manager
 from ..storage.index import SparseIndex
 
 
@@ -84,15 +85,12 @@ class HeapFragment:
         if self._sparse_index is None:
             raise WorkloadError("large fragment has no non-dense index; "
                                 "call build_sparse_index() first")
+        manager = get_buffer_manager()
         out = {}
         for tid in tids:
-            hits = self._sparse_index.lookup_eq(tid)
-            positions = hits.head_array()
+            positions = self._sparse_index.lookup_positions(tid, tid)
             # fetch the aligned doc/tf pages for the hit positions
             if len(positions):
-                from ..storage.buffer import get_buffer_manager
-
-                manager = get_buffer_manager()
                 stats.charge_tuples_read(2 * len(positions))
                 for page in np.unique(positions // manager.page_tuples):
                     manager.request(self.docs.segment_id, int(page))

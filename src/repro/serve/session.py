@@ -260,6 +260,12 @@ def parse_token(token: str) -> tuple[str, int]:
     return parts[1], epoch
 
 
+def _unknown_token(token: str) -> ResumeTokenError:
+    return ResumeTokenError(
+        f"unknown or expired resume token {token!r}; run the query "
+        "again from the start", code="resume_unknown")
+
+
 @declares_shared_state
 class SessionRegistry:
     """Resumable streams by token, LRU-bounded.
@@ -332,13 +338,19 @@ class SessionRegistry:
                 self._sessions.move_to_end(token)
                 self.resumed += 1
         if session is None:
-            raise ResumeTokenError(
-                f"unknown or expired resume token {token!r}; run the query "
-                "again from the start", code="resume_unknown")
+            raise _unknown_token(token)
         if not session.acquire():
             raise ResumeTokenError(
                 f"resume token {token!r} is already being served",
                 code="resume_busy")
+        with self._lock:
+            live = self._sessions.get(token) is session
+        if not live:
+            # the holder finished the stream and dropped the token
+            # between the lookup and the acquire: pumping it again
+            # would re-send its final chunk
+            session.release()
+            raise _unknown_token(token)
         metrics.inc("serve.resumed")
         return session
 

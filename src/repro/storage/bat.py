@@ -190,10 +190,55 @@ class BAT:
         return self._head is None
 
     def head_array(self) -> np.ndarray:
-        """The head column as a materialized numpy array."""
+        """The head column as a materialized numpy array.
+
+        Builds the whole column for a dense head; to read the oids at
+        some positions use :meth:`heads_at` instead."""
         if self._head is None:
             return np.arange(self.hseqbase, self.hseqbase + len(self.tail), dtype=np.int64)
         return self._head
+
+    def heads_at(self, positions) -> np.ndarray:
+        """Head oids at ``positions``: an integer index array, a boolean
+        mask aligned with the BAT, or a slice.
+
+        A dense head is never materialized to answer this: its oids are
+        ``positions + hseqbase``.  Integer positions must lie in
+        ``0 .. len - 1``; a dense head does not check them (the tail
+        gather that accompanies a head gather does).
+        """
+        if self._head is not None:
+            return self._head[positions]
+        if isinstance(positions, slice):
+            start, stop, step = positions.indices(len(self.tail))
+            return np.arange(start, stop, step, dtype=np.int64) + self.hseqbase
+        positions = np.asarray(positions)
+        if positions.dtype == bool:
+            if len(positions) != len(self.tail):
+                raise BATShapeError(
+                    f"mask length {len(positions)} != BAT length {len(self.tail)}"
+                )
+            positions = np.flatnonzero(positions)
+        return positions.astype(np.int64, copy=False) + self.hseqbase
+
+    def sort_positions(self, keys: np.ndarray) -> np.ndarray:
+        """Positions ordered by ``keys`` (aligned with the BAT), ties
+        broken by head oid ascending.
+
+        A dense head ascends with position, so for it this is a stable
+        argsort and the head is never materialized."""
+        if self._head is None:
+            return np.argsort(keys, kind="stable")
+        return np.lexsort((self._head, keys))
+
+    def same_heads(self, other: "BAT") -> bool:
+        """True when both head columns hold the same oids in the same
+        order; two dense heads compare by ``hseqbase`` and length."""
+        if len(self) != len(other):
+            return False
+        if self._head is None and other._head is None:
+            return self.hseqbase == other.hseqbase or len(self) == 0
+        return bool(np.array_equal(self.head_array(), other.head_array()))
 
     @property
     def tail_dtype_kind(self) -> str:
@@ -288,7 +333,4 @@ class BAT:
             return True
         if self.tail.dtype.kind != other.tail.dtype.kind:
             return False
-        return bool(
-            np.array_equal(self.head_array(), other.head_array())
-            and np.array_equal(self.tail, other.tail)
-        )
+        return self.same_heads(other) and bool(np.array_equal(self.tail, other.tail))

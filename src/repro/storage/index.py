@@ -23,7 +23,6 @@ from ..errors import IndexError_
 from . import stats
 from .bat import BAT
 from .buffer import get_buffer_manager
-from .kernel import select_mask
 
 
 class SparseIndex:
@@ -33,9 +32,10 @@ class SparseIndex:
     ``stride`` defaults to the buffer page size so one stride is one
     simulated page.
 
-    Probing (:meth:`lookup_range`) binary-searches the in-memory sample
-    (charged as comparisons) and then scans only the candidate strides
-    of the base BAT, charging page reads for exactly those pages.
+    Probing (:meth:`lookup_positions`, and :meth:`lookup_range` built on
+    it) binary-searches the in-memory sample (charged as comparisons)
+    and then scans only the candidate strides of the base BAT, charging
+    page reads for exactly those pages.
     """
 
     def __init__(self, base: BAT, stride: int | None = None) -> None:
@@ -91,14 +91,17 @@ class SparseIndex:
         stop = min(stop_stride * self.stride, n)
         return start, max(stop, start)
 
-    def lookup_range(self, lo=None, hi=None, include_lo: bool = True,
-                     include_hi: bool = True) -> BAT:
-        """Range probe: return the base pairs with ``lo <= tail <= hi``,
-        reading only the candidate strides of the base BAT."""
+    def lookup_positions(self, lo=None, hi=None, include_lo: bool = True,
+                         include_hi: bool = True) -> np.ndarray:
+        """Range probe: the ascending base positions whose tail lies in
+        ``[lo, hi]``, reading only the candidate strides of the base BAT.
+
+        Charges the probe and one tuple write per hit (the positions are
+        its materialized result); gathers no column."""
         start, stop = self._candidate_span(lo, hi)
         span = stop - start
         if span <= 0:
-            return select_mask(self.base, np.zeros(len(self.base), dtype=bool), _precharged=True)
+            return np.empty(0, dtype=np.int64)
         # read only the candidate span
         if self.base.persistent:
             get_buffer_manager().scan(self.base.segment_id, span, start_tuple=start)
@@ -111,12 +114,17 @@ class SparseIndex:
             mask &= segment >= lo if include_lo else segment > lo
         if hi is not None:
             mask &= segment <= hi if include_hi else segment < hi
-        picked = np.nonzero(mask)[0] + start
-        heads = self.base.head_array()[picked]
-        tails = self.base.tail[picked]
+        picked = np.flatnonzero(mask) + start
         stats.charge_tuples_written(len(picked))
-        return BAT(tails, head=heads, tail_sorted=True,
-                   head_key=self.base.head_key or self.base.is_dense_head)
+        return picked
+
+    def lookup_range(self, lo=None, hi=None, include_lo: bool = True,
+                     include_hi: bool = True) -> BAT:
+        """Range probe: return the base pairs with ``lo <= tail <= hi``,
+        reading only the candidate strides of the base BAT."""
+        picked = self.lookup_positions(lo, hi, include_lo, include_hi)
+        return BAT(self.base.tail[picked], head=self.base.heads_at(picked),
+                   tail_sorted=True, head_key=self.base.head_key)
 
     def lookup_eq(self, value) -> BAT:
         """Equality probe."""
@@ -160,6 +168,6 @@ class HashIndex:
         stats.charge_tuples_written(len(positions))
         return BAT(
             self.base.tail[positions],
-            head=self.base.head_array()[positions],
-            head_key=self.base.head_key or self.base.is_dense_head,
+            head=self.base.heads_at(positions),
+            head_key=self.base.head_key,
         )

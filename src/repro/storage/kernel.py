@@ -215,8 +215,6 @@ def select_range(
 
     if n == 0:
         return bat.clone_with(
-            tail=tail[:0],
-            head=None if bat.is_dense_head else bat.head_array()[:0],
             tail_sorted=bat.tail_sorted,
             tail_sorted_desc=bat.tail_sorted_desc,
             tail_key=bat.tail_key,
@@ -231,18 +229,9 @@ def select_range(
         right = max(right, left)
         scan_cost(bat, right - left, start=left)
         _emit(right - left)
-        heads = bat.head_array()[left:right] if not bat.is_dense_head else None
-        if heads is None:
-            return BAT(
-                tail[left:right],
-                head=bat.head_array()[left:right],
-                head_key=True,
-                tail_sorted=True,
-                tail_key=bat.tail_key,
-            )
         return BAT(
             tail[left:right],
-            head=heads,
+            head=bat.heads_at(slice(left, right)),
             head_key=bat.head_key,
             tail_sorted=True,
             tail_key=bat.tail_key,
@@ -276,12 +265,11 @@ def select_mask(bat: BAT, mask: np.ndarray, _precharged: bool = False) -> BAT:
         scan_cost(bat)
         stats.charge_comparisons(len(bat))
     out_tail = bat.tail[mask]
-    out_head = bat.head_array()[mask]
     _emit(len(out_tail))
     return BAT(
         out_tail,
-        head=out_head,
-        head_key=bat.head_key or bat.is_dense_head,
+        head=bat.heads_at(mask),
+        head_key=bat.head_key,
         tail_sorted=bat.tail_sorted,
         tail_sorted_desc=bat.tail_sorted_desc,
         tail_key=bat.tail_key,
@@ -351,9 +339,8 @@ def _hashjoin(left: BAT, right: BAT) -> BAT:
         positions = positions[valid]
         _random_probe_cost(right, positions)
         out_tail = right.tail[positions]
-        out_head = left.head_array()[valid]
         _emit(len(out_tail))
-        return BAT(out_tail, head=out_head)
+        return BAT(out_tail, head=left.heads_at(valid))
 
     scan_cost(left)
     scan_cost(right)
@@ -373,10 +360,9 @@ def _hashjoin(left: BAT, right: BAT) -> BAT:
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     within = np.arange(total) - offsets
     right_idx = order[np.repeat(lo, counts) + within]
-    out_head = left.head_array()[left_idx]
     out_tail = right.tail[right_idx]
     _emit(total)
-    return BAT(out_tail, head=out_head)
+    return BAT(out_tail, head=left.heads_at(left_idx))
 
 
 def semijoin(left: BAT, right: BAT) -> BAT:
@@ -415,19 +401,18 @@ def sort_tail(bat: BAT, descending: bool = False) -> BAT:
         # ascending — the deterministic tie-break every top-N result
         # shares (see repro.topn.result), so classic sort+slice plans
         # agree with topn_tail on tied boundaries
-        heads = bat.head_array()
         if bat.tail_dtype_kind == "U":
             # non-numeric tails cannot be negated: keep the stable sort
             order = np.argsort(bat.tail, kind="stable")
             if descending:
                 order = order[::-1]
         else:
-            order = np.lexsort((heads, -bat.tail if descending else bat.tail))
+            order = bat.sort_positions(-bat.tail if descending else bat.tail)
         _emit(n)
         return BAT(
             bat.tail[order],
-            head=heads[order],
-            head_key=bat.head_key or bat.is_dense_head,
+            head=bat.heads_at(order),
+            head_key=bat.head_key,
             tail_sorted=not descending,
             tail_sorted_desc=descending,
             tail_key=bat.tail_key,
@@ -445,7 +430,7 @@ def sort_head(bat: BAT) -> BAT:
     _emit(n)
     return BAT(
         bat.tail[order],
-        head=bat.head_array()[order],
+        head=bat.heads_at(order),
         head_key=bat.head_key,
         tail_key=bat.tail_key,
     )
@@ -473,14 +458,12 @@ def _topn_tail(bat: BAT, n: int, size: int, descending: bool) -> BAT:
         _emit(0)
         return BAT(bat.tail[:0], head=np.empty(0, dtype=np.int64), tail_sorted=not descending,
                    tail_sorted_desc=descending)
-    heads = bat.head_array()
+    values = -bat.tail if descending else bat.tail
     if n >= size:
         stats.charge_comparisons(size * _log2_ceil(size) if size else 0)
-        keys = np.lexsort((heads, -bat.tail if descending else bat.tail))
-        order = keys
+        order = bat.sort_positions(values)
     else:
         stats.charge_comparisons(size + n * _log2_ceil(n))
-        values = -bat.tail if descending else bat.tail
         # partition gives the boundary value; resolve boundary ties by
         # head oid so the result is deterministic and equals the full
         # sort's prefix
@@ -488,14 +471,14 @@ def _topn_tail(bat: BAT, n: int, size: int, descending: bool) -> BAT:
         strict = np.nonzero(values < boundary)[0]
         tied = np.nonzero(values == boundary)[0]
         need = n - len(strict)
-        tied_selected = tied[np.argsort(heads[tied], kind="stable")][:need]
+        tied_selected = tied[np.argsort(bat.heads_at(tied), kind="stable")][:need]
         chosen = np.concatenate([strict, tied_selected])
-        order = chosen[np.lexsort((heads[chosen], values[chosen]))]
+        order = chosen[np.lexsort((bat.heads_at(chosen), values[chosen]))]
     _emit(len(order))
     return BAT(
         bat.tail[order],
-        head=heads[order],
-        head_key=bat.head_key or bat.is_dense_head,
+        head=bat.heads_at(order),
+        head_key=bat.head_key,
         tail_sorted=not descending,
         tail_sorted_desc=descending,
         tail_key=bat.tail_key,
@@ -513,11 +496,10 @@ def slice_pairs(bat: BAT, offset: int, count: int) -> BAT:
     taken = max(stop - offset, 0)
     scan_cost(bat, taken, start=offset)
     _emit(taken)
-    out_head = bat.head_array()[offset:stop]
     return BAT(
         bat.tail[offset:stop],
-        head=out_head,
-        head_key=bat.head_key or bat.is_dense_head,
+        head=bat.heads_at(slice(offset, stop)),
+        head_key=bat.head_key,
         tail_sorted=bat.tail_sorted,
         tail_sorted_desc=bat.tail_sorted_desc,
         tail_key=bat.tail_key,
@@ -682,7 +664,7 @@ def combine_aligned(first: BAT, second: BAT, op: str = "add") -> BAT:
         raise BATShapeError(
             f"combine_aligned: length mismatch {len(first)} vs {len(second)}"
         )
-    if not np.array_equal(first.head_array(), second.head_array()):
+    if not first.same_heads(second):
         raise BATShapeError("combine_aligned: heads are not aligned")
     ops = {
         "add": np.add,

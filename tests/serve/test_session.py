@@ -187,6 +187,24 @@ class TestSessionRegistry:
             registry.redeem(idle.token, 0)
         assert gone_info.value.code == "resume_unknown"
 
+    def test_token_dropped_during_redeem_redeems_as_unknown(self):
+        # regression: a reader that looked the session up just before
+        # its holder finished the stream and dropped the token used to
+        # acquire the dropped session and re-send its final chunk
+        registry = SessionRegistry()
+        session = issue_released(registry)
+        acquire = session.acquire
+
+        def acquire_after_the_holder_drops():
+            registry.drop(session.token)
+            return acquire()
+
+        session.acquire = acquire_after_the_holder_drops
+        with pytest.raises(ResumeTokenError) as exc_info:
+            registry.redeem(session.token, 0)
+        assert exc_info.value.code == "resume_unknown"
+        assert not session.busy
+
     def test_drop_forgets_the_token(self):
         registry = SessionRegistry()
         session = issue_released(registry)

@@ -119,6 +119,33 @@ class TestAccessors:
         with pytest.raises(BATShapeError):
             bat.head_positions(np.array([4]))
 
+    def test_heads_at_dense_head_is_computed(self):
+        bat = BAT([4.0, 5.0, 6.0, 7.0], hseqbase=100)
+        assert list(bat.heads_at(np.array([3, 0]))) == [103, 100]
+        assert list(bat.heads_at(np.array([True, False, True, False]))) == [100, 102]
+        assert list(bat.heads_at(slice(1, None))) == [101, 102, 103]
+        assert list(bat.heads_at(slice(None, None, -2))) == [103, 101]
+
+    def test_heads_at_materialized_head_gathers(self):
+        bat = BAT([1, 2, 3], head=[9, 3, 5])
+        assert list(bat.heads_at(np.array([2, 0]))) == [5, 9]
+        assert list(bat.heads_at(slice(0, 2))) == [9, 3]
+
+    def test_heads_at_mask_length_checked(self):
+        with pytest.raises(BATShapeError):
+            BAT([1, 2, 3]).heads_at(np.array([True, False]))
+
+    def test_same_heads(self):
+        assert BAT([1, 2], hseqbase=3).same_heads(BAT([5, 6], hseqbase=3))
+        assert not BAT([1, 2], hseqbase=3).same_heads(BAT([1, 2], hseqbase=4))
+        assert BAT([1, 2], hseqbase=3).same_heads(BAT([1, 2], head=[3, 4]))
+        assert not BAT([1, 2]).same_heads(BAT([1, 2, 3]))
+
+    def test_sort_positions_breaks_ties_by_head(self):
+        keys = np.array([2.0, 1.0, 2.0, 1.0])
+        assert list(BAT(keys).sort_positions(keys)) == [1, 3, 0, 2]
+        assert list(BAT(keys, head=[8, 9, 7, 6]).sort_positions(keys)) == [3, 1, 2, 0]
+
     def test_same_content(self):
         a = BAT([1.0, 2.0], head=[0, 1])
         b = BAT([1.0, 2.0])

@@ -59,6 +59,38 @@ class TestSparseIndex:
         index = SparseIndex(base, stride=16)
         assert len(index.lookup_range(1000, 2000)) == 0
 
+    def test_empty_span_allocates_nothing_and_charges_the_probe(self):
+        """A key below every sample has an empty candidate span: the probe
+        returns an empty BAT without allocating over the base, and charges
+        only the sample search."""
+        import tracemalloc
+
+        base = sorted_bat(1_000_000, persistent=False)
+        index = SparseIndex(base, stride=1024)
+        tracemalloc.start()
+        try:
+            with CostCounter.activate() as cost:
+                out = index.lookup_range(-10, -5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 0 and out.tail_sorted
+        assert peak < 100_000  # a full-length mask alone would be 1 MB
+        # 977 samples: a binary search charges 2 * ceil(log2 977) comparisons
+        assert cost.snapshot() == {**CostCounter().snapshot(), "comparisons": 2 * 10}
+
+    def test_lookup_positions_are_the_range_hits(self):
+        tail = np.sort(np.random.default_rng(3).integers(0, 300, 1500))
+        base = BAT(tail, hseqbase=7, tail_sorted=True)
+        index = SparseIndex(base, stride=16)
+        with CostCounter.activate() as positions_cost:
+            positions = index.lookup_positions(40, 90)
+        with CostCounter.activate() as range_cost:
+            hits = index.lookup_range(40, 90)
+        assert list(positions) == list(np.flatnonzero((tail >= 40) & (tail <= 90)))
+        assert list(hits.head_array()) == list(positions + 7)
+        assert positions_cost.snapshot() == range_cost.snapshot()
+
     def test_empty_base(self):
         base = BAT(np.empty(0, dtype=np.int64), tail_sorted=True)
         index = SparseIndex(base, stride=4)

@@ -329,6 +329,10 @@ class TestArithmetic:
         with pytest.raises(BATShapeError):
             kernel.combine_aligned(BAT([1.0], head=[0]), BAT([1.0], head=[1]))
 
+    def test_combine_misaligned_dense_heads(self):
+        with pytest.raises(BATShapeError):
+            kernel.combine_aligned(BAT([1.0], hseqbase=0), BAT([1.0], hseqbase=1))
+
     def test_combine_length_mismatch(self):
         with pytest.raises(BATShapeError):
             kernel.combine_aligned(BAT([1.0]), BAT([1.0, 2.0]))

@@ -1,10 +1,11 @@
 """Property-based tests (hypothesis) for kernel invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import BAT, kernel
+from repro.storage import BAT, CostCounter, HashIndex, SparseIndex, kernel
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 float_lists = st.lists(floats, min_size=0, max_size=200)
@@ -117,3 +118,82 @@ def test_slice_matches_python_slice(values, offset, count):
     out = kernel.slice_pairs(bat, offset, count)
     expected = list(enumerate(values))[offset : offset + count]
     assert out.to_list() == [(h, v) for h, v in expected]
+
+
+# ---------------------------------------------------------------------------
+# dense (void) heads against their materialised twins
+# ---------------------------------------------------------------------------
+
+small_ints = st.integers(-20, 20)  # narrow, so ties are common
+
+
+@st.composite
+def head_twins(draw, tail_sorted=False):
+    """A BAT with a dense head and the same BAT with that head written
+    out (``head=np.arange(n) + hseqbase``)."""
+    values = draw(st.lists(small_ints, max_size=120))
+    tail = np.asarray(sorted(values) if tail_sorted else values, dtype=np.int64)
+    hseqbase = draw(st.integers(0, 10_000))
+    dense = BAT(tail, hseqbase=hseqbase, tail_sorted=tail_sorted)
+    twin = BAT(tail, head=np.arange(len(tail), dtype=np.int64) + hseqbase,
+               head_key=True, tail_sorted=tail_sorted)
+    return dense, twin
+
+
+_DENSE_RIGHT = BAT(np.arange(15, dtype=np.int64) * 10)
+_MATERIALISED_RIGHT = BAT(np.arange(15, dtype=np.int64) * 10, head=np.arange(15))
+
+#: op name -> (needs a tail-sorted input, op(bat, lo, hi, k))
+TWIN_OPS = {
+    "select_range": (False, lambda bat, lo, hi, k: kernel.select_range(bat, lo, hi)),
+    "select_range_sorted": (True, lambda bat, lo, hi, k: kernel.select_range(bat, lo, hi)),
+    "select_mask": (False, lambda bat, lo, hi, k: kernel.select_mask(bat, bat.tail % 2 == 0)),
+    "sort_tail": (False, lambda bat, lo, hi, k: kernel.sort_tail(bat)),
+    "sort_tail_desc": (False, lambda bat, lo, hi, k: kernel.sort_tail(bat, descending=True)),
+    "sort_head": (False, lambda bat, lo, hi, k: kernel.sort_head(bat)),
+    "topn_tail": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k)),
+    "topn_tail_asc": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k, descending=False)),
+    "slice_pairs": (False, lambda bat, lo, hi, k: kernel.slice_pairs(bat, k, hi - lo)),
+    "hashjoin_dense_right": (False, lambda bat, lo, hi, k: kernel.hashjoin(bat, _DENSE_RIGHT)),
+    "hashjoin_materialised_right": (
+        False, lambda bat, lo, hi, k: kernel.hashjoin(bat, _MATERIALISED_RIGHT)),
+    "combine_aligned": (False, lambda bat, lo, hi, k: kernel.combine_aligned(bat, bat)),
+    "hash_index": (False, lambda bat, lo, hi, k: HashIndex(bat).lookup_eq(lo)),
+    "sparse_index": (True, lambda bat, lo, hi, k: SparseIndex(bat, stride=4).lookup_range(lo, hi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_OPS))
+@given(data=st.data(), a=small_ints, b=small_ints, k=st.integers(0, 40))
+@settings(max_examples=40, deadline=None)
+def test_dense_head_agrees_with_materialised_twin(name, data, a, b, k):
+    """Every op that gathers head oids gives the same content, and
+    charges the same counts, whether the head is void or written out."""
+    needs_sorted, op = TWIN_OPS[name]
+    dense, twin = data.draw(head_twins(tail_sorted=needs_sorted))
+    lo, hi = min(a, b), max(a, b)
+    with CostCounter.activate() as dense_cost:
+        from_dense = op(dense, lo, hi, k)
+    with CostCounter.activate() as twin_cost:
+        from_twin = op(twin, lo, hi, k)
+    assert from_dense.same_content(from_twin)
+    assert from_dense.tail_sorted == from_twin.tail_sorted
+    assert from_dense.tail_sorted_desc == from_twin.tail_sorted_desc
+    if name != "sort_head":  # a void head is already head-sorted: nothing to charge
+        assert dense_cost.snapshot() == twin_cost.snapshot()
+
+
+@given(head_twins(), st.data())
+def test_heads_at_matches_head_array(pair, data):
+    dense, twin = pair
+    n = len(dense)
+    positions = np.asarray(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                              max_size=30 if n else 0)), dtype=np.int64)
+    mask = dense.tail % 3 == 0
+    start, stop = sorted(data.draw(st.lists(st.integers(-5, n + 5), min_size=2, max_size=2)))
+    step = data.draw(st.sampled_from([1, 2, -1]))
+    for selector in (positions, mask, slice(start, stop, step)):
+        want = dense.head_array()[selector]
+        assert np.array_equal(dense.heads_at(selector), want)
+        assert np.array_equal(twin.heads_at(selector), want)
+    assert dense.same_heads(twin) and twin.same_heads(dense)
