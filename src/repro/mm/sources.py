@@ -56,9 +56,10 @@ class ScoreSource:
 
         Like a zone map or the per-block upper bounds of
         :class:`~repro.storage.blocks.ScoredBlocks`, this is metadata a
-        DBMS computes once while building the sorted list (the sort at
-        source construction is where the work already happened), so
-        reading it costs no sorted or random accesses at query time.
+        DBMS keeps with the sorted list, so reading it costs no sorted
+        or random accesses at query time — even where, as in
+        :class:`ArraySource`, answering it extends the lazily built
+        sorted prefix.
         The adaptive plan chooser uses it to estimate the threshold
         decay rate and cross-source agreement of a query *before*
         picking an engine.  Ranks past the stored list report grade 0
@@ -68,31 +69,82 @@ class ScoreSource:
         return None
 
 
+def _checked_grades(grades) -> np.ndarray:
+    """``grades`` as a float64 vector, or :class:`TopNError` when it is
+    not one-dimensional, finite and non-negative.
+
+    Monotone aggregation needs non-negative grades; a NaN or infinite
+    grade has no place in the descending order, so sorted access and a
+    full scan would disagree about the top-N."""
+    grades = np.asarray(grades, dtype=np.float64)
+    if grades.ndim != 1:
+        raise TopNError(f"grades must be one-dimensional, got shape {grades.shape}")
+    if not np.isfinite(grades).all():
+        raise TopNError("grades must be finite (no NaN or infinity)")
+    if len(grades) and grades.min() < 0:
+        raise TopNError("grades must be non-negative (monotone aggregation contract)")
+    return grades
+
+
+#: Ranks the first sorted access of an :class:`ArraySource` materialises;
+#: later growth doubles the prefix.
+_FIRST_PREFIX = 256
+#: Once a prefix would cover this share of the objects, sort them all.
+_FULL_SORT_SHARE = 0.25
+
+
 class ArraySource(ScoreSource):
-    """A score source over a dense grade array (one grade per object)."""
+    """A score source over a dense grade array (one grade per object).
+
+    Sorted order — grade descending, ties by object id ascending — is
+    built lazily: the first sorted access materialises the top
+    ``_FIRST_PREFIX`` ranks, and each access past the prefix doubles
+    it, until a prefix would pass ``_FULL_SORT_SHARE`` of the objects
+    and the whole array is sorted instead.  A prefix holds every object
+    graded at or above its cut grade, so ties at the cut are never
+    split and each prefix equals the same ranks of the full sort.
+    Construction charges nothing and sorts nothing.
+    """
 
     def __init__(self, scores: np.ndarray, name: str = "array") -> None:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 1:
-            raise TopNError(f"scores must be one-dimensional, got shape {scores.shape}")
-        if len(scores) and scores.min() < 0:
-            raise TopNError("grades must be non-negative (monotone aggregation contract)")
         self.name = name
-        self._scores = scores
-        # descending grade order; ties broken by object id for determinism
-        self._order = np.lexsort((np.arange(len(scores)), -scores))
+        self._scores = _checked_grades(scores)
+        self._order = np.empty(0, dtype=np.int64)
 
     @property
     def n_objects(self) -> int:
         return len(self._scores)
 
+    def _prefix(self, rank: int) -> np.ndarray:
+        """The sorted order through ``rank`` at least (all of it when
+        ``rank`` is past the end), growing the stored prefix if needed.
+
+        Each new prefix replaces the old one in a single assignment, so
+        a concurrent reader sees one exact prefix or the other."""
+        order = self._order
+        if rank < len(order):
+            return order
+        scores = self._scores
+        n = len(scores)
+        k = max(_FIRST_PREFIX, 2 * len(order), rank + 1)
+        if k >= _FULL_SORT_SHARE * n:
+            ids = np.arange(n)
+        else:
+            cut = np.partition(scores, n - k)[n - k]  # the k-th best grade
+            ids = np.flatnonzero(scores >= cut)
+        # ids ascend, so a stable sort on descending grade breaks ties by id
+        order = ids[np.argsort(-scores[ids], kind="stable")]
+        self._order = order
+        return order
+
     def sorted_access(self, rank: int) -> tuple[int, float]:
-        if rank >= len(self._order):
+        order = self._prefix(rank)
+        if rank >= len(order):
             raise SourceExhaustedError(
                 f"sorted access past end of source {self.name!r} (rank {rank})"
             )
         stats.charge_sorted_accesses(1)
-        obj = int(self._order[rank])
+        obj = int(order[rank])
         return obj, float(self._scores[obj])
 
     def random_access(self, obj_id: int) -> float:
@@ -101,15 +153,11 @@ class ArraySource(ScoreSource):
         stats.charge_random_accesses(1)
         return float(self._scores[obj_id])
 
-    def bottom_grade(self, rank: int) -> float:
-        """Grade at ``rank`` without charging (used only by tests)."""
-        return float(self._scores[self._order[min(rank, len(self._order) - 1)]])
-
     def synopsis(self, ranks) -> list[tuple[int, float]]:
         out = []
         for rank in ranks:
-            if 0 <= rank < len(self._order):
-                obj = int(self._order[rank])
+            if 0 <= rank < len(self._scores):
+                obj = int(self._prefix(rank)[rank])
                 out.append((obj, float(self._scores[obj])))
             else:
                 out.append((-1, 0.0))
@@ -204,14 +252,8 @@ class BlockedSource(ScoreSource):
 
     def __init__(self, dense_grades: np.ndarray, blocks: ScoredBlocks,
                  name: str = "blocked") -> None:
-        dense_grades = np.asarray(dense_grades, dtype=np.float64)
-        if dense_grades.ndim != 1:
-            raise TopNError(
-                f"grades must be one-dimensional, got shape {dense_grades.shape}")
-        if len(dense_grades) and dense_grades.min() < 0:
-            raise TopNError("grades must be non-negative (monotone aggregation contract)")
         self.name = name
-        self._dense = dense_grades
+        self._dense = _checked_grades(dense_grades)
         self.blocks = blocks
 
     @classmethod

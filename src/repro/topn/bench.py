@@ -9,8 +9,8 @@ paper's block-at-a-time argument is about, not an accuracy trade.
 Every timed pair is verified (a blocked answer that differs from the
 scalar oracle is a defect, never a statistic): ids *and* scores must be
 bit-identical, canonical tie order included.  Timings cover the engine
-call only; source construction (sorting, blocking) is excluded from
-both sides.
+call; blocking is excluded, while the scalar sources build their sorted
+prefixes lazily inside the engine call they serve.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ and resumes."""
 
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.errors import ResumeTokenError
 from repro.serve import ServeClient, ServerConfig, ServerThread, collect
+from repro.serve.session import AnytimeRunner
 
 from tests.serve.conftest import DIMS, build_db
 
@@ -104,10 +106,23 @@ class TestDisconnectResume:
                 time.sleep(0.05)
         raise AssertionError("session never released after disconnect")
 
-    def test_abrupt_disconnect_mid_stream_then_resume(self, setup, queries):
+    def test_abrupt_disconnect_mid_stream_then_resume(self, setup, queries,
+                                                       monkeypatch):
         db, handle, server = setup
         fq = queries[0]
         want = expected_items(db, fq, 10, "nra")
+        # hold every step after the first until the client is gone, so
+        # the disconnect lands mid-stream: unheld, the server can finish
+        # the whole stream before the client thread gets to close
+        disconnected = threading.Event()
+        step = AnytimeRunner.step
+
+        def held_step(runner):
+            if runner._seq >= 1:
+                disconnected.wait(timeout=10)
+            return step(runner)
+
+        monkeypatch.setattr(AnytimeRunner, "step", held_step)
         client = ServeClient(handle.host, handle.port)
         stream = client.query(queries=fq, n=10, algorithm="nra",
                               chunk_depth=1)
@@ -119,6 +134,7 @@ class TestDisconnectResume:
         client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                 struct.pack("ii", 1, 0))
         client.close()
+        disconnected.set()
         resumed = self.resume_with_retry(handle, token)
         assert resumed.complete
         assert resumed.final["items"] == want

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ class TestQueryValidation:
         with ServeClient(handle.host, handle.port) as client:
             with pytest.raises(ServeError, match=match):
                 collect(client.query(**request))
+
+    def test_nan_feature_vector_is_a_bad_request(self, server, feature_query):
+        # the codec's json.loads accepts NaN; the graded source must
+        # refuse the NaN grades it produces
+        handle, query_server = server
+        vector = feature_query["color"].copy()
+        vector[1] = np.nan
+        sessions_before = query_server.sessions.size()
+        with ServeClient(handle.host, handle.port) as client:
+            with pytest.raises(ServeError, match="^bad_request: .*finite"):
+                collect(client.query(queries={"color": vector}, n=5))
+        assert query_server.sessions.size() == sessions_before
+        # the error frame is sent inside the admission context: give
+        # the server a beat to leave it and release the slot
+        deadline = time.monotonic() + 5.0
+        while (query_server.quotas.tenant("default").in_flight
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert query_server.quotas.tenant("default").in_flight == 0
 
 
 class TestStreaming:
@@ -174,7 +194,6 @@ class TestEngineFailureMidStream:
         assert query_server.sessions.size() == sessions_before
         # the error frame is sent from inside the admission context, so
         # give the server a beat to exit it and release the slot
-        import time
         deadline = time.monotonic() + 5.0
         while (query_server.quotas.tenant("default").in_flight
                and time.monotonic() < deadline):
