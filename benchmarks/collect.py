@@ -14,18 +14,28 @@ Run it from anywhere; paths are anchored to this file's location.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
-OUTPUT = Path(__file__).parent.parent / "BENCH_RESULTS.json"
+BENCH_DIR = Path(__file__).parent
+RESULTS_DIR = BENCH_DIR / "results"
+OUTPUT = BENCH_DIR.parent / "BENCH_RESULTS.json"
 
 
 #: keys every recorded table must carry (see conftest.record_table)
 REQUIRED_KEYS = ("slug", "title", "headers", "rows")
 
 
-def collect(results_dir: Path = RESULTS_DIR, output: Path = OUTPUT) -> dict:
+def _has_script(slug: str, bench_dir: Path) -> bool:
+    """Whether the experiment a slug belongs to (``e17`` and ``e10a``
+    name experiments 17 and 10) still has its ``bench_e<N>_*.py``."""
+    match = re.match(r"e(\d+)", slug)
+    return match is None or any(bench_dir.glob(f"bench_e{match[1]}_*.py"))
+
+
+def collect(results_dir: Path = RESULTS_DIR, output: Path = OUTPUT,
+            bench_dir: Path = BENCH_DIR) -> dict:
     """Merge every ``results/*.json`` table; returns the payload.
 
     A missing, truncated or hand-damaged per-experiment file (an
@@ -36,7 +46,10 @@ def collect(results_dir: Path = RESULTS_DIR, output: Path = OUTPUT) -> dict:
     Tables already in ``BENCH_RESULTS.json`` whose per-experiment file
     is gone (a partial bench run only regenerates some results) are
     kept: a fresh run of one experiment updates its table without
-    erasing the others."""
+    erasing the others.  Tables of an experiment whose
+    ``bench_e<N>_*.py`` script no longer exists in ``bench_dir`` are
+    dropped, whether they come from the previous output or from a
+    leftover per-experiment file."""
     existing: dict[str, dict] = {}
     if output.is_file():
         try:
@@ -68,7 +81,8 @@ def collect(results_dir: Path = RESULTS_DIR, output: Path = OUTPUT) -> dict:
     payload = {
         "source": "benchmarks/results",
         "skipped": skipped,
-        "tables": [existing[slug] for slug in sorted(existing)],
+        "tables": [existing[slug] for slug in sorted(existing)
+                   if _has_script(slug, bench_dir)],
     }
     with open(output, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

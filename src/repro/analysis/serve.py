@@ -40,7 +40,7 @@ from pathlib import Path
 from .diagnostics import Diagnostic, DiagnosticReport, make_diagnostic
 
 #: serve modules whose objects live on the server side of the socket
-#: (client/bench/protocol helpers are caller-confined and out of scope)
+#: (client and protocol helpers are caller-confined and out of scope)
 SERVER_SIDE_MODULES = ("server.py", "session.py", "tenants.py")
 
 #: attribute writes inside these methods are construction, not sharing

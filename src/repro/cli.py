@@ -13,21 +13,10 @@ Commands
                 every pruning decision (the MOA9xx bound-flow analyzer)
 ``check``       run the concurrency effect / lock-discipline analyzer
                 over the package (or explicit paths)
-``profile``     run a query or bench scenario under the execution
-                tracer and print the span-tree cost breakdown
-``bench-parallel``  compare the sharded parallel engine against the
-                serial baseline across shard counts (exact-match
-                verified)
-``bench-cache`` measure the query cache: cold vs warm repeats and
-                top-N resume per engine (exact-match verified)
-``bench-blocks``  compare the block-at-a-time vectorized engines
-                against their scalar oracles across block sizes
-                (exact-match verified)
+``profile``     run a query, engine or optimizer scenario under the
+                execution tracer and print the span-tree cost breakdown
 ``serve``       run the asynchronous query service over a synthetic
                 database (length-prefixed JSON frames + HTTP shim)
-``bench-serve`` closed-loop load test of the query service: per-tenant
-                qps and latency percentiles, quota isolation verified
-                (experiment E19)
 ``calibrate``   fit the adaptive optimizer's cost calibration from
                 tracer exports and/or a self-profiled engine grid,
                 writing a versioned ``calibration.json``
@@ -35,13 +24,11 @@ Commands
                 candidate table with estimated vs observed cost,
                 Pareto frontier, certification status, and why the
                 winner won
-``bench-adaptive``  adaptive per-query engine choice vs the static
-                single-engine policies on a mixed workload, exactness
-                and certification verified (experiment E20)
 
-All commands are deterministic given ``--seed`` (``serve`` and
-``bench-serve`` excepted — wall-clock load generation is inherently
-timing-dependent, though every answer is still exact-match verified).
+All commands except ``serve`` are deterministic given ``--seed``.
+Benchmarks live outside the CLI: ``benchmarks/bench_e*.py`` (the
+experiment tables, run with pytest) and ``perfbench/run.py`` (the
+layered wall-clock benchmark).
 """
 
 from __future__ import annotations
@@ -51,24 +38,6 @@ import sys
 
 from .core import MMDatabase, QuerySession
 from .storage import CostCounter
-
-
-def _add_bench_flags(parser, *, queries=None,
-                     queries_help="number of generated queries",
-                     n=10, n_help="top-N size",
-                     json_help="emit the report as JSON"):
-    """The flag trio every ``bench-*`` subcommand shares.
-
-    One definition instead of five copy-pasted blocks: ``--queries``
-    (when the bench takes one), ``--n`` and ``--json`` always get the
-    same spellings and types here, so the bench CLIs cannot drift
-    apart flag by flag (a test snapshots the option strings)."""
-    if queries is not None:
-        parser.add_argument("--queries", type=int, default=queries,
-                            help=queries_help)
-    parser.add_argument("--n", type=int, default=n, help=n_help)
-    parser.add_argument("--json", action="store_true", help=json_help)
-    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,61 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--export", metavar="PATH",
                          help="additionally write the raw trace as JSONL to PATH")
 
-    bench = sub.add_parser(
-        "bench-parallel",
-        help="benchmark the sharded parallel engine against the serial "
-             "baseline across shard counts",
-        description="Run a fixed query workload serially (naive top-N) and "
-                    "through the sharded parallel engine at each shard "
-                    "count, verifying that every parallel ranking is "
-                    "tie-aware identical to the serial one and certified; "
-                    "prints latency / tuple-access / probe-saving "
-                    "comparisons.  Exits nonzero on any mismatch or "
-                    "uncertified result.",
-    )
-    bench.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4, 8],
-                       metavar="K", help="shard counts to benchmark")
-    bench.add_argument("--kind", default="thread",
-                       choices=["serial", "thread", "process"],
-                       help="executor pool kind")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="executor pool workers")
-    _add_bench_flags(bench, queries=10)
-
-    bench_cache = sub.add_parser(
-        "bench-cache",
-        help="benchmark the query cache: cold vs warm repeats and "
-             "top-N resume, exact-match verified",
-        description="Run a fixed workload cold, then again against the "
-                    "query cache (warm repeats and top-n -> top-N "
-                    "resume per engine), verifying every warm or "
-                    "resumed ranking is tie-aware identical to its "
-                    "cold reference; prints charged-operation "
-                    "reductions.  Exits nonzero on any mismatch or a "
-                    "warm repeat below the 5x reduction bar.",
-    )
-    bench_cache.add_argument("--resume-n", type=int, default=100,
-                             help="deep top-N size resumed from the "
-                                  "shallow runs")
-    _add_bench_flags(bench_cache, queries=10, n_help="shallow top-N size")
-
-    bench_blocks = sub.add_parser(
-        "bench-blocks",
-        help="benchmark the block-at-a-time engines against their "
-             "scalar oracles, exact-match verified",
-        description="Run the TA/NRA/CA engine pairs over an E15-style "
-                    "multi-feature workload: the scalar engine once per "
-                    "query, the blocked variant per block size, "
-                    "verifying every blocked ranking is bit-identical "
-                    "(ids and scores, canonical tie order) to the "
-                    "scalar answer.  Exits nonzero on any mismatch.",
-    )
-    bench_blocks.add_argument("--block-sizes", type=int, nargs="+",
-                              default=[16, 128, 1024], metavar="B",
-                              help="block sizes to benchmark")
-    _add_bench_flags(bench_blocks, queries=3,
-                     queries_help="number of grade matrices")
-
     serve = sub.add_parser(
         "serve",
         help="run the asynchronous query service",
@@ -286,32 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sorted-access depth of the first streamed "
                             "chunk (doubles per chunk)")
 
-    bench_serve = sub.add_parser(
-        "bench-serve",
-        help="closed-loop load test of the query service, quota "
-             "isolation and exact finals verified (E19)",
-        description="Start a server with a steady and a noisy tenant, "
-                    "drive closed-loop clients through a solo and a "
-                    "mixed phase, and report per-tenant qps and "
-                    "latency percentiles.  Verifies every streamed "
-                    "final against the direct library call, that the "
-                    "noisy tenant is throttled by its token bucket, "
-                    "and that the steady tenant's p99 degrades by at "
-                    "most 2x under the mixed load.  Exits nonzero "
-                    "otherwise.",
-    )
-    bench_serve.add_argument("--duration", type=float, default=2.0,
-                             help="seconds per phase")
-    bench_serve.add_argument("--algorithm", default="ta",
-                             choices=["fa", "ta", "nra", "ca"],
-                             help="engine streamed by the load")
-    bench_serve.add_argument("--clients", type=int, default=3,
-                             help="closed-loop clients per tenant")
-    bench_serve.add_argument("--chunk-depth", type=int, default=8,
-                             help="first-chunk depth (small values "
-                                  "stream more anytime chunks)")
-    _add_bench_flags(bench_serve)
-
     calibrate = sub.add_parser(
         "calibrate",
         help="fit the adaptive optimizer's cost calibration from "
@@ -323,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "engine grid over the synthetic workload classes, "
                     "fit cost-model constants plus per-engine stopping "
                     "predictors, and write a versioned calibration.json "
-                    "for `repro explain` / `repro bench-adaptive`.",
+                    "for `repro explain`.",
     )
     calibrate.add_argument("traces", nargs="*", metavar="TRACE_JSONL",
                            help="profile exports to ingest (none = "
@@ -382,31 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="emit the shared diagnostics payload plus "
                               "the explain object")
 
-    bench_adaptive = sub.add_parser(
-        "bench-adaptive",
-        help="benchmark the adaptive per-query engine choice against "
-             "the static single-engine policies (E20)",
-        description="Train a calibration on a disjoint split (or reuse "
-                    "one from `repro calibrate`), then run a mixed "
-                    "workload of uniform / skewed / correlated / sparse "
-                    "corpora under each static always-one-engine policy "
-                    "and under the adaptive policy, all measured with "
-                    "the same charged-cost functional.  Verifies every "
-                    "answer is exact and every adaptively chosen plan "
-                    "is verifier-clean and bound-certified; exits "
-                    "nonzero when adaptive misses the per-class "
-                    "tolerance or fails to beat at least two statics.",
-    )
-    bench_adaptive.add_argument("--train-queries", type=int, default=4,
-                                help="training queries per workload class")
-    bench_adaptive.add_argument("--tolerance", type=float, default=1.05,
-                                help="allowed adaptive/best-static cost "
-                                     "ratio per class")
-    bench_adaptive.add_argument("--calibration", metavar="PATH",
-                                help="reuse a fitted calibration.json "
-                                     "instead of training")
-    _add_bench_flags(bench_adaptive, queries=5,
-                     queries_help="test queries per workload class")
     return parser
 
 
@@ -787,77 +650,6 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _cmd_bench_parallel(args, out) -> int:
-    import json
-
-    from .parallel import bench_parallel
-
-    report = bench_parallel(scale=args.scale, seed=args.seed,
-                            shard_counts=tuple(args.shards),
-                            queries=args.queries, n=args.n,
-                            kind=args.kind, workers=args.workers)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        header = (f"{'config':<12} {'seconds':>9} {'tuples':>10} {'pages':>8} "
-                  f"{'probes':>7} {'saved':>6} {'rnd2':>5} {'shipped':>8} "
-                  f"{'mismatch':>9}")
-        print(header, file=out)
-        for row in report.rows:
-            print(f"{row.label:<12} {row.seconds:>9.4f} {row.tuples_read:>10,} "
-                  f"{row.page_reads:>8,} {row.probes:>7} {row.probes_saved:>6} "
-                  f"{row.rounds_2:>5} {row.items_shipped:>8,} "
-                  f"{row.mismatches:>9}", file=out)
-        verdict = "ok: every parallel ranking matched serial and was certified" \
-            if report.ok else "MISMATCH: parallel results diverged from serial"
-        print(verdict, file=out)
-    return 0 if report.ok else 1
-
-
-def _cmd_bench_cache(args, out) -> int:
-    import json
-
-    from .cache.bench import bench_cache
-
-    report = bench_cache(scale=args.scale, seed=args.seed,
-                         queries=args.queries, n=args.n,
-                         resume_n=args.resume_n)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        header = (f"{'scenario':<18} {'queries':>7} {'cold ops':>10} "
-                  f"{'warm ops':>10} {'reduction':>10} {'hits':>5} "
-                  f"{'resumes':>8} {'mismatch':>9}")
-        print(header, file=out)
-        for row in report.rows:
-            reduction = ("inf" if row.reduction == float("inf")
-                         else f"x{row.reduction:.1f}")
-            print(f"{row.label:<18} {row.queries:>7} {row.charged_cold:>10,} "
-                  f"{row.charged_warm:>10,} {reduction:>10} {row.hits:>5} "
-                  f"{row.resumes:>8} {row.mismatches:>9}", file=out)
-        verdict = ("ok: every warm and resumed ranking matched its cold "
-                   "reference" if report.ok
-                   else "MISMATCH: warm results diverged from cold, or a "
-                        "warm repeat missed the 5x reduction bar")
-        print(verdict, file=out)
-    return 0 if report.ok else 1
-
-
-def _cmd_bench_blocks(args, out) -> int:
-    import json
-
-    from .topn.bench import bench_blocks, render_report
-
-    report = bench_blocks(scale=args.scale, seed=args.seed,
-                          queries=args.queries, n=args.n,
-                          block_sizes=tuple(args.block_sizes))
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        print(render_report(report), file=out)
-    return 0 if report.ok else 1
-
-
 def _cmd_serve(args, out) -> int:
     import signal
     import threading
@@ -887,25 +679,6 @@ def _cmd_serve(args, out) -> int:
         db.close()
     print("repro serve: stopped", file=out)
     return 0
-
-
-def _cmd_bench_serve(args, out) -> int:
-    import json
-
-    from .serve import bench_serve
-    from .serve.bench import render_report
-
-    report = bench_serve(scale=args.scale, seed=args.seed,
-                         duration=args.duration, n=args.n,
-                         algorithm=args.algorithm,
-                         steady_clients=args.clients,
-                         noisy_clients=args.clients,
-                         chunk_depth=args.chunk_depth)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        print(render_report(report), file=out)
-    return 0 if report.ok else 1
 
 
 def _cmd_calibrate(args, out) -> int:
@@ -982,35 +755,6 @@ def _cmd_explain(args, out) -> int:
     return exit_code
 
 
-def _cmd_bench_adaptive(args, out) -> int:
-    import json
-
-    from .errors import CalibrationError
-    from .optimizer.adaptive import Calibration, bench_adaptive, render_report
-
-    calibration = None
-    if args.calibration:
-        try:
-            calibration = Calibration.load(args.calibration)
-        except OSError as exc:
-            print(f"bench-adaptive: cannot read {args.calibration}: {exc}",
-                  file=out)
-            return 2
-        except CalibrationError as exc:
-            print(f"bench-adaptive: {exc}", file=out)
-            return 2
-    report = bench_adaptive(scale=args.scale, seed=args.seed,
-                            queries=args.queries, n=args.n,
-                            train_queries=args.train_queries,
-                            tolerance=args.tolerance,
-                            calibration=calibration)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2), file=out)
-    else:
-        print(render_report(report), file=out)
-    return 0 if report.ok else 1
-
-
 def _cmd_example1(args, out) -> int:
     from .algebra import parse
     from .optimizer import Optimizer
@@ -1050,20 +794,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_check(args, out)
     if args.command == "profile":
         return _cmd_profile(args, out)
-    if args.command == "bench-parallel":
-        return _cmd_bench_parallel(args, out)
-    if args.command == "bench-cache":
-        return _cmd_bench_cache(args, out)
-    if args.command == "bench-blocks":
-        return _cmd_bench_blocks(args, out)
     if args.command == "calibrate":
         return _cmd_calibrate(args, out)
     if args.command == "explain":
         return _cmd_explain(args, out)
-    if args.command == "bench-adaptive":
-        return _cmd_bench_adaptive(args, out)
     if args.command == "serve":
         return _cmd_serve(args, out)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -10,7 +10,6 @@ from .adaptive import (
     ChooserDecision,
     PlanCandidate,
     QueryFeatures,
-    bench_adaptive,
     choose,
     choose_engine,
     enumerate_candidates,
@@ -68,7 +67,6 @@ __all__ = [
     "SliceOfSortIsTopN",
     "SortIdempotent",
     "TraceEntry",
-    "bench_adaptive",
     "choose",
     "choose_engine",
     "enumerate_candidates",

@@ -13,12 +13,12 @@ explain"):
   verifier and MOA9xx bound certification;
 * :mod:`~repro.optimizer.adaptive.explain` / ``repro explain`` — the
   candidate table (estimated vs observed cost, safety, certification,
-  why the winner won) on the shared CLI diagnostics contract;
-* :mod:`~repro.optimizer.adaptive.bench` — experiment E20, adaptive
-  choice vs. the static single-engine policies on a mixed workload.
+  why the winner won) on the shared CLI diagnostics contract.
+
+Experiment E20 (adaptive choice vs. the static single-engine policies
+on a mixed workload) lives in ``benchmarks/bench_e20_adaptive.py``.
 """
 
-from .bench import AdaptiveReport, bench_adaptive, render_report, train_calibration
 from .calibration import (
     CALIBRATION_VERSION,
     Calibration,
@@ -28,6 +28,7 @@ from .calibration import (
     IngestStats,
     QueryFeatures,
     engine_for_span,
+    train_calibration,
 )
 from .chooser import (
     ChooserDecision,
@@ -42,7 +43,6 @@ from .explain import ExplainReport, ExplainRow, explain_example1, explain_topn
 from .workload import CORPUS_KINDS, corpus_matrix, make_sources
 
 __all__ = [
-    "AdaptiveReport",
     "CALIBRATION_VERSION",
     "CORPUS_KINDS",
     "Calibration",
@@ -55,7 +55,6 @@ __all__ = [
     "IngestStats",
     "PlanCandidate",
     "QueryFeatures",
-    "bench_adaptive",
     "choose",
     "choose_engine",
     "corpus_matrix",
@@ -66,6 +65,5 @@ __all__ = [
     "make_sources",
     "pareto_frontier",
     "query_features",
-    "render_report",
     "train_calibration",
 ]

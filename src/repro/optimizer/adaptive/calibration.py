@@ -42,8 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ...errors import CalibrationError
-from ...obs.tracer import TRACE_SCHEMA_VERSION
+from ...obs.tracer import TRACE_SCHEMA_VERSION, trace_session
 from ..cost import CostModel
+from .workload import CORPUS_KINDS, corpus_matrix, make_sources
 
 __all__ = [
     "CALIBRATION_VERSION",
@@ -56,6 +57,7 @@ __all__ = [
     "IngestStats",
     "QueryFeatures",
     "engine_for_span",
+    "train_calibration",
 ]
 
 #: version stamped into every ``calibration.json``; bump on any change
@@ -509,7 +511,7 @@ class Calibration:
     def charged_cost(self, counters: dict) -> float:
         """Weighted scalar cost of a counter snapshot — the single
         measure chooser estimates, explain's observed column, and the
-        E20 bench all use."""
+        E20 benchmark all use."""
         return float(sum(self.weights.get(key, 0.0) * counters.get(key, 0)
                          for key in COST_KEYS))
 
@@ -582,3 +584,34 @@ class Calibration:
         if not isinstance(payload, dict):
             raise CalibrationError(f"damaged calibration file {path}: not an object")
         return cls.from_json(payload)
+
+
+def train_calibration(*, seed: int = 7, objects: int = 800, sources: int = 3,
+                      n: int = 10, queries_per_class: int = 4,
+                      classes=CORPUS_KINDS,
+                      store: CalibrationStore | None = None) -> Calibration:
+    """Fit a calibration from traced engine runs over a training split.
+
+    Every scalar Fagin-family engine answers ``queries_per_class``
+    synthetic queries per workload class under the tracer; the engine
+    spans, with their synopsis-derived query features, feed the store.
+    Pass an existing ``store`` to blend the self-profiled spans with
+    already-ingested trace exports (``repro calibrate`` does)."""
+    # chooser imports this module, so its helpers are imported lazily
+    from .chooser import _ENGINE_FUNCS, query_features
+
+    if store is None:
+        store = CalibrationStore()
+    rng = np.random.default_rng(seed)
+    for kind in classes:
+        for _query in range(queries_per_class):
+            matrix = corpus_matrix(kind, objects, sources, rng)
+            source_list = make_sources(matrix, prefix=kind)
+            feats = query_features(source_list, n)
+            for func in _ENGINE_FUNCS.values():
+                with trace_session() as session:
+                    func(source_list, n)
+                    roots = list(session.roots)
+                for root in roots:
+                    store.observe_span(root.to_dict(), features=feats)
+    return store.fit()

@@ -11,9 +11,7 @@ The subsystem has three layers plus integration glue:
 * :mod:`~repro.parallel.coordinator` — the TPUT/TA-style two-round
   threshold merge producing results that are tie-aware-identical to
   serial :func:`~repro.topn.naive.naive_topn`, with a
-  ``certified`` correctness flag on the :class:`~repro.topn.result.TopNResult`;
-* :mod:`~repro.parallel.bench` — the ``repro bench-parallel`` harness
-  comparing shard counts against the serial engines.
+  ``certified`` correctness flag on the :class:`~repro.topn.result.TopNResult`.
 
 ``REPRO_PARALLEL_DEFAULT_SHARDS`` sets the default shard count for
 callers that do not pass one (:func:`default_shard_count`).
@@ -23,7 +21,6 @@ from __future__ import annotations
 
 import os
 
-from .bench import bench_parallel
 from .coordinator import (
     IndexShardEvaluator,
     ShardAnswer,
@@ -66,7 +63,6 @@ __all__ = [
     "ShardedIndex",
     "SourceRangeEvaluator",
     "TaskOutcome",
-    "bench_parallel",
     "coordinated_topn",
     "counter_from_snapshot",
     "default_round1_fetch",

@@ -21,11 +21,10 @@ HTTP/NDJSON shim on the same port), with
   resumes are refused with the MOA1002 diagnostic
   (:mod:`repro.analysis.serve`).
 
-``repro serve`` runs a server; ``repro bench-serve`` is the closed-
-loop load generator behind experiment E19.
+``repro serve`` runs a server; ``benchmarks/bench_e19_serve.py`` is the
+closed-loop load generator behind experiment E19.
 """
 
-from .bench import ServeBenchReport, TenantRow, bench_serve, render_report
 from .client import ServeClient, StreamResult, collect
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -55,7 +54,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "QueryServer",
     "QuotaManager",
-    "ServeBenchReport",
     "ServeClient",
     "ServeSession",
     "ServerConfig",
@@ -64,10 +62,8 @@ __all__ = [
     "SessionRegistry",
     "StreamResult",
     "TenantConfig",
-    "TenantRow",
     "TenantState",
     "TokenBucket",
-    "bench_serve",
     "collect",
     "decode_body",
     "encode_frame",
@@ -76,6 +72,5 @@ __all__ = [
     "parse_token",
     "read_frame",
     "read_frame_sync",
-    "render_report",
     "write_frame_sync",
 ]

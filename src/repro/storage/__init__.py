@@ -11,8 +11,7 @@ Public surface:
   (runtime cost accounting);
 * :mod:`~repro.storage.statistics` — offline *column* statistics (zone
   maps, equi-depth histograms) for the cost model — not to be confused
-  with ``stats``; both modules carry deprecation shims that forward
-  (and warn on) lookups that land in the wrong one;
+  with ``stats``; each name lives in exactly one of the two modules;
 * :class:`~repro.storage.index.SparseIndex` /
   :class:`~repro.storage.index.HashIndex` — the paper's non-dense index
   and its dense counterpart;

@@ -61,8 +61,13 @@ class ZoneMap:
 class EquiDepthHistogram:
     """Equi-depth histogram: each bucket holds ~count/buckets values.
 
-    Estimates range selectivity by summing full buckets inside the
-    range and interpolating the partial boundary buckets.
+    Bucket boundaries are data values taken at evenly spaced ranks of
+    the sorted column, and each boundary stores the exact fraction of
+    the column below it and at or below it.  An estimate is therefore
+    exact at every boundary; only the mass strictly between two
+    neighbouring boundaries (less than one bucket) is interpolated
+    linearly.  Heavy duplicate mass at one value always lands on a
+    boundary, so it is counted exactly rather than smeared.
     """
 
     def __init__(self, values: np.ndarray, n_buckets: int = 32) -> None:
@@ -72,8 +77,11 @@ class EquiDepthHistogram:
         if n_buckets < 1:
             raise StorageError(f"need at least 1 bucket, got {n_buckets}")
         self.count = len(values)
-        quantiles = np.linspace(0.0, 1.0, min(n_buckets, self.count) + 1)
-        self.boundaries = np.quantile(values, quantiles)
+        ordered = np.sort(values)
+        ranks = np.linspace(0, self.count - 1, min(n_buckets, self.count) + 1)
+        self.boundaries = ordered[np.round(ranks).astype(np.intp)]
+        self._below = np.searchsorted(ordered, self.boundaries, "left") / self.count
+        self._at_most = np.searchsorted(ordered, self.boundaries, "right") / self.count
         _stats.charge_tuples_read(len(values))
         _stats.charge_comparisons(len(values))
 
@@ -81,40 +89,25 @@ class EquiDepthHistogram:
     def n_buckets(self) -> int:
         return len(self.boundaries) - 1
 
-    def _fraction_below(self, value: float) -> float:
-        """Approximate fraction of values strictly less than ``value``.
-
-        Duplicate quantile boundaries (heavy mass at one value) are
-        handled by taking the *first* boundary >= value."""
+    def _fraction(self, value: float, inclusive: bool) -> float:
+        """Estimated fraction of values ``< value`` (``<=`` when
+        ``inclusive``): exact at a boundary, interpolated between two."""
         bounds = self.boundaries
-        if value <= bounds[0]:
+        if value < bounds[0]:
             return 0.0
         if value > bounds[-1]:
             return 1.0
         j = int(np.searchsorted(bounds, value, "left"))  # first boundary >= value
-        bucket = max(j - 1, 0)
-        lo, hi = bounds[bucket], bounds[bucket + 1]
-        within = (value - lo) / (hi - lo) if hi > lo else 1.0
-        return min((bucket + within) / self.n_buckets, 1.0)
-
-    def _fraction_at_most(self, value: float) -> float:
-        """Approximate fraction of values <= ``value``; takes the
-        *last* boundary <= value so duplicate mass is included."""
-        bounds = self.boundaries
-        if value < bounds[0]:
-            return 0.0
-        if value >= bounds[-1]:
-            return 1.0
-        k = int(np.searchsorted(bounds, value, "right")) - 1
-        k = min(k, self.n_buckets - 1)
-        lo, hi = bounds[k], bounds[k + 1]
-        within = (value - lo) / (hi - lo) if hi > lo else 0.0
-        return min((k + within) / self.n_buckets, 1.0)
+        if bounds[j] == value:
+            return float(self._at_most[j] if inclusive else self._below[j])
+        lo, hi = bounds[j - 1], bounds[j]
+        start, end = self._at_most[j - 1], self._below[j]
+        return float(start + (value - lo) / (hi - lo) * (end - start))
 
     def range_selectivity(self, lo, hi) -> float:
         """Estimated selectivity of ``lo <= x <= hi``."""
-        low_frac = 0.0 if lo is None else self._fraction_below(float(lo))
-        high_frac = 1.0 if hi is None else self._fraction_at_most(float(hi))
+        low_frac = 0.0 if lo is None else self._fraction(float(lo), inclusive=False)
+        high_frac = 1.0 if hi is None else self._fraction(float(hi), inclusive=True)
         return max(high_frac - low_frac, 0.0)
 
     def estimate_rows(self, lo, hi) -> float:
@@ -180,35 +173,3 @@ class StatisticsRegistry:
                     self.put(name, analyze_column(value.bat, n_buckets))
         return self
 
-
-# -- deprecation shim -------------------------------------------------------
-#
-# The mirror of the shim in repro.storage.stats: cost-accounting names
-# looked up here are forwarded to repro.storage.stats with a warning.
-
-_COST_NAMES = frozenset({
-    "CostCounter",
-    "active_counters",
-    "charge_buffer_hits",
-    "charge_comparisons",
-    "charge_extra",
-    "charge_page_reads",
-    "charge_page_writes",
-    "charge_random_accesses",
-    "charge_sorted_accesses",
-    "charge_tuples_read",
-    "charge_tuples_written",
-})
-
-
-def __getattr__(name: str):
-    if name in _COST_NAMES:
-        import warnings
-
-        warnings.warn(
-            f"repro.storage.statistics.{name} is cost accounting, not "
-            f"column statistics: import it from repro.storage.stats instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return getattr(_stats, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

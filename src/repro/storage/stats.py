@@ -251,33 +251,3 @@ def active_counters() -> tuple["CostCounter", ...]:
     """Return the currently active counters (outermost first)."""
     return tuple(_counter_stack())
 
-
-# -- deprecation shim -------------------------------------------------------
-#
-# PR 1 split cost accounting (this module) from column statistics
-# (repro.storage.statistics); callers that still look up a column-
-# statistics name here are forwarded, with a warning steering them to
-# the right module.
-
-_STATISTICS_NAMES = frozenset({
-    "ColumnStatistics",
-    "EquiDepthHistogram",
-    "StatisticsRegistry",
-    "ZoneMap",
-    "analyze_column",
-})
-
-
-def __getattr__(name: str):
-    if name in _STATISTICS_NAMES:
-        import warnings
-
-        from . import statistics as _statistics
-
-        warnings.warn(
-            f"repro.storage.stats.{name} is column statistics, not cost "
-            f"accounting: import it from repro.storage.statistics instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        return getattr(_statistics, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

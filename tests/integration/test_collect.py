@@ -98,3 +98,25 @@ class TestCollectTolerance:
         payload = collect.collect(results, output)
         assert [t["slug"] for t in payload["tables"]] == ["e1"]
         assert "ignoring unreadable" in capsys.readouterr().err
+
+    def test_tables_of_deleted_experiments_are_dropped(self, tmp_path):
+        """Once an experiment's script is gone its tables leave the
+        merged output, whether the previous output still holds them or
+        a per-experiment file was left behind."""
+        collect = load_collect()
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        (scripts / "bench_e1_zipf.py").write_text("")
+        (scripts / "bench_e16_cache.py").write_text("")
+        output = tmp_path / "out.json"
+        results = write_results(tmp_path, e1a=json.dumps(table("e1a")),
+                                e16=json.dumps(table("e16")))
+        payload = collect.collect(results, output, scripts)
+        assert [t["slug"] for t in payload["tables"]] == ["e16", "e1a"]
+        (scripts / "bench_e16_cache.py").unlink()
+        (results / "e16.json").unlink()
+        payload = collect.collect(results, output, scripts)
+        assert [t["slug"] for t in payload["tables"]] == ["e1a"]
+        (results / "e16.json").write_text(json.dumps(table("e16")))
+        payload = collect.collect(results, output, scripts)
+        assert [t["slug"] for t in payload["tables"]] == ["e1a"]

@@ -130,23 +130,6 @@ class TestConfigValidation:
 
 
 class TestCli:
-    def test_bench_parallel(self):
-        code, text = run_cli(SCALE + ["bench-parallel", "--shards", "1", "2",
-                                      "--queries", "3", "--n", "5"])
-        assert code == 0
-        assert "serial" in text
-        assert "parallel-2" in text
-        assert "every parallel ranking matched serial" in text
-
-    def test_bench_parallel_json(self):
-        code, text = run_cli(SCALE + ["bench-parallel", "--shards", "2",
-                                      "--queries", "2", "--json"])
-        assert code == 0
-        payload = json.loads(text)
-        rows = {row["label"]: row for row in payload["rows"]}
-        assert rows["parallel-2"]["mismatches"] == 0
-        assert rows["parallel-2"]["uncertified"] == 0
-
     def test_search_parallel_strategy(self, db, query):
         code, text = run_cli(SCALE + ["search", *query.split(),
                                       "--strategy", "parallel", "--shards", "2"])

@@ -1,10 +1,9 @@
 """The stats / statistics module split: both re-exported from the
-package, with deprecation shims forwarding misdirected lookups.
+package, each name living in exactly one of them.
 
 ``repro.storage.stats`` holds runtime cost counters and
-``repro.storage.statistics`` offline column statistics; historically
-callers confused the two, so each module forwards (and warns on) names
-that live in the other.
+``repro.storage.statistics`` offline column statistics.  Neither
+module forwards names that belong to the other.
 """
 
 import pytest
@@ -26,29 +25,18 @@ class TestPackageSurface:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize("name", [
-        "ZoneMap", "EquiDepthHistogram", "ColumnStatistics",
-        "StatisticsRegistry", "analyze_column",
-    ])
-    def test_stats_forwards_statistics_names(self, name):
-        with pytest.warns(DeprecationWarning, match="repro.storage.statistics"):
-            forwarded = getattr(stats, name)
-        assert forwarded is getattr(statistics, name)
-
-    @pytest.mark.parametrize("name", [
-        "CostCounter", "active_counters", "charge_tuples_read",
-        "charge_page_reads",
-    ])
-    def test_statistics_forwards_cost_names(self, name):
-        with pytest.warns(DeprecationWarning, match="repro.storage.stats"):
-            forwarded = getattr(statistics, name)
-        assert forwarded is getattr(stats, name)
+    """Neither module forwards the other's names."""
 
     def test_unknown_names_still_raise(self):
         with pytest.raises(AttributeError):
             stats.definitely_not_a_name
         with pytest.raises(AttributeError):
             statistics.definitely_not_a_name
+        # a name from the other module is as unknown as any other
+        with pytest.raises(AttributeError):
+            stats.ZoneMap
+        with pytest.raises(AttributeError):
+            statistics.CostCounter
 
     def test_native_names_do_not_warn(self, recwarn):
         assert stats.CostCounter is storage.CostCounter
