@@ -63,7 +63,7 @@ def profile_hits(
     for _ in range(n_queries):
         anchor = space.vectors[rng.integers(0, space.n_objects)]
         query = anchor + rng.normal(0.0, 0.1 * scale, size=space.dim)
-        distances = l2_distances(space.vectors, query)
+        distances = l2_distances(space.columns.T, query)
         top = np.argpartition(distances, min(k, space.n_objects) - 1)[:k]
         hits[top] += 1
     stats.charge_extra("profiling_queries", n_queries)
@@ -175,7 +175,7 @@ def profiled_topn(
         nonlocal scored
         if len(object_ids) == 0:
             return
-        sims = _similarities(space.vectors[object_ids], query, scale)
+        sims = _similarities(space.columns[:, object_ids].T, query, scale)
         stats.charge_tuples_read(len(object_ids))
         stats.charge_comparisons(len(object_ids))
         scored += len(object_ids)

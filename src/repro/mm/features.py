@@ -11,7 +11,7 @@ Fagin-family experiments need (see DESIGN.md, substitutions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,15 +20,24 @@ from ..errors import WorkloadError
 
 @dataclass
 class FeatureSpace:
-    """A named feature matrix: one row per object."""
+    """A named feature matrix: one row per object.
+
+    ``columns`` is a read-only column-major copy of ``vectors`` (one
+    contiguous row per feature), built once here: the summing
+    similarity scans (l1, l2, histogram) read ``columns.T``, a feature
+    at a time over all objects.
+    """
 
     name: str
     vectors: np.ndarray  # (n_objects, dim)
     cluster_of: np.ndarray | None = None  # planted cluster id per object
+    columns: np.ndarray = field(init=False, repr=False, compare=False)  # (dim, n_objects)
 
     def __post_init__(self) -> None:
         if self.vectors.ndim != 2:
             raise WorkloadError(f"feature matrix must be 2-D, got shape {self.vectors.shape}")
+        self.columns = np.ascontiguousarray(self.vectors.T, dtype=np.float64)
+        self.columns.flags.writeable = False
 
     @property
     def n_objects(self) -> int:

@@ -9,7 +9,10 @@ as a *graded list* supporting
 
 Both access kinds are charged on the active cost counters
 (``sorted_accesses`` / ``random_accesses``), which is the cost measure
-Fagin's analysis — and experiment E6 — is stated in.
+Fagin's analysis — and experiment E6 — is stated in.  Two bulk reads,
+``sorted_slab`` and ``grades_of``, serve the same data a slab or a
+batch at a time *uncharged*; an engine that uses them (TA) charges the
+accesses it would have made one at a time.
 
 :class:`ArraySource` wraps a precomputed score array (e.g. a feature
 similarity for one query).  :class:`PostingsSource` adapts one query
@@ -50,6 +53,18 @@ class ScoreSource:
         """True when ``rank`` is past the end of the list."""
         return rank >= self.n_objects
 
+    def sorted_slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted ranks ``lo .. hi - 1`` as ``(objects, grades)`` arrays,
+        cut short where the list ends.  **Uncharged**: a bulk reader
+        (TA) charges the sorted accesses it actually uses itself."""
+        raise NotImplementedError
+
+    def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
+        """The grades of ``obj_ids`` in one vectorised probe, the same
+        floats :meth:`random_access` returns.  **Uncharged**, like
+        :meth:`sorted_slab`."""
+        raise NotImplementedError
+
     def synopsis(self, ranks) -> list[tuple[int, float]] | None:
         """Catalog metadata: ``(object, grade)`` at the given sorted
         ranks, **uncharged** — the planner's champion-list sketch.
@@ -84,6 +99,15 @@ def _checked_grades(grades) -> np.ndarray:
     if len(grades) and grades.min() < 0:
         raise TopNError("grades must be non-negative (monotone aggregation contract)")
     return grades
+
+
+def _dense_grades_of(grades: np.ndarray, obj_ids: np.ndarray, name: str) -> np.ndarray:
+    """``grades[obj_ids]``, or :class:`TopNError` for an id outside the
+    source (as random access raises)."""
+    if len(obj_ids) and not (0 <= obj_ids.min() and obj_ids.max() < len(grades)):
+        bad = obj_ids[(obj_ids < 0) | (obj_ids >= len(grades))][0]
+        raise TopNError(f"object id {bad} outside source {name!r}")
+    return grades[obj_ids]
 
 
 #: Ranks the first sorted access of an :class:`ArraySource` materialises;
@@ -153,6 +177,16 @@ class ArraySource(ScoreSource):
         stats.charge_random_accesses(1)
         return float(self._scores[obj_id])
 
+    def sorted_slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        hi = min(hi, len(self._scores))
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        ids = self._prefix(hi - 1)[lo:hi]
+        return ids, self._scores[ids]
+
+    def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
+        return _dense_grades_of(self._scores, obj_ids, self.name)
+
     def synopsis(self, ranks) -> list[tuple[int, float]]:
         out = []
         for rank in ranks:
@@ -166,7 +200,10 @@ class ArraySource(ScoreSource):
 
 def feature_source(space: FeatureSpace, query: np.ndarray, measure: str = "l2") -> ArraySource:
     """Build a graded list from a feature space and a query vector."""
-    scores = similarity_scores(space.vectors, query, measure)
+    # the summing scans read the column-major copy; cosine's matmul
+    # reads rows
+    matrix = space.vectors if measure == "cosine" else space.columns.T
+    scores = similarity_scores(matrix, query, measure)
     return ArraySource(scores, name=f"{space.name}:{measure}")
 
 
@@ -224,6 +261,15 @@ class PostingsSource(ScoreSource):
             return float(self._partials[pos])
         return 0.0
 
+    def sorted_slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._by_score_docs[lo:hi], self._by_score_grades[lo:hi]
+
+    def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
+        if not len(self._doc_ids):
+            return np.zeros(len(obj_ids), dtype=np.float64)
+        pos = np.minimum(np.searchsorted(self._doc_ids, obj_ids), len(self._doc_ids) - 1)
+        return np.where(self._doc_ids[pos] == obj_ids, self._partials[pos], 0.0)
+
     def synopsis(self, ranks) -> list[tuple[int, float]]:
         out = []
         for rank in ranks:
@@ -245,9 +291,8 @@ class BlockedSource(ScoreSource):
     the replay wrapper :class:`~repro.cache.resume.ReplaySource`, the
     parallel coordinator's range evaluators) keeps working over blocked
     storage unchanged.  On top of it, the block API serves whole
-    ``(doc_ids, grades)`` slabs with one bulk sorted-access charge, the
-    per-block score upper bounds the blocked engines prune by, and
-    vectorized random access for batch grade completion.
+    ``(doc_ids, grades)`` slabs with one bulk sorted-access charge and
+    the per-block score upper bounds the blocked engines prune by.
     """
 
     def __init__(self, dense_grades: np.ndarray, blocks: ScoredBlocks,
@@ -308,6 +353,12 @@ class BlockedSource(ScoreSource):
         stats.charge_random_accesses(1)
         return float(self._dense[obj_id])
 
+    def sorted_slab(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.blocks.doc_ids[lo:hi], self.blocks.grades[lo:hi]
+
+    def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
+        return _dense_grades_of(self._dense, obj_ids, self.name)
+
     # -- block-at-a-time protocol -------------------------------------------
 
     @property
@@ -321,8 +372,7 @@ class BlockedSource(ScoreSource):
     @property
     def dense_grades(self) -> np.ndarray:
         """The per-object grade column (read-only use by the blocked
-        engines for vectorized completion; not charged — charging
-        happens via :meth:`random_access_many`)."""
+        engines; not charged — the engines charge what they read)."""
         return self._dense
 
     def read_block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -334,12 +384,6 @@ class BlockedSource(ScoreSource):
 
     def block_upper(self, b: int) -> float:
         return self.blocks.block_upper(b)
-
-    def random_access_many(self, obj_ids: np.ndarray) -> np.ndarray:
-        """Grades of ``obj_ids`` in one vectorized probe (one random
-        access charged per object, matching the scalar loop)."""
-        stats.charge_random_accesses(len(obj_ids))
-        return self._dense[obj_ids]
 
     def threshold_bounds(self, epoch: int = 0):
         """Per-block upper bounds as epoch-stamped ThresholdBound

@@ -40,6 +40,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..errors import TopNError
 from ..intervals import ScoreInterval, sum_of
 
@@ -256,6 +258,38 @@ def require_monotone(agg: AggregateFunction, engine: str) -> None:
             f"assumes increasing a grade never decreases the aggregate). "
             f"Use naive_topn_sources, or declare monotone=True if the "
             f"function really is monotone.")
+
+
+def combine_columns(agg: AggregateFunction, columns: list[np.ndarray]) -> np.ndarray:
+    """Per-row ``agg.combine`` over parallel grade columns, with the
+    same left-to-right fold (and therefore the same IEEE result) as the
+    scalar list version."""
+    if isinstance(agg, (Sum, Avg)):
+        acc = np.zeros_like(columns[0])
+        for col in columns:
+            acc = acc + col
+        return acc / len(columns) if isinstance(agg, Avg) else acc
+    if isinstance(agg, WeightedSum):
+        acc = np.zeros_like(columns[0])
+        for weight, col in zip(agg.weights, columns):
+            acc = acc + weight * col
+        return acc
+    if isinstance(agg, (Min, Max)):
+        fold = np.minimum if isinstance(agg, Min) else np.maximum
+        acc = columns[0].astype(np.float64, copy=True)
+        for col in columns[1:]:
+            acc = fold(acc, col)
+        return acc
+    if isinstance(agg, Product):
+        acc = np.ones_like(columns[0])
+        for col in columns:
+            acc = acc * col
+        return acc
+    # unknown (user) aggregate: per-row scalar fallback — slow but exact
+    return np.array([
+        agg.combine([float(col[row]) for col in columns])
+        for row in range(len(columns[0]))
+    ], dtype=np.float64)
 
 
 SUM = Sum()

@@ -1,14 +1,15 @@
 """Block-at-a-time vectorized Fagin-family engines.
 
-The scalar engines (:func:`~repro.topn.ta.threshold_topn`,
-:func:`~repro.topn.nra.nra_topn`, :func:`~repro.topn.ca.combined_topn`)
-walk one posting per Python iteration — the dominant constant factor at
-bench scale.  The variants here consume whole storage blocks
-(:class:`~repro.mm.sources.BlockedSource`) and do numpy batch work
-between threshold checks: vectorized grade accumulation, argpartition/
-lexsort for frontier maintenance, and block-max pruning — whole blocks
-whose score upper bound falls below the current decision threshold are
-never read (``blocks_skipped`` in the result stats and the
+The scalar engines (:func:`~repro.topn.nra.nra_topn`,
+:func:`~repro.topn.ca.combined_topn`) walk one posting per Python
+iteration — the dominant constant factor at bench scale; TA
+(:func:`~repro.topn.ta.threshold_topn`) reads slabs but charges as
+if it walked one posting at a time.  The variants here consume whole
+storage blocks (:class:`~repro.mm.sources.BlockedSource`) and do numpy
+batch work between threshold checks: vectorized grade accumulation,
+argpartition/lexsort for frontier maintenance, and block-max pruning —
+whole blocks whose score upper bound falls below the current decision
+threshold are never read (``blocks_skipped`` in the result stats and the
 ``topn.blocks_skipped`` metric).
 
 Exactness contract
@@ -22,13 +23,14 @@ input and any block size.  Three mechanisms carry that guarantee:
   ``Aggregate.combine`` performs on a Python list, so reordered numpy
   summation can never produce a different float.
 * *Same stop depths.*  TA's stop rule (``n``-th best >= τ) is monotone
-  in depth — τ falls, the frontier rises — so the blocked TA checks it
-  once per block and binary-searches the exact scalar stop depth inside
-  the stopping block, then answers from the objects first seen at or
-  before that depth.  NRA/CA report termination-depth-dependent lower
-  bounds, so their blocked variants evaluate the (vectorized) stop
-  condition at exactly the scalar check cadence (``check_every`` /
-  completion every ``h`` rounds).
+  in depth — τ falls, the frontier rises — so the blocked TA evaluates
+  it for every depth of a block at once
+  (:func:`~repro.topn.ta.first_stop`, TA's own rule), then answers from
+  the objects first seen at or before the first stopping depth.
+  NRA/CA report termination-depth-dependent lower bounds, so their
+  blocked variants evaluate the (vectorized) stop condition at exactly
+  the scalar check cadence (``check_every`` / completion every ``h``
+  rounds).
 * *Same tie discipline.*  Frontier cuts partition by score, then take
   the whole tied boundary group through the canonical
   ``(score desc, id asc)`` lexsort — the convention
@@ -46,19 +48,11 @@ import numpy as np
 
 from ..errors import QueryCancelledError, TopNError
 from ..obs import metrics, tracer
-from .aggregates import (
-    AggregateFunction,
-    Avg,
-    Max,
-    Min,
-    Product,
-    SUM,
-    Sum,
-    WeightedSum,
-    require_monotone,
-)
+from ..storage import stats
+from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
+from .heap import canonical_topn
 from .result import RankedItem, TopNResult
-from .ta import _check_resume
+from .ta import _check_resume, first_stop, read_slab
 
 _NEVER = np.iinfo(np.int64).max
 
@@ -84,38 +78,6 @@ def _require_blocked(sources: list, engine: str) -> None:
                 f"{engine} needs block-at-a-time sources "
                 f"(repro.mm.BlockedSource); got {type(source).__name__} — "
                 f"wrap the data with BlockedSource.from_array / from_postings")
-
-
-def _combine_columns(agg: AggregateFunction, columns: list[np.ndarray]) -> np.ndarray:
-    """Per-row ``agg.combine`` over parallel grade columns, with the
-    same left-to-right fold (and therefore the same IEEE result) as the
-    scalar list version."""
-    if isinstance(agg, (Sum, Avg)):
-        acc = np.zeros_like(columns[0])
-        for col in columns:
-            acc = acc + col
-        return acc / len(columns) if isinstance(agg, Avg) else acc
-    if isinstance(agg, WeightedSum):
-        acc = np.zeros_like(columns[0])
-        for weight, col in zip(agg.weights, columns):
-            acc = acc + weight * col
-        return acc
-    if isinstance(agg, (Min, Max)):
-        fold = np.minimum if isinstance(agg, Min) else np.maximum
-        acc = columns[0].astype(np.float64, copy=True)
-        for col in columns[1:]:
-            acc = fold(acc, col)
-        return acc
-    if isinstance(agg, Product):
-        acc = np.ones_like(columns[0])
-        for col in columns:
-            acc = acc * col
-        return acc
-    # unknown (user) aggregate: per-row scalar fallback — slow but exact
-    return np.array([
-        agg.combine([float(col[row]) for col in columns])
-        for row in range(len(columns[0]))
-    ], dtype=np.float64)
 
 
 class _Cursor:
@@ -146,38 +108,6 @@ class _Cursor:
         return self.source.n_blocks - self.blocks_read
 
 
-def _canonical_topn(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedItem]:
-    """The canonical top-``n`` cut — argpartition by score, then the
-    whole tied boundary group through the (score desc, id asc) lexsort
-    — identical to offering every pair to a :class:`BoundedTopN`."""
-    if len(ids) > n:
-        # nth-largest value; keep everything >= it so boundary ties are
-        # resolved by id, not by partition order
-        kth = np.partition(values, len(values) - n)[len(values) - n]
-        keep = values >= kth
-        ids, values = ids[keep], values[keep]
-    order = np.lexsort((ids, -values))[:n]
-    return [RankedItem(int(ids[i]), float(values[i])) for i in order]
-
-
-def _segment_columns(sources, lo: int, hi: int):
-    """Padded per-source ``(doc, grade)`` columns for ranks
-    ``[lo, hi)``: past a source's end docs are -1 and grades 0.0 — the
-    exact floor the scalar engines substitute for exhausted lists."""
-    width = hi - lo
-    doc_cols, grade_cols = [], []
-    for source in sources:
-        docs = np.full(width, -1, dtype=np.int64)
-        grades = np.zeros(width, dtype=np.float64)
-        valid = min(hi, source.blocks.n_postings) - lo
-        if valid > 0:
-            docs[:valid] = source.blocks.doc_ids[lo:lo + valid]
-            grades[:valid] = source.blocks.grades[lo:lo + valid]
-        doc_cols.append(docs)
-        grade_cols.append(grades)
-    return doc_cols, grade_cols
-
-
 def _emit_block_metrics(cursors) -> tuple[int, int]:
     blocks_read = sum(c.blocks_read for c in cursors)
     blocks_skipped = sum(c.blocks_skipped for c in cursors)
@@ -199,12 +129,11 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
     :func:`~repro.topn.ta.threshold_topn`.
 
     Reads one block row at a time, completes every newly seen object
-    with one vectorized random-access probe per source, and checks TA's
-    stop rule once per block: the rule is monotone in depth, so when it
-    holds at a block boundary the exact scalar stop depth is recovered
-    by binary search inside the block, and the answer is cut from the
-    objects first seen at or before that depth.  Blocks past the stop
-    are never read — that is the block-max prune, and it is *safe*
+    with one vectorized grade probe per source (charged as ``m - 1``
+    random accesses per object), and evaluates TA's stop rule for every
+    depth of the block at once; the answer is cut from the objects
+    first seen at or before the first stopping depth.  Blocks past the
+    stop are never read — that is the block-max prune, and it is *safe*
     because every unread block's upper bound is at most the last τ the
     stop rule already beat.
 
@@ -228,7 +157,6 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
     n_objects = max(source.n_objects for source in sources)
     lengths = [source.blocks.n_postings for source in sources]
     max_len = max(lengths) if lengths else 0
-    dense_cols = [source.dense_grades for source in sources]
 
     with tracer.span("topn.ta_blocked", n=n, m=m, agg=agg.name,
                      block_size=size, resumed=resume_from is not None):
@@ -257,8 +185,9 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
             depth = resume_from.depth_next
             if resume_from.exhausted:
                 done, stop_reason = True, "exhausted"
-            elif _ta_stopped(seen, scores, first_seen, depth - 1, n,
-                             agg.combine(last_grades)):
+            elif first_stop(np.array([agg.combine(last_grades)]),
+                            np.zeros(len(seeded), dtype=np.int64),
+                            seeded_scores, n) is not None:
                 # a cold run at this n re-checks (and stops) at the
                 # saved depth before reading deeper
                 done = True
@@ -275,63 +204,57 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                 tau = agg.combine(last_grades)
                 ranks_read = depth + 1
                 d_star = None  # every seen object is in play
-                if not _ta_stopped(seen, scores, first_seen, _NEVER - 1, n, tau):
+                in_play = scores[seen]
+                if first_stop(np.array([tau]), np.zeros(len(in_play), dtype=np.int64),
+                              in_play, n) is None:
                     stop_reason = "exhausted"
                 break
             lo, hi = depth, min(depth + size, max_len)
             for cursor in cursors:
                 cursor.ensure(hi)
-            doc_cols, grade_cols = _segment_columns(sources, lo, hi)
+            docs, grades, _ = read_slab(sources, lo, hi)
 
             # complete every object first seen in this block row with
             # one vectorized probe per source (same floats the scalar
             # engine fetches one random access at a time)
-            all_docs = np.concatenate(doc_cols)
-            offsets = np.tile(np.arange(lo, hi, dtype=np.int64), m)
+            all_docs = docs.ravel()
+            offsets = np.repeat(np.arange(lo, hi, dtype=np.int64), m)
             valid = all_docs >= 0
             fresh = valid & ~seen[np.clip(all_docs, 0, None)]
             fresh_docs = all_docs[fresh]
             if len(fresh_docs):
                 uniq = np.unique(fresh_docs)
                 seen[uniq] = True
-                grade_rows = [src.random_access_many(uniq) for src in sources]
+                grade_rows = [src.grades_of(uniq) for src in sources]
+                # the sorted access that met an object already gave one
+                # grade: m - 1 random accesses complete it
+                stats.charge_random_accesses((m - 1) * len(uniq))
                 random_accesses += (m - 1) * len(uniq)
-                scores[uniq] = _combine_columns(agg, grade_rows)
+                scores[uniq] = combine_columns(agg, grade_rows)
                 np.minimum.at(first_seen, fresh_docs, offsets[fresh])
 
             # τ per depth of the row — one column fold, exact floats
-            tau_row = _combine_columns(agg, grade_cols)
-            last_grades = [
-                float(grade_cols[i][hi - 1 - lo]) for i in range(m)
-            ]
+            tau_row = combine_columns(agg, list(grades))
+            last_grades = grades[:, hi - 1 - lo].tolist()
             if traced:
                 tracer.event("ta.block", lo=lo, hi=hi,
                              threshold=float(tau_row[-1]),
                              objects_seen=int(np.count_nonzero(seen)))
             ranks_read = hi
-            if _ta_stopped(seen, scores, first_seen, hi - 1, n, float(tau_row[-1])):
-                # monotone stop rule: binary-search the exact scalar
-                # stop depth inside this block row
-                left, right = lo, hi - 1
-                while left < right:
-                    mid = (left + right) // 2
-                    if _ta_stopped(seen, scores, first_seen, mid, n,
-                                   float(tau_row[mid - lo])):
-                        right = mid
-                    else:
-                        left = mid + 1
-                d_star = left
+            ids = np.flatnonzero(seen)
+            stop = first_stop(tau_row, first_seen[ids] - lo, scores[ids], n)
+            if stop is not None:
+                # the exact scalar stop depth inside this block row
+                d_star = lo + stop
                 ranks_read = d_star + 1
-                last_grades = [
-                    float(grade_cols[i][d_star - lo]) for i in range(m)
-                ]
+                last_grades = grades[:, d_star - lo].tolist()
                 break
             depth = hi
 
         threshold = agg.combine(last_grades)
         in_play = seen if d_star is None else (seen & (first_seen <= d_star))
         ids = np.flatnonzero(in_play)
-        items = _canonical_topn(ids, scores[ids], n)
+        items = canonical_topn(ids, scores[ids], n)
         blocks_read, blocks_skipped = _emit_block_metrics(cursors)
         tracer.annotate(stop_reason=stop_reason, depth=ranks_read,
                         blocks_read=blocks_read, blocks_skipped=blocks_skipped)
@@ -356,18 +279,6 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
             )
         return TopNResult(items, n, strategy="fagin-ta-blocked", safe=True,
                           stats=run_stats)
-
-
-def _ta_stopped(seen, scores, first_seen, depth, n, tau) -> bool:
-    """TA's stop rule at ``depth``: the n-th best score over objects
-    first seen at or before it has reached τ."""
-    mask = seen & (first_seen <= depth)
-    count = int(np.count_nonzero(mask))
-    if count < n:
-        return False
-    vals = scores[mask]
-    nth = np.partition(vals, count - n)[count - n]
-    return bool(nth >= tau)
 
 
 # -- NRA ----------------------------------------------------------------------
@@ -615,8 +526,8 @@ class _BoundState:
             grades_i = self.dense[i][ids]
             lower_cols.append(np.where(seen_i, grades_i, 0.0))
             upper_cols.append(np.where(seen_i, grades_i, bottoms[i]))
-        lowers = _combine_columns(self.agg, lower_cols)
-        uppers = _combine_columns(self.agg, upper_cols)
+        lowers = combine_columns(self.agg, lower_cols)
+        uppers = combine_columns(self.agg, upper_cols)
         return ids, lowers, uppers, bottoms
 
     def stop_condition(self, depth: int) -> bool:
@@ -647,7 +558,7 @@ class _BoundState:
             np.where(self.seen[i][ids], self.dense[i][ids], bottoms[i])
             for i in range(self.m)
         ]
-        uppers = _combine_columns(self.agg, upper_cols)
+        uppers = combine_columns(self.agg, upper_cols)
         best = float(uppers.max())
         obj = int(ids[uppers == best].min())
         # one charged random access per missing grade, like the scalar loop
@@ -667,6 +578,6 @@ class _BoundState:
             np.where(self.seen[i][ids], self.dense[i][ids], 0.0)
             for i in range(self.m)
         ]
-        lowers = _combine_columns(self.agg, lower_cols)
+        lowers = combine_columns(self.agg, lower_cols)
         order = np.lexsort((ids, -lowers))[:n]
         return [RankedItem(int(ids[i]), float(lowers[i])) for i in order]

@@ -11,6 +11,8 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from ..errors import TopNError
 from .result import RankedItem
 
@@ -87,3 +89,17 @@ class BoundedTopN:
     def contains_ids(self) -> set[int]:
         """Object ids currently held (for membership checks)."""
         return {-neg_id for _, neg_id in self._heap}
+
+
+def canonical_topn(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedItem]:
+    """The canonical top-``n`` cut — argpartition by score, then the
+    whole tied boundary group through the (score desc, id asc) lexsort
+    — identical to offering every pair to a :class:`BoundedTopN`."""
+    if len(ids) > n:
+        # nth-largest value; keep everything >= it so boundary ties are
+        # resolved by id, not by partition order
+        kth = np.partition(values, len(values) - n)[len(values) - n]
+        keep = values >= kth
+        ids, values = ids[keep], values[keep]
+    order = np.lexsort((ids, -values))[:n]
+    return [RankedItem(int(ids[i]), float(values[i])) for i in order]

@@ -9,6 +9,24 @@ soon as the current N-th best score reaches τ.  TA is
 instance-optimal: it stops no later than FA and usually far earlier —
 this is the "upper and lower bound administration" the paper cites.
 
+Slab-at-a-time execution
+------------------------
+Cost is counted per access in Fagin's middleware model, whatever
+batching the engine does internally, so TA runs a *slab* of depths at
+a time.  It reads sorted ranks ``[lo, hi)`` of every source in bulk
+(uncharged, :meth:`~repro.mm.sources.ScoreSource.sorted_slab`),
+completes every newly seen object with one vectorised grade probe per
+source (:meth:`~repro.mm.sources.ScoreSource.grades_of`, the same
+left fold as ``agg.combine``), and evaluates the stop rule for every
+depth of the slab at once (:func:`first_stop`).  Only then does it
+charge what the one-access-at-a-time loop charges: one sorted access
+per depth up to the stop and per source not yet exhausted there, and
+``m - 1`` random accesses per object first seen at or before the stop.
+Answers, stats, resume frontiers, cost counters and the per-depth
+``ta.round`` trace events equal that loop's exactly.  Slabs end at
+128, 256, 512, ... ranks, the same points at which
+:class:`~repro.mm.sources.ArraySource` doubles its sorted prefix.
+
 Incremental ("continue") evaluation
 -----------------------------------
 Because TA completes every object the moment it is first seen, its
@@ -28,11 +46,17 @@ accesses for the saved prefix.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import TopNError
 from ..obs import tracer
-from .aggregates import AggregateFunction, SUM, require_monotone
-from .heap import BoundedTopN
+from ..storage import stats
+from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
+from .heap import BoundedTopN, canonical_topn
 from .result import TopNResult
+
+#: Ranks in TA's first slab; each later slab ends at twice the last end.
+_FIRST_SLAB = 128
 
 
 def _check_resume(resume_from, n: int, m: int, agg: AggregateFunction) -> None:
@@ -48,6 +72,71 @@ def _check_resume(resume_from, n: int, m: int, agg: AggregateFunction) -> None:
         raise TopNError(
             f"resume target n={n} is below the saved frontier's n={resume_from.n}; "
             "serve shrinking requests from the result cache instead")
+
+
+def _require_slabs(sources: list) -> None:
+    for source in sources:
+        for method in ("sorted_slab", "grades_of"):
+            if not hasattr(source, method):
+                raise TopNError(
+                    f"threshold_topn needs sources with bulk reads "
+                    f"(repro.mm.ScoreSource.{method}); "
+                    f"{type(source).__name__} has no {method}()")
+
+
+def first_stop(tau: np.ndarray, first_seen: np.ndarray, scores: np.ndarray,
+               n: int) -> int | None:
+    """TA's stop rule over a run of depths: the first offset ``d`` into
+    ``tau`` at which the ``n``-th best score reaches ``tau[d]``, or
+    None.
+
+    ``first_seen[k]`` is the offset at which object ``k`` (score
+    ``scores[k]``) was first seen; anything seen before the run has an
+    offset <= 0.  An object counts at ``d`` once it is seen and scores
+    at least ``tau[d]``, so the ``n``-th best reaches ``tau[d]`` exactly
+    when at least ``n`` objects count there.  τ never rises with depth
+    (grades fall, the aggregate is monotone), so each object counts
+    from one offset on, found by one ``searchsorted``; a ``bincount``
+    and ``cumsum`` then give the count at every depth.
+    """
+    if len(scores) < n:
+        return None
+    neg_tau = -tau  # ascending whenever τ never rises
+    if np.all(neg_tau[1:] >= neg_tau[:-1]):
+        counted_from = np.maximum(first_seen, np.searchsorted(neg_tau, -scores))
+        counts = np.cumsum(np.bincount(counted_from, minlength=len(tau))[:len(tau)])
+    else:
+        # a user aggregate declared monotone whose floats are not: count
+        # depth by depth instead
+        counts = np.array([np.count_nonzero((first_seen <= d) & (scores >= t))
+                           for d, t in enumerate(tau)])
+    hits = np.flatnonzero(counts >= n)
+    return int(hits[0]) if len(hits) else None
+
+
+def read_slab(sources: list, lo: int, hi: int):
+    """Sorted ranks ``lo .. hi - 1`` of every source, uncharged, padded
+    past a list's end with object -1 and grade 0.0 — the floor TA gives
+    an exhausted list.  Returns ``(docs, grades, live)``: ``docs[d, i]``
+    and ``grades[i, d]`` hold rank ``lo + d`` of source ``i``, and
+    ``live[i]`` counts the ranks source ``i`` really had."""
+    m = len(sources)
+    docs = np.full((hi - lo, m), -1, dtype=np.int64)
+    grades = np.zeros((m, hi - lo), dtype=np.float64)
+    live = []
+    for i, source in enumerate(sources):
+        slab_ids, slab_grades = source.sorted_slab(lo, hi)
+        docs[:len(slab_ids), i] = slab_ids
+        grades[i, :len(slab_grades)] = slab_grades
+        live.append(len(slab_ids))
+    return docs, grades, live
+
+
+def _slab_end(lo: int) -> int:
+    hi = _FIRST_SLAB
+    while hi <= lo:
+        hi *= 2
+    return hi
 
 
 def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
@@ -76,16 +165,18 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         return TopNResult([], max(n, 0), strategy="fagin-ta", safe=True)
     require_monotone(agg, "TA")
     agg.validate_arity(len(sources))
+    _require_slabs(sources)
 
     m = len(sources)
-    with tracer.span("topn.ta", n=n, m=m, agg=agg.name,
-                     objects=max(source.n_objects for source in sources),
+    n_objects = max(source.n_objects for source in sources)
+    with tracer.span("topn.ta", n=n, m=m, agg=agg.name, objects=n_objects,
                      resumed=resume_from is not None):
         traced = tracer.enabled()
-        heap = BoundedTopN(n)
-        # exact aggregate of every object seen under sorted access — the
-        # heap alone is not resumable (it forgets evicted objects)
-        seen_scores: dict[int, float] = {}
+        # every object seen under sorted access, in first-seen order,
+        # with its exact aggregate (the resumable state)
+        ids = np.empty(0, dtype=np.int64)
+        scores = np.empty(0, dtype=np.float64)
+        seen = np.zeros(n_objects, dtype=bool)
         # per-source grade floor once a list is exhausted: 0 (grades are
         # non-negative, and posting-style sources grade absent objects 0)
         last_grades = [0.0] * m
@@ -98,73 +189,112 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         if resume_from is not None:
             _check_resume(resume_from, n, m, agg)
             resumed_from = resume_from.n
-            seen_scores = dict(resume_from.seen_scores)
-            for obj, score in seen_scores.items():
-                heap.push(obj, score)
+            saved = resume_from.seen_scores
+            ids = np.fromiter(saved.keys(), dtype=np.int64, count=len(saved))
+            scores = np.fromiter(saved.values(), dtype=np.float64, count=len(saved))
+            seen[ids] = True
             last_grades = list(resume_from.last_grades)
             depth = resume_from.depth_next
             threshold = agg.combine(last_grades)
             if resume_from.exhausted:
                 # the saved run drained every source: no unseen objects
                 done, stop_reason = True, "exhausted"
-            elif heap.full and heap.threshold() >= threshold:
+            elif first_stop(np.array([threshold]), np.zeros(len(ids), dtype=np.int64),
+                            scores, n) is not None:
                 # re-check the stop rule at the saved depth before reading
                 # deeper — a cold run at this n checks (and may stop) here
                 done = True
+        # the trace reports the n-th best per depth; only traced runs keep it
+        heap = None
+        if traced:
+            heap = BoundedTopN(n)
+            for obj, score in zip(ids.tolist(), scores.tolist()):
+                heap.push(obj, score)
         ranks_read = depth
         while not done:
             if max_depth is not None and depth >= max_depth:
                 stop_reason = "max_depth"
                 break
-            active = False
-            for i, source in enumerate(sources):
-                if source.exhausted(depth):
-                    last_grades[i] = 0.0
-                    continue
-                active = True
-                obj, grade = source.sorted_access(depth)
-                last_grades[i] = grade
-                if obj in seen_scores:
-                    continue
-                grades = [
-                    grade if j == i else other.random_access(obj)
-                    for j, other in enumerate(sources)
-                ]
-                random_accesses += m - 1
-                score = agg.combine(grades)
-                seen_scores[obj] = score
-                heap.push(obj, score)
-            threshold = agg.combine(last_grades)
+            hi = _slab_end(depth)
+            if max_depth is not None:
+                hi = min(hi, max_depth)
+            docs, grades, live = read_slab(sources, depth, hi)
+            width = max(live)
+            exhausted = width < hi - depth
+            if exhausted:
+                # every list ends inside the slab: one inactive round
+                # follows, with every grade floored to 0
+                width += 1
+                docs, grades = docs[:width], grades[:, :width]
+            tau = combine_columns(agg, list(grades))
+
+            # objects first seen in this slab, in the order one access
+            # at a time meets them: depth by depth, sources in order
+            flat = docs.ravel()
+            fresh = np.flatnonzero(flat >= 0)
+            fresh = fresh[~seen[flat[fresh]]]
+            new_ids, first_at = np.unique(flat[fresh], return_index=True)
+            order = np.argsort(first_at)
+            new_ids = new_ids[order]
+            new_first = fresh[first_at[order]] // m
+            new_scores = combine_columns(
+                agg, [source.grades_of(new_ids) for source in sources])
+
+            stop = first_stop(tau, np.concatenate((np.zeros(len(ids), dtype=np.int64),
+                                                   new_first)),
+                              np.concatenate((scores, new_scores)), n)
+            rounds = width if stop is None else stop + 1
+            kept = int(np.searchsorted(new_first, rounds))
+            stats.charge_sorted_accesses(sum(min(count, rounds) for count in live))
+            stats.charge_random_accesses((m - 1) * kept)
+            random_accesses += (m - 1) * kept
+            new_ids, new_first, new_scores = new_ids[:kept], new_first[:kept], new_scores[:kept]
             if traced:
-                # per-round threshold evolution: τ falls, the heap's
-                # N-th best rises; they crossing is the stop decision
-                tracer.event("ta.round", depth=depth, threshold=threshold,
-                             heap_threshold=heap.threshold(),
-                             objects_seen=len(seen_scores))
-            ranks_read = depth + 1
-            if heap.full and heap.threshold() >= threshold:
+                _trace_rounds(heap, depth, tau[:rounds], len(ids),
+                              new_ids, new_first, new_scores)
+            seen[new_ids] = True
+            ids = np.concatenate((ids, new_ids))
+            scores = np.concatenate((scores, new_scores))
+            last_grades = grades[:, rounds - 1].tolist()
+            threshold = float(tau[rounds - 1])
+            ranks_read = depth + rounds
+            if stop is not None:
                 break
-            if not active:
+            if exhausted:
                 stop_reason = "exhausted"
                 break
-            depth += 1
-        tracer.annotate(stop_reason=stop_reason, depth=ranks_read,
-                        heap_churn=heap.churn())
-        stats = {
+            depth = hi
+        tracer.annotate(stop_reason=stop_reason, depth=ranks_read)
+        run_stats = {
             "depth": ranks_read,
-            "objects_seen": len(seen_scores),
+            "objects_seen": len(ids),
             "random_accesses": random_accesses,
             "final_threshold": threshold,
             "stop_reason": stop_reason,
-            "heap_churn": heap.churn(),
             "resumed_from": resumed_from,
         }
         if capture_state:
             from ..cache.resume import TAResumeState
-            stats["resume_state"] = TAResumeState(
+            run_stats["resume_state"] = TAResumeState(
                 n=n, m_sources=m, agg_name=agg.name, depth_next=ranks_read,
-                last_grades=tuple(last_grades), seen_scores=dict(seen_scores),
+                last_grades=tuple(last_grades),
+                seen_scores=dict(zip(ids.tolist(), scores.tolist())),
                 exhausted=(stop_reason == "exhausted"),
             )
-        return TopNResult(heap.items_sorted(), n, strategy="fagin-ta",
-                          safe=True, stats=stats)
+        return TopNResult(canonical_topn(ids, scores, n), n, strategy="fagin-ta",
+                          safe=True, stats=run_stats)
+
+
+def _trace_rounds(heap: BoundedTopN, lo: int, tau: np.ndarray, seen_before: int,
+                  new_ids: np.ndarray, new_first: np.ndarray,
+                  new_scores: np.ndarray) -> None:
+    """One ``ta.round`` event per depth of a slab: τ falls, the heap's
+    n-th best rises; their crossing is the stop decision."""
+    ends = np.searchsorted(new_first, np.arange(1, len(tau) + 1))
+    start = 0
+    for offset, end in enumerate(ends.tolist()):
+        for obj, score in zip(new_ids[start:end].tolist(), new_scores[start:end].tolist()):
+            heap.push(obj, score)
+        start = end
+        tracer.event("ta.round", depth=lo + offset, threshold=float(tau[offset]),
+                     heap_threshold=heap.threshold(), objects_seen=seen_before + end)

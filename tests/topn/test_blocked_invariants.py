@@ -133,3 +133,17 @@ class TestBlockMetrics:
         blocked_threshold_topn(blocked_sources(matrix, 7), 10, SUM)
         counters = metrics.snapshot()["counters"]
         assert "topn.blocks_read" not in counters
+
+
+class TestRandomAccessCharge:
+    """The sorted access that meets an object already delivered one of
+    its grades: blocked TA charges ``m - 1`` random accesses per object,
+    the count its stats report."""
+
+    @pytest.mark.parametrize("block_size", [1, 64])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_counter_equals_stat(self, block_size, m):
+        matrix = np.random.default_rng(5).random((2000, m))
+        with CostCounter.activate() as cost:
+            result = blocked_threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
+        assert cost.random_accesses == result.stats["random_accesses"]
