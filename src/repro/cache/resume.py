@@ -29,7 +29,11 @@ replay log instead memoizes the sorted-access prefix and every random
 access of the first run; the resumed run executes the cold algorithm
 verbatim with memoized sources, charging zero sorted/random accesses
 for the prefix.  Equivalence is by construction; the saved cost is the
-expensive inverted-list / feature-scan work the paper points at.
+expensive inverted-list / feature-scan work the paper points at.  The
+slab engines read through the wrapped source's bulk reads and charge
+afterwards through the wrapper, which splits each charge into the
+logged part (replayed) and the rest (charged and logged), as
+one-at-a-time access would have.
 
 **Accumulator snapshots** (:class:`AccumulatorResumeState`) for
 quit/continue.  The accumulator phase is independent of ``n`` — only
@@ -40,6 +44,8 @@ the tail cut over the cached candidate arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..errors import SourceExhaustedError, TopNError
 from ..obs import metrics as _metrics
@@ -130,6 +136,14 @@ class ReplayLog:
             if rank == len(self.sorted_prefix):
                 self.sorted_prefix.append((obj, grade))
 
+    def record_sorted_run(self, lo: int, objs: list, grades: list) -> None:
+        """Record ranks ``lo, lo + 1, ...``; ranks already logged, or
+        beyond a gap in the log, are left alone."""
+        with self._lock:
+            start = len(self.sorted_prefix) - lo
+            if 0 <= start < len(objs):
+                self.sorted_prefix.extend(zip(objs[start:], grades[start:]))
+
     def random_at(self, obj: int):
         with self._lock:
             return self.random_grades.get(obj)
@@ -168,6 +182,9 @@ class ReplaySource:
     exactly the resume saving).  Accesses beyond the prefix fall
     through to the wrapped source, charge normally, and extend the log,
     so consecutive resumed runs keep deepening the shared frontier.
+
+    The bulk reads come from the wrapped source, whose ranks and grades
+    the log memoizes; the bulk charges split like the scalar accesses.
     """
 
     def __init__(self, inner, log: ReplayLog) -> None:
@@ -184,9 +201,7 @@ class ReplaySource:
     def sorted_access(self, rank: int):
         cached = self.log.sorted_at(rank)
         if cached is not None:
-            self.replayed += 1
-            _stats.charge_extra("cache.replayed_accesses")
-            _metrics.inc("cache.replayed_accesses")
+            self._replay(1)
             return cached
         if self.log.known_exhausted(rank):
             raise SourceExhaustedError(
@@ -198,9 +213,7 @@ class ReplaySource:
     def random_access(self, obj_id: int) -> float:
         cached = self.log.random_at(obj_id)
         if cached is not None:
-            self.replayed += 1
-            _stats.charge_extra("cache.replayed_accesses")
-            _metrics.inc("cache.replayed_accesses")
+            self._replay(1)
             return cached
         grade = self.inner.random_access(obj_id)
         self.log.record_random(obj_id, grade)
@@ -215,6 +228,39 @@ class ReplaySource:
         if ended:
             self.log.record_exhausted(rank)
         return ended
+
+    def sorted_slab(self, lo: int, hi: int):
+        return self.inner.sorted_slab(lo, hi)
+
+    def grades_of(self, obj_ids):
+        return self.inner.grades_of(obj_ids)
+
+    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> None:
+        logged = min(max(self.log.depth() - lo, 0), hi - lo)
+        self._replay(logged)
+        if lo + logged < hi:
+            start = lo + logged
+            self.inner.charge_sorted(start, hi)
+            objs, grades = self.inner.sorted_slab(start, hi)
+            self.log.record_sorted_run(start, objs.tolist(), grades.tolist())
+        if ended:
+            self.log.record_exhausted(hi)
+
+    def charge_random(self, obj_ids) -> None:
+        objs = [int(obj) for obj in obj_ids]
+        fresh = [obj for obj in objs if self.log.random_at(obj) is None]
+        self._replay(len(objs) - len(fresh))
+        if fresh:
+            self.inner.charge_random(fresh)
+            grades = self.inner.grades_of(np.array(fresh, dtype=np.int64))
+            for obj, grade in zip(fresh, grades.tolist()):
+                self.log.record_random(obj, grade)
+
+    def _replay(self, count: int) -> None:
+        if count:
+            self.replayed += count
+            _stats.charge_extra("cache.replayed_accesses", count)
+            _metrics.inc("cache.replayed_accesses", count)
 
 
 def wrap_sources(sources, logs) -> list[ReplaySource]:

@@ -176,9 +176,15 @@ class FragmentedExecutor:
                 "nth_score_small": decision.nth_score,
             },
         )
-        # the switch makes the strategy quality-preserving *when it
-        # fires*; when it does not fire it accepts the (bounded) risk —
-        # the paper calls the overall technique safe because the check
-        # is conservative. We report safety accordingly.
-        result.safe = True
+        # the answer is certified when the switch fired, when no term
+        # was skipped, or when no document outside the small-fragment
+        # top n can gain enough from the skipped terms to enter it:
+        # s_{N+1} + missing_mass <= s_N.  (Without the switch, fewer
+        # than n candidates always switch, so found >= n here.)
+        if switched or not tids_large:
+            result.safe = True
+        else:
+            runner_up = (float(np.partition(positive, found - n - 1)[found - n - 1])
+                         if found > n else 0.0)
+            result.safe = runner_up + decision.missing_mass <= nth_score
         return result

@@ -11,8 +11,9 @@ Both access kinds are charged on the active cost counters
 (``sorted_accesses`` / ``random_accesses``), which is the cost measure
 Fagin's analysis — and experiment E6 — is stated in.  Two bulk reads,
 ``sorted_slab`` and ``grades_of``, serve the same data a slab or a
-batch at a time *uncharged*; an engine that uses them (TA) charges the
-accesses it would have made one at a time.
+batch at a time *uncharged*; an engine that uses them (TA, NRA, CA)
+then charges, through ``charge_sorted`` and ``charge_random``, exactly
+the accesses it would have made one at a time.
 
 :class:`ArraySource` wraps a precomputed score array (e.g. a feature
 similarity for one query).  :class:`PostingsSource` adapts one query
@@ -64,6 +65,17 @@ class ScoreSource:
         floats :meth:`random_access` returns.  **Uncharged**, like
         :meth:`sorted_slab`."""
         raise NotImplementedError
+
+    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> None:
+        """Charge the sorted accesses to ranks ``lo .. hi - 1`` that a
+        bulk reader used.  ``ended`` says the reader also met the end
+        of the list at rank ``hi``, which costs nothing."""
+        stats.charge_sorted_accesses(hi - lo)
+
+    def charge_random(self, obj_ids) -> None:
+        """Charge one random access per object of ``obj_ids``, the ones
+        a bulk reader completed from this list, in order."""
+        stats.charge_random_accesses(len(obj_ids))
 
     def synopsis(self, ranks) -> list[tuple[int, float]] | None:
         """Catalog metadata: ``(object, grade)`` at the given sorted
@@ -284,15 +296,14 @@ class PostingsSource(ScoreSource):
 class BlockedSource(ScoreSource):
     """A graded list stored as scored blocks (block-at-a-time access).
 
-    The scalar :class:`ScoreSource` interface is preserved bit for bit
-    — the block payload is the same descending-grade / id-ascending
-    order :class:`ArraySource` and :class:`PostingsSource` use — so
-    everything written against the scalar protocol (the scalar engines,
-    the replay wrapper :class:`~repro.cache.resume.ReplaySource`, the
-    parallel coordinator's range evaluators) keeps working over blocked
+    The :class:`ScoreSource` interface is preserved bit for bit — the
+    block payload is the same descending-grade / id-ascending order
+    :class:`ArraySource` and :class:`PostingsSource` use — so every
+    engine, the replay wrapper :class:`~repro.cache.resume.ReplaySource`
+    and the parallel coordinator's range evaluators work over blocked
     storage unchanged.  On top of it, the block API serves whole
-    ``(doc_ids, grades)`` slabs with one bulk sorted-access charge and
-    the per-block score upper bounds the blocked engines prune by.
+    ``(doc_ids, grades)`` blocks with one bulk sorted-access charge and
+    the per-block score upper bounds.
     """
 
     def __init__(self, dense_grades: np.ndarray, blocks: ScoredBlocks,
@@ -368,12 +379,6 @@ class BlockedSource(ScoreSource):
     @property
     def n_blocks(self) -> int:
         return self.blocks.n_blocks
-
-    @property
-    def dense_grades(self) -> np.ndarray:
-        """The per-object grade column (read-only use by the blocked
-        engines; not charged — the engines charge what they read)."""
-        return self._dense
 
     def read_block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Block ``b`` as ``(doc_ids, grades)``, charged as one bulk

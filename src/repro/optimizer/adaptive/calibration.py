@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -592,9 +593,10 @@ def train_calibration(*, seed: int = 7, objects: int = 800, sources: int = 3,
                       store: CalibrationStore | None = None) -> Calibration:
     """Fit a calibration from traced engine runs over a training split.
 
-    Every scalar Fagin-family engine answers ``queries_per_class``
-    synthetic queries per workload class under the tracer; the engine
-    spans, with their synopsis-derived query features, feed the store.
+    Every Fagin-family engine answers ``queries_per_class`` synthetic
+    queries per workload class twice: once timed without the tracer and
+    once under it.  The engine spans, carrying the untraced run's wall
+    time and their synopsis-derived query features, feed the store.
     Pass an existing ``store`` to blend the self-profiled spans with
     already-ingested trace exports (``repro calibrate`` does)."""
     # chooser imports this module, so its helpers are imported lazily
@@ -609,9 +611,18 @@ def train_calibration(*, seed: int = 7, objects: int = 800, sources: int = 3,
             source_list = make_sources(matrix, prefix=kind)
             feats = query_features(source_list, n)
             for func in _ENGINE_FUNCS.values():
+                # the weight fit reads the engine's own wall time from an
+                # untraced run: the tracer's cost differs by engine (TA
+                # records an event every round, NRA every check) and
+                # would be fitted as a price of TA's random accesses
+                started = time.perf_counter()
+                func(source_list, n)
+                wall = time.perf_counter() - started
                 with trace_session() as session:
                     func(source_list, n)
                     roots = list(session.roots)
                 for root in roots:
-                    store.observe_span(root.to_dict(), features=feats)
+                    record = root.to_dict()
+                    record["duration"] = wall
+                    store.observe_span(record, features=feats)
     return store.fit()

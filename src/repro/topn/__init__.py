@@ -6,7 +6,11 @@ Safe (exact top-N):
 * :func:`~repro.topn.naive.naive_topn` — full evaluation baseline;
 * :func:`~repro.topn.fagin.fagin_topn` — Fagin's Algorithm (FA);
 * :func:`~repro.topn.ta.threshold_topn` — Threshold Algorithm (TA);
-* :func:`~repro.topn.nra.nra_topn` — No-Random-Access (NRA);
+* :func:`~repro.topn.nra.nra_topn` — No-Random-Access (NRA) and
+  :func:`~repro.topn.ca.combined_topn` — the Combined Algorithm (CA),
+  on one vectorised bound core (:mod:`~repro.topn.bounds`);
+* :mod:`~repro.topn.blocked` — TA, NRA and CA charging whole storage
+  blocks;
 * :mod:`~repro.topn.stopafter` — Carey–Kossmann STOP AFTER policies;
 * :mod:`~repro.topn.probabilistic` — Donjerkovic–Ramakrishnan
   histogram-cutoff top-N (exact via restarts).

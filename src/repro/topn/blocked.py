@@ -1,79 +1,54 @@
-"""Block-at-a-time vectorized Fagin-family engines.
+"""Block-at-a-time Fagin-family engines over block storage.
 
-The scalar engines (:func:`~repro.topn.nra.nra_topn`,
-:func:`~repro.topn.ca.combined_topn`) walk one posting per Python
-iteration — the dominant constant factor at bench scale; TA
-(:func:`~repro.topn.ta.threshold_topn`) reads slabs but charges as
-if it walked one posting at a time.  The variants here consume whole
-storage blocks (:class:`~repro.mm.sources.BlockedSource`) and do numpy
-batch work between threshold checks: vectorized grade accumulation,
-argpartition/lexsort for frontier maintenance, and block-max pruning —
-whole blocks whose score upper bound falls below the current decision
-threshold are never read (``blocks_skipped`` in the result stats and the
-``topn.blocks_skipped`` metric).
+The variants here run over :class:`~repro.mm.sources.BlockedSource`
+and charge sorted access in whole storage blocks, the unit block
+storage reads: a block is read (and charged in full) once a run needs
+any of its ranks, and everything a run never reaches is a skipped
+block (``blocks_read`` / ``blocks_skipped`` in the result stats and
+the ``topn.blocks_*`` metrics).  Block-max pruning is what the stop
+rules give for free: every unread block's upper bound is at most the
+threshold the stop already beat.
 
 Exactness contract
 ------------------
-Every blocked engine returns a result **bit-identical** to its scalar
-oracle — same ids, same score floats, same canonical tie order — on any
-input and any block size.  Three mechanisms carry that guarantee:
+Every blocked engine returns a result **bit-identical** to its slab
+engine — same ids, same score floats, same canonical tie order, same
+stats apart from the block counts — on any input and any block size:
 
-* *Same float association.*  Scores are combined column-by-column in
-  source order (``acc = (acc + col)``), the exact left-to-right fold
-  ``Aggregate.combine`` performs on a Python list, so reordered numpy
-  summation can never produce a different float.
-* *Same stop depths.*  TA's stop rule (``n``-th best >= τ) is monotone
-  in depth — τ falls, the frontier rises — so the blocked TA evaluates
-  it for every depth of a block at once
-  (:func:`~repro.topn.ta.first_stop`, TA's own rule), then answers from
-  the objects first seen at or before the first stopping depth.
-  NRA/CA report termination-depth-dependent lower bounds, so their
-  blocked variants evaluate the (vectorized) stop condition at exactly
-  the scalar check cadence (``check_every`` / completion every ``h``
-  rounds).
-* *Same tie discipline.*  Frontier cuts partition by score, then take
-  the whole tied boundary group through the canonical
-  ``(score desc, id asc)`` lexsort — the convention
-  :class:`~repro.topn.result.TopNResult` enforces.
+* Blocked TA reads one block row at a time and evaluates TA's stop
+  rule (:func:`~repro.topn.ta.first_stop`) for every depth of the row
+  at once, then answers from the objects first seen at or before the
+  first stopping depth.
+* Blocked NRA and CA *are* the slab engines' bound core
+  (:func:`~repro.topn.bounds.run_bounds`, with the same check and
+  completion cadence); only the charging differs.
 
 Because stops are proven at block granularity, a blocked engine's
-sorted-access charge is the scalar engine's rounded up to whole blocks
-(the trace-invariant suite pins this), and everything it *doesn't* read
-is a skipped block.
+sorted-access charge is the slab engine's rounded up to whole blocks
+(the trace-invariant suite pins this).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import QueryCancelledError, TopNError
+from ..errors import TopNError
 from ..obs import metrics, tracer
 from ..storage import stats
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
 from .heap import canonical_topn
-from .result import RankedItem, TopNResult
+from .bounds import check_cancel, run_bounds
+from .result import TopNResult
 from .ta import _check_resume, first_stop, read_slab
 
 _NEVER = np.iinfo(np.int64).max
-
-
-def _check_cancel(cancel, engine: str, depth: int) -> None:
-    """Raise between rounds when the query's cancel token fired — a
-    deadline expiry or an explicit cancel (e.g. the coordinator already
-    resolved, or a serve-layer request deadline propagated down).
-    Checked only at round boundaries, so a stopped run never leaves a
-    partially applied bound administration behind."""
-    if cancel is not None and cancel.cancelled():
-        metrics.inc("topn.cancelled")
-        raise QueryCancelledError(
-            f"{engine} cancelled at sorted-access depth {depth}")
 
 
 def _require_blocked(sources: list, engine: str) -> None:
     if not sources:
         raise TopNError(f"{engine} needs at least one source")
     for source in sources:
-        if not hasattr(source, "read_block") or not hasattr(source, "dense_grades"):
+        if not hasattr(source, "read_block"):
             raise TopNError(
                 f"{engine} needs block-at-a-time sources "
                 f"(repro.mm.BlockedSource); got {type(source).__name__} — "
@@ -108,6 +83,18 @@ class _Cursor:
         return self.source.n_blocks - self.blocks_read
 
 
+def _validated(sources, agg, engine, block_size) -> int:
+    """Validate a blocked query's aggregate and block size; returns the
+    sources' block size."""
+    require_monotone(agg, engine)
+    agg.validate_arity(len(sources))
+    if block_size is not None and any(s.block_size != block_size for s in sources):
+        raise TopNError(
+            f"sources are blocked at {[s.block_size for s in sources]}, "
+            f"query asks block_size={block_size}")
+    return sources[0].block_size
+
+
 def _emit_block_metrics(cursors) -> tuple[int, int]:
     blocks_read = sum(c.blocks_read for c in cursors)
     blocks_skipped = sum(c.blocks_skipped for c in cursors)
@@ -139,21 +126,16 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
 
     ``block_size`` is fixed by the sources' storage; the parameter is
     accepted for symmetry and validated against it.  ``resume_from`` /
-    ``capture_state`` speak the exact scalar
+    ``capture_state`` speak the exact
     :class:`~repro.cache.resume.TAResumeState` frontier, so warm
-    continues interoperate with the scalar engine in both directions.
+    continues interoperate with :func:`~repro.topn.ta.threshold_topn`
+    in both directions.
     """
     _require_blocked(sources, "blocked_threshold_topn")
     if n <= 0:
         return TopNResult([], max(n, 0), strategy="fagin-ta-blocked", safe=True)
-    require_monotone(agg, "TA")
-    agg.validate_arity(len(sources))
+    size = _validated(sources, agg, "TA", block_size)
     m = len(sources)
-    if block_size is not None and any(s.block_size != block_size for s in sources):
-        raise TopNError(
-            f"sources are blocked at {[s.block_size for s in sources]}, "
-            f"query asks block_size={block_size}")
-    size = sources[0].block_size
     n_objects = max(source.n_objects for source in sources)
     lengths = [source.blocks.n_postings for source in sources]
     max_len = max(lengths) if lengths else 0
@@ -195,9 +177,9 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         ranks_read = depth
 
         while not done:
-            _check_cancel(cancel, "blocked_threshold_topn", depth)
+            check_cancel(cancel, "blocked_threshold_topn", depth)
             if depth >= max_len:
-                # the scalar engine runs one final inactive round: every
+                # TA runs one final inactive round: every
                 # grade floors to 0, τ = t(0..0), and the heap rule gets
                 # a last look before "exhausted"
                 last_grades = [0.0] * m
@@ -215,8 +197,8 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
             docs, grades, _ = read_slab(sources, lo, hi)
 
             # complete every object first seen in this block row with
-            # one vectorized probe per source (same floats the scalar
-            # engine fetches one random access at a time)
+            # one vectorized probe per source (same floats one random
+            # access at a time fetches)
             all_docs = docs.ravel()
             offsets = np.repeat(np.arange(lo, hi, dtype=np.int64), m)
             valid = all_docs >= 0
@@ -244,7 +226,7 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
             ids = np.flatnonzero(seen)
             stop = first_stop(tau_row, first_seen[ids] - lo, scores[ids], n)
             if stop is not None:
-                # the exact scalar stop depth inside this block row
+                # TA's exact stop depth inside this block row
                 d_star = lo + stop
                 ranks_read = d_star + 1
                 last_grades = grades[:, d_star - lo].tolist()
@@ -281,303 +263,96 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                           stats=run_stats)
 
 
-# -- NRA ----------------------------------------------------------------------
+# -- NRA and CA ----------------------------------------------------------------
+
+
+def _charge_blocks(sources, run) -> tuple[int, int]:
+    """Charge a bound run in whole blocks: every block holding a rank
+    the run read, plus the completions' random accesses."""
+    cursors = [_Cursor(source) for source in sources]
+    for cursor, ranks in zip(cursors, run.ranks):
+        cursor.ensure(ranks)
+    for source, objs in zip(sources, run.completed):
+        source.charge_random(objs)
+    return _emit_block_metrics(cursors)
 
 
 def blocked_nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
-                     check_every: int = 16, max_depth: int | None = None,
-                     min_check_depth: int = 0, *,
+                     check_every: int = 16, max_depth: int | None = None, *,
                      block_size: int | None = None,
                      cancel=None) -> TopNResult:
     """Block-at-a-time NRA, bit-identical to
     :func:`~repro.topn.nra.nra_topn`.
 
-    NRA's reported scores are the lower bounds *at its termination
-    depth*, so the blocked variant must stop exactly where the scalar
-    one does: it ingests block slabs between check depths and evaluates
-    the stop condition at the same ``check_every`` cadence — but the
-    whole bound administration (lower/upper bounds over every seen
-    object, the canonical ``(-lower, id)`` frontier) is one numpy pass
-    per check instead of a Python dict walk.
+    Runs NRA's bound core (:func:`~repro.topn.bounds.run_bounds`) and
+    charges the sorted accesses it used in whole blocks.
     """
     _require_blocked(sources, "blocked_nra_topn")
     if n <= 0:
         return TopNResult([], max(n, 0), strategy="fagin-nra-blocked", safe=True)
-    state = _BoundState(sources, n, agg, "blocked_nra_topn", block_size)
-    with tracer.span("topn.nra_blocked", n=n, m=state.m, agg=agg.name,
-                     check_every=check_every, block_size=state.size):
-        traced = tracer.enabled()
-        stop_reason = "exhausted"
-        bound_checks = 0
-        checks_skipped = 0
-        final_depth = None
-        ingest_end = state.max_len if max_depth is None \
-            else min(max_depth, state.max_len)
-        stopped = False
-        for check_at in range(check_every, ingest_end + 1, check_every):
-            _check_cancel(cancel, "blocked_nra_topn", check_at)
-            state.ingest_to(check_at)
-            if check_at < min_check_depth:
-                checks_skipped += 1
-                continue
-            bound_checks += 1
-            stopped = state.stop_condition(check_at)
-            if traced:
-                tracer.event("nra.check", depth=check_at, stopped=stopped,
-                             objects_seen=state.objects_seen())
-            if stopped:
-                stop_reason = "bounds"
-                final_depth = check_at
-                break
-        if not stopped:
-            state.ingest_to(ingest_end)
-            if max_depth is not None and max_depth <= state.max_len:
-                stop_reason = "max_depth"
-                final_depth = max_depth
-            else:
-                # the scalar engine's final inactive round: depth counts
-                # one past the longest list, bottoms floor to 0
-                final_depth = state.max_len + 1
-        bottoms = state.effective_bottoms(final_depth)
-        items = state.final_items(n)
-        blocks_read, blocks_skipped = _emit_block_metrics(state.cursors)
-        tracer.annotate(stop_reason=stop_reason, depth=final_depth,
-                        objects_seen=state.objects_seen(),
+    size = _validated(sources, agg, "blocked_nra_topn", block_size)
+    with tracer.span("topn.nra_blocked", n=n, m=len(sources), agg=agg.name,
+                     check_every=check_every, block_size=size):
+        run = run_bounds(sources, n, agg, "blocked_nra_topn", check_every=check_every,
+                         max_depth=max_depth, cancel=cancel)
+        blocks_read, blocks_skipped = _charge_blocks(sources, run)
+        tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
+                        objects_seen=run.objects_seen,
                         blocks_read=blocks_read, blocks_skipped=blocks_skipped)
         return TopNResult(
-            items, n, strategy="fagin-nra-blocked", safe=True,
+            run.items, n, strategy="fagin-nra-blocked", safe=True,
             stats={
-                "depth": final_depth,
-                "objects_seen": state.objects_seen(),
-                "bottom_aggregate": agg.combine(bottoms),
-                "stop_reason": stop_reason,
-                "bound_checks": bound_checks,
-                "checks_skipped": checks_skipped,
-                "block_size": state.size,
+                "depth": run.depth,
+                "objects_seen": run.objects_seen,
+                "bottom_aggregate": run.bottom_aggregate,
+                "stop_reason": run.stop_reason,
+                "bound_checks": run.bound_checks,
+                "block_size": size,
                 "blocks_read": blocks_read,
                 "blocks_skipped": blocks_skipped,
             },
         )
 
 
-# -- CA -----------------------------------------------------------------------
-
-
 def blocked_combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                           h: int = 4, check_every: int = 8,
-                          max_depth: int | None = None,
-                          min_check_depth: int = 0, *,
+                          max_depth: int | None = None, *,
                           block_size: int | None = None,
                           cancel=None) -> TopNResult:
     """Block-at-a-time CA, bit-identical to
     :func:`~repro.topn.ca.combined_topn`.
 
-    Sorted access proceeds in block slabs; every ``h`` rounds the most
-    promising incomplete candidate — argmax of the vectorized upper
-    bounds, ties to the smallest id — is completed by random access,
-    and the stop condition runs at the scalar ``check_every`` cadence.
+    Runs CA's bound core (:func:`~repro.topn.bounds.run_bounds`) and
+    charges the sorted accesses it used in whole blocks, plus one
+    random access per grade a completion fetched.
     """
     _require_blocked(sources, "blocked_combined_topn")
     if h < 1:
         raise TopNError(f"cost ratio h must be >= 1, got {h}")
     if n <= 0:
         return TopNResult([], max(n, 0), strategy="fagin-ca-blocked", safe=True)
-    state = _BoundState(sources, n, agg, "blocked_combined_topn", block_size)
-    with tracer.span("topn.ca_blocked", n=n, m=state.m, agg=agg.name, h=h,
-                     block_size=state.size):
-        traced = tracer.enabled()
-        stop_reason = "exhausted"
-        bound_checks = 0
-        checks_skipped = 0
-        completions = 0
-        final_depth = None
-        ingest_end = state.max_len if max_depth is None \
-            else min(max_depth, state.max_len)
-        stopped = False
-        for event in _event_depths(h, check_every, ingest_end):
-            _check_cancel(cancel, "blocked_combined_topn", event)
-            state.ingest_to(event)
-            if event % h == 0 and state.objects_seen():
-                completed = state.complete_best(event)
-                if completed is not None:
-                    completions += 1
-                    if traced:
-                        tracer.event("ca.completion", depth=event, obj=completed)
-            if event % check_every == 0:
-                if event < min_check_depth:
-                    checks_skipped += 1
-                    continue
-                bound_checks += 1
-                stopped = state.stop_condition(event)
-                if traced:
-                    tracer.event("ca.check", depth=event, stopped=stopped,
-                                 objects_seen=state.objects_seen())
-                if stopped:
-                    stop_reason = "bounds"
-                    final_depth = event
-                    break
-        if not stopped:
-            state.ingest_to(ingest_end)
-            if max_depth is not None and max_depth <= state.max_len:
-                stop_reason = "max_depth"
-                final_depth = max_depth
-            else:
-                # the scalar engine's final inactive round still runs
-                # its scheduled completion before breaking
-                final_depth = state.max_len + 1
-                if final_depth % h == 0 and state.objects_seen():
-                    if state.complete_best(final_depth) is not None:
-                        completions += 1
-        items = state.final_items(n)
-        blocks_read, blocks_skipped = _emit_block_metrics(state.cursors)
-        tracer.annotate(stop_reason=stop_reason, depth=final_depth,
-                        objects_seen=state.objects_seen(),
-                        completions=completions,
+    size = _validated(sources, agg, "blocked_combined_topn", block_size)
+    with tracer.span("topn.ca_blocked", n=n, m=len(sources), agg=agg.name, h=h,
+                     block_size=size):
+        run = run_bounds(sources, n, agg, "blocked_combined_topn",
+                         check_every=check_every, h=h, max_depth=max_depth,
+                         cancel=cancel)
+        blocks_read, blocks_skipped = _charge_blocks(sources, run)
+        tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
+                        objects_seen=run.objects_seen,
+                        completions=run.completions,
                         blocks_read=blocks_read, blocks_skipped=blocks_skipped)
         return TopNResult(
-            items, n, strategy="fagin-ca-blocked", safe=True,
+            run.items, n, strategy="fagin-ca-blocked", safe=True,
             stats={
-                "depth": final_depth,
-                "objects_seen": state.objects_seen(),
-                "completions": completions,
+                "depth": run.depth,
+                "objects_seen": run.objects_seen,
+                "completions": run.completions,
                 "h": h,
-                "stop_reason": stop_reason,
-                "bound_checks": bound_checks,
-                "checks_skipped": checks_skipped,
-                "block_size": state.size,
+                "stop_reason": run.stop_reason,
+                "bound_checks": run.bound_checks,
+                "block_size": size,
                 "blocks_read": blocks_read,
                 "blocks_skipped": blocks_skipped,
             },
         )
-
-
-def _event_depths(h: int, check_every: int, limit: int):
-    """Depths where CA does non-streaming work (completion every ``h``,
-    stop check every ``check_every``), ascending, up to ``limit``."""
-    events = sorted(
-        set(range(h, limit + 1, h)) | set(range(check_every, limit + 1, check_every))
-    )
-    return events
-
-
-class _BoundState:
-    """Shared NRA/CA administration: per-source seen masks over dense
-    grade columns, vectorized lower/upper bounds, block cursors."""
-
-    def __init__(self, sources, n, agg, engine, block_size):
-        require_monotone(agg, engine)
-        agg.validate_arity(len(sources))
-        if block_size is not None and any(s.block_size != block_size for s in sources):
-            raise TopNError(
-                f"sources are blocked at {[s.block_size for s in sources]}, "
-                f"query asks block_size={block_size}")
-        self.sources = sources
-        self.agg = agg
-        self.n = n
-        self.m = len(sources)
-        self.size = sources[0].block_size
-        self.n_objects = max(s.n_objects for s in sources)
-        self.lengths = [s.blocks.n_postings for s in sources]
-        self.max_len = max(self.lengths) if self.lengths else 0
-        self.dense = [s.dense_grades for s in sources]
-        self.seen = np.zeros((self.m, self.n_objects), dtype=bool)
-        self.any_seen = np.zeros(self.n_objects, dtype=bool)
-        self.cursors = [_Cursor(s) for s in sources]
-        self._ingested = 0
-
-    def ingest_to(self, depth: int) -> None:
-        """Mark every posting at rank < ``depth`` as seen (reading —
-        and charging — whole blocks)."""
-        depth = min(depth, self.max_len)
-        if depth <= self._ingested:
-            return
-        for i, source in enumerate(self.sources):
-            valid = min(depth, self.lengths[i]) - self._ingested
-            if valid <= 0:
-                continue
-            self.cursors[i].ensure(self._ingested + valid)
-            docs = source.blocks.doc_ids[self._ingested:self._ingested + valid]
-            self.seen[i][docs] = True
-            self.any_seen[docs] = True
-        self._ingested = depth
-
-    def objects_seen(self) -> int:
-        return int(np.count_nonzero(self.any_seen))
-
-    def effective_bottoms(self, depth: int) -> list[float]:
-        """Per-source grade floor after ``depth`` ingested ranks: the
-        grade at the last rank read, 0 once the list is exhausted."""
-        out = []
-        for i, source in enumerate(self.sources):
-            if depth >= 1 and depth - 1 < self.lengths[i]:
-                out.append(float(source.blocks.grades[depth - 1]))
-            else:
-                out.append(0.0)
-        return out
-
-    def _bounds_at(self, depth: int):
-        ids = np.flatnonzero(self.any_seen)
-        if len(ids) == 0:
-            return ids, None, None, self.effective_bottoms(depth)
-        bottoms = self.effective_bottoms(depth)
-        lower_cols, upper_cols = [], []
-        for i in range(self.m):
-            seen_i = self.seen[i][ids]
-            grades_i = self.dense[i][ids]
-            lower_cols.append(np.where(seen_i, grades_i, 0.0))
-            upper_cols.append(np.where(seen_i, grades_i, bottoms[i]))
-        lowers = combine_columns(self.agg, lower_cols)
-        uppers = combine_columns(self.agg, upper_cols)
-        return ids, lowers, uppers, bottoms
-
-    def stop_condition(self, depth: int) -> bool:
-        """The scalar stop rule, one numpy pass: n-th best lower bound
-        (canonical ``(-lower, id)`` order) dominates every other
-        object's upper bound and the virtual never-seen object's."""
-        ids, lowers, uppers, bottoms = self._bounds_at(depth)
-        n = self.n
-        if lowers is None or len(ids) < n:
-            return False
-        order = np.lexsort((ids, -lowers))
-        nth_lower = float(lowers[order[n - 1]])
-        rest = order[n:]
-        max_rest = float(uppers[rest].max()) if len(rest) else -np.inf
-        virtual = self.agg.combine(bottoms)
-        return nth_lower >= max(max_rest, virtual)
-
-    def complete_best(self, depth: int):
-        """CA's completion: random-access the incomplete candidate with
-        the best ``(upper bound, smallest id)`` key; returns its id (or
-        None when every seen object is complete)."""
-        incomplete = self.any_seen & ~self.seen.all(axis=0)
-        ids = np.flatnonzero(incomplete)
-        if len(ids) == 0:
-            return None
-        bottoms = self.effective_bottoms(depth)
-        upper_cols = [
-            np.where(self.seen[i][ids], self.dense[i][ids], bottoms[i])
-            for i in range(self.m)
-        ]
-        uppers = combine_columns(self.agg, upper_cols)
-        best = float(uppers.max())
-        obj = int(ids[uppers == best].min())
-        # one charged random access per missing grade, like the scalar loop
-        for i, source in enumerate(self.sources):
-            if not self.seen[i][obj]:
-                source.random_access(obj)
-        self.seen[:, obj] = True
-        return obj
-
-    def final_items(self, n: int) -> list[RankedItem]:
-        """Lower bounds of every seen object through the canonical
-        ``(-lower, id)`` cut — the scalar engines' final sort."""
-        ids = np.flatnonzero(self.any_seen)
-        if len(ids) == 0:
-            return []
-        lower_cols = [
-            np.where(self.seen[i][ids], self.dense[i][ids], 0.0)
-            for i in range(self.m)
-        ]
-        lowers = combine_columns(self.agg, lower_cols)
-        order = np.lexsort((ids, -lowers))[:n]
-        return [RankedItem(int(ids[i]), float(lowers[i])) for i in order]

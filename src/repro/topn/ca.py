@@ -10,29 +10,29 @@ gracefully toward NRA.
 
 The result is the exact top-N set; completed candidates report exact
 scores, others their lower bounds.
+
+Like NRA, the engine reads sorted ranks a slab at a time through the
+uncharged bulk reads and picks completions and checks the stop rule
+with NumPy at exactly the depths the one-access-at-a-time loop does
+(:mod:`repro.topn.bounds`); it then charges that loop's sorted and
+random accesses through the sources.  Answers, stats, cost counters
+and the ``ca.completion`` / ``ca.check`` trace events equal the loop's.
 """
 
 from __future__ import annotations
 
-import math
-
 from ..errors import TopNError
 from ..obs import tracer
-from ..storage import stats
 from .aggregates import AggregateFunction, SUM, require_monotone
-from .result import RankedItem, TopNResult
+from .bounds import run_bounds
+from .result import TopNResult
+from .ta import require_slabs
 
 
 def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                   h: int = 4, check_every: int = 8,
-                  max_depth: int | None = None,
-                  min_check_depth: int = 0) -> TopNResult:
-    """Exact top-N with CA under random/sorted cost ratio ``h``.
-
-    ``min_check_depth`` skips stop-condition evaluations below the
-    given depth (bound-cache seeding; see :func:`repro.topn.nra_topn`
-    for the reuse discipline — membership stays exact for any value).
-    """
+                  max_depth: int | None = None) -> TopNResult:
+    """Exact top-N with CA under random/sorted cost ratio ``h``."""
     if not sources:
         raise TopNError("combined_topn needs at least one source")
     if h < 1:
@@ -41,99 +41,20 @@ def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         return TopNResult([], max(n, 0), strategy="fagin-ca", safe=True)
     require_monotone(agg, "CA")
     agg.validate_arity(len(sources))
+    require_slabs(sources, "combined_topn")
 
-    m = len(sources)
-    traced = tracer.enabled()
-    grades: dict[int, list[float | None]] = {}
-    bottoms = [math.inf] * m
-    depth = 0
-    completions = 0
-
-    def effective_bottoms():
-        return [0.0 if b is math.inf else b for b in bottoms]
-
-    def lower(seen):
-        return agg.combine([0.0 if g is None else g for g in seen])
-
-    def upper(seen):
-        eb = effective_bottoms()
-        return agg.combine([eb[i] if g is None else g for i, g in enumerate(seen)])
-
-    def stop_condition():
-        bounds = sorted(
-            ((lower(seen), upper(seen), obj) for obj, seen in grades.items()),
-            key=lambda t: (-t[0], t[2]),
-        )
-        if len(bounds) < n:
-            return False
-        top, rest = bounds[:n], bounds[n:]
-        nth_lower = top[-1][0]
-        virtual = agg.combine(effective_bottoms())
-        max_rest = max((u for _, u, _ in rest), default=-math.inf)
-        return nth_lower >= max(max_rest, virtual)
-
-    with tracer.span("topn.ca", n=n, m=m, agg=agg.name, h=h,
+    with tracer.span("topn.ca", n=n, m=len(sources), agg=agg.name, h=h,
                      objects=max(source.n_objects for source in sources)):
-        stop_reason = "exhausted"
-        bound_checks = 0
-        checks_skipped = 0
-        while True:
-            if max_depth is not None and depth >= max_depth:
-                stop_reason = "max_depth"
-                break
-            active = False
-            for i, source in enumerate(sources):
-                if source.exhausted(depth):
-                    bottoms[i] = 0.0
-                    continue
-                active = True
-                obj, grade = source.sorted_access(depth)
-                bottoms[i] = grade
-                grades.setdefault(obj, [None] * m)[i] = grade
-            depth += 1
-            if depth % h == 0 and grades:
-                # complete the most promising incomplete candidate
-                best_obj, best_seen = None, None
-                best_key = None
-                for obj, seen in grades.items():
-                    if None not in seen:
-                        continue
-                    key = (upper(seen), -obj)
-                    if best_key is None or key > best_key:
-                        best_key, best_obj, best_seen = key, obj, seen
-                if best_obj is not None:
-                    for i, grade in enumerate(best_seen):
-                        if grade is None:
-                            best_seen[i] = sources[i].random_access(best_obj)
-                    completions += 1
-                    if traced:
-                        tracer.event("ca.completion", depth=depth, obj=best_obj)
-            if not active:
-                break
-            if depth % check_every == 0:
-                if depth < min_check_depth:
-                    checks_skipped += 1
-                    continue
-                bound_checks += 1
-                stopped = stop_condition()
-                if traced:
-                    tracer.event("ca.check", depth=depth, stopped=stopped,
-                                 objects_seen=len(grades))
-                if stopped:
-                    stop_reason = "bounds"
-                    break
-
-        scored = sorted(
-            ((lower(seen), obj) for obj, seen in grades.items()),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        items = [RankedItem(obj, score) for score, obj in scored[:n]]
-        tracer.annotate(stop_reason=stop_reason, depth=depth,
-                        objects_seen=len(grades), completions=completions)
+        run = run_bounds(sources, n, agg, "combined_topn", check_every=check_every,
+                         h=h, max_depth=max_depth)
+        run.charge(sources)
+        tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
+                        objects_seen=run.objects_seen, completions=run.completions)
         return TopNResult(
-            items, n, strategy="fagin-ca", safe=True,
-            stats={"depth": depth, "objects_seen": len(grades),
-                   "completions": completions, "h": h, "stop_reason": stop_reason,
-                   "bottom_aggregate": agg.combine(effective_bottoms()),
-                   "bound_checks": bound_checks, "checks_skipped": checks_skipped},
+            run.items, n, strategy="fagin-ca", safe=True,
+            stats={"depth": run.depth, "objects_seen": run.objects_seen,
+                   "completions": run.completions, "h": h,
+                   "stop_reason": run.stop_reason,
+                   "bottom_aggregate": run.bottom_aggregate,
+                   "bound_checks": run.bound_checks},
         )

@@ -12,35 +12,33 @@ NRA guarantees the correct top-N *membership*; reported scores are the
 lower bounds at termination (exact when the object was seen
 everywhere).  This is the fullest form of the "upper and lower bound
 administration" the paper cites from Fagin's work.
+
+The engine reads sorted ranks a slab at a time through the uncharged
+bulk reads and evaluates the bounds with NumPy at exactly the depths
+the one-access-at-a-time loop checks them (the shared core in
+:mod:`repro.topn.bounds`); it then charges that loop's sorted accesses
+through the sources.  Answers, stats, cost counters and the
+``nra.check`` trace events equal the loop's.
 """
 
 from __future__ import annotations
 
-import math
-
 from ..errors import TopNError
 from ..obs import tracer
 from .aggregates import AggregateFunction, SUM, require_monotone
-from .result import RankedItem, TopNResult
+from .bounds import run_bounds
+from .result import TopNResult
+from .ta import require_slabs
 
 
 def nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
-             check_every: int = 16, max_depth: int | None = None,
-             min_check_depth: int = 0) -> TopNResult:
+             check_every: int = 16, max_depth: int | None = None) -> TopNResult:
     """Top-N by sorted access only (NRA).
 
-    ``check_every`` controls how often the (relatively expensive) stop
-    condition is evaluated; ``max_depth`` optionally caps sorted-access
-    depth (the result is then best-effort, still safe in membership if
-    the stop condition was met earlier).
-
-    ``min_check_depth`` seeds the stop-condition schedule from the
-    bound cache: checks below that depth are skipped.  Membership stays
-    exact for any value (the conditions that do run are unchanged), but
-    the reported lower bounds are only bit-identical to an unseeded run
-    when the seed comes from the *same* fingerprint and ``n`` — i.e.
-    from a previous run's recorded stop depth, whose skipped checks are
-    exactly the ones that evaluated false.
+    ``check_every`` controls how often the stop condition is evaluated;
+    ``max_depth`` optionally caps sorted-access depth (the result is
+    then best-effort, still safe in membership if the stop condition
+    was met earlier).
     """
     if not sources:
         raise TopNError("nra_topn needs at least one source")
@@ -48,86 +46,23 @@ def nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         return TopNResult([], max(n, 0), strategy="fagin-nra", safe=True)
     require_monotone(agg, "NRA")
     agg.validate_arity(len(sources))
+    require_slabs(sources, "nra_topn")
 
-    m = len(sources)
-    with tracer.span("topn.nra", n=n, m=m, agg=agg.name, check_every=check_every,
+    with tracer.span("topn.nra", n=n, m=len(sources), agg=agg.name,
+                     check_every=check_every,
                      objects=max(source.n_objects for source in sources)):
-        traced = tracer.enabled()
-        grades: dict[int, list[float | None]] = {}
-        bottoms = [math.inf] * m  # current last sorted-access grade per source
-        depth = 0
-        stopped = False
-        stop_reason = "exhausted"
-        bound_checks = 0
-        checks_skipped = 0
-        while not stopped:
-            if max_depth is not None and depth >= max_depth:
-                stop_reason = "max_depth"
-                break
-            active = False
-            for i, source in enumerate(sources):
-                if source.exhausted(depth):
-                    bottoms[i] = 0.0
-                    continue
-                active = True
-                obj, grade = source.sorted_access(depth)
-                bottoms[i] = grade
-                grades.setdefault(obj, [None] * m)[i] = grade
-            depth += 1
-            if not active:
-                break
-            if depth % check_every == 0:
-                if depth < min_check_depth:
-                    checks_skipped += 1
-                    continue
-                bound_checks += 1
-                stopped = _stop_condition_met(grades, bottoms, n, agg)
-                if stopped:
-                    stop_reason = "bounds"
-                if traced:
-                    tracer.event("nra.check", depth=depth, stopped=stopped,
-                                 objects_seen=len(grades))
-        # final check (also covers exhausted inputs)
-        effective_bottoms = [0.0 if b is math.inf else b for b in bottoms]
-
-        scored = []
-        for obj, seen in grades.items():
-            lower = agg.combine([0.0 if g is None else g for g in seen])
-            scored.append((lower, obj))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        items = [RankedItem(obj, lower) for lower, obj in scored[:n]]
-        tracer.annotate(stop_reason=stop_reason, depth=depth,
-                        objects_seen=len(grades))
+        run = run_bounds(sources, n, agg, "nra_topn", check_every=check_every,
+                         max_depth=max_depth)
+        run.charge(sources)
+        tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
+                        objects_seen=run.objects_seen)
         return TopNResult(
-            items, n, strategy="fagin-nra", safe=True,
+            run.items, n, strategy="fagin-nra", safe=True,
             stats={
-                "depth": depth,
-                "objects_seen": len(grades),
-                "bottom_aggregate": agg.combine(effective_bottoms),
-                "stop_reason": stop_reason,
-                "bound_checks": bound_checks,
-                "checks_skipped": checks_skipped,
+                "depth": run.depth,
+                "objects_seen": run.objects_seen,
+                "bottom_aggregate": run.bottom_aggregate,
+                "stop_reason": run.stop_reason,
+                "bound_checks": run.bound_checks,
             },
         )
-
-
-def _stop_condition_met(grades, bottoms, n, agg) -> bool:
-    """True when the N-th best lower bound dominates every other
-    object's upper bound (and the virtual unseen object's)."""
-    effective_bottoms = [0.0 if b is math.inf else b for b in bottoms]
-    bounds = []
-    for obj, seen in grades.items():
-        lower = agg.combine([0.0 if g is None else g for g in seen])
-        upper = agg.combine([
-            effective_bottoms[i] if g is None else g for i, g in enumerate(seen)
-        ])
-        bounds.append((lower, upper, obj))
-    if len(bounds) < n:
-        return False
-    bounds.sort(key=lambda triple: (-triple[0], triple[2]))
-    top, rest = bounds[:n], bounds[n:]
-    nth_lower = top[-1][0]
-    # the virtual never-seen object
-    virtual_upper = agg.combine(effective_bottoms)
-    max_rest_upper = max((upper for _, upper, _ in rest), default=-math.inf)
-    return nth_lower >= max(max_rest_upper, virtual_upper)

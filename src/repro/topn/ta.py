@@ -19,8 +19,9 @@ completes every newly seen object with one vectorised grade probe per
 source (:meth:`~repro.mm.sources.ScoreSource.grades_of`, the same
 left fold as ``agg.combine``), and evaluates the stop rule for every
 depth of the slab at once (:func:`first_stop`).  Only then does it
-charge what the one-access-at-a-time loop charges: one sorted access
-per depth up to the stop and per source not yet exhausted there, and
+charge, through each source's ``charge_sorted`` and ``charge_random``,
+what the one-access-at-a-time loop charges: one sorted access per
+depth up to the stop and per source not yet exhausted there, and
 ``m - 1`` random accesses per object first seen at or before the stop.
 Answers, stats, resume frontiers, cost counters and the per-depth
 ``ta.round`` trace events equal that loop's exactly.  Slabs end at
@@ -50,7 +51,6 @@ import numpy as np
 
 from ..errors import TopNError
 from ..obs import tracer
-from ..storage import stats
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
 from .heap import BoundedTopN, canonical_topn
 from .result import TopNResult
@@ -74,12 +74,14 @@ def _check_resume(resume_from, n: int, m: int, agg: AggregateFunction) -> None:
             "serve shrinking requests from the result cache instead")
 
 
-def _require_slabs(sources: list) -> None:
+def require_slabs(sources: list, engine: str) -> None:
+    """Refuse sources without the uncharged bulk reads and the charges
+    that settle them, which every slab engine needs."""
     for source in sources:
-        for method in ("sorted_slab", "grades_of"):
+        for method in ("sorted_slab", "grades_of", "charge_sorted", "charge_random"):
             if not hasattr(source, method):
                 raise TopNError(
-                    f"threshold_topn needs sources with bulk reads "
+                    f"{engine} needs sources with bulk reads "
                     f"(repro.mm.ScoreSource.{method}); "
                     f"{type(source).__name__} has no {method}()")
 
@@ -132,7 +134,20 @@ def read_slab(sources: list, lo: int, hi: int):
     return docs, grades, live
 
 
-def _slab_end(lo: int) -> int:
+def new_objects(docs: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The objects of a slab (``docs`` as :func:`read_slab` returns it)
+    not marked in ``seen``, in the order one access at a time meets
+    them: depth by depth, sources in order.  Returns their ids and, for
+    each, the flat position ``offset * m + source`` of that meeting."""
+    flat = docs.ravel()
+    fresh = np.flatnonzero(flat >= 0)
+    fresh = fresh[~seen[flat[fresh]]]
+    new_ids, first_at = np.unique(flat[fresh], return_index=True)
+    order = np.argsort(first_at)
+    return new_ids[order], fresh[first_at[order]]
+
+
+def slab_end(lo: int) -> int:
     hi = _FIRST_SLAB
     while hi <= lo:
         hi *= 2
@@ -165,7 +180,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         return TopNResult([], max(n, 0), strategy="fagin-ta", safe=True)
     require_monotone(agg, "TA")
     agg.validate_arity(len(sources))
-    _require_slabs(sources)
+    require_slabs(sources, "threshold_topn")
 
     m = len(sources)
     n_objects = max(source.n_objects for source in sources)
@@ -215,7 +230,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             if max_depth is not None and depth >= max_depth:
                 stop_reason = "max_depth"
                 break
-            hi = _slab_end(depth)
+            hi = slab_end(depth)
             if max_depth is not None:
                 hi = min(hi, max_depth)
             docs, grades, live = read_slab(sources, depth, hi)
@@ -228,15 +243,8 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                 docs, grades = docs[:width], grades[:, :width]
             tau = combine_columns(agg, list(grades))
 
-            # objects first seen in this slab, in the order one access
-            # at a time meets them: depth by depth, sources in order
-            flat = docs.ravel()
-            fresh = np.flatnonzero(flat >= 0)
-            fresh = fresh[~seen[flat[fresh]]]
-            new_ids, first_at = np.unique(flat[fresh], return_index=True)
-            order = np.argsort(first_at)
-            new_ids = new_ids[order]
-            new_first = fresh[first_at[order]] // m
+            new_ids, met_at = new_objects(docs, seen)
+            new_first = met_at // m
             new_scores = combine_columns(
                 agg, [source.grades_of(new_ids) for source in sources])
 
@@ -245,8 +253,12 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                               np.concatenate((scores, new_scores)), n)
             rounds = width if stop is None else stop + 1
             kept = int(np.searchsorted(new_first, rounds))
-            stats.charge_sorted_accesses(sum(min(count, rounds) for count in live))
-            stats.charge_random_accesses((m - 1) * kept)
+            # the source that met an object gave one grade; the others
+            # complete it by random access
+            met_by = met_at[:kept] % m
+            for i, (source, count) in enumerate(zip(sources, live)):
+                source.charge_sorted(depth, depth + min(count, rounds), ended=count < rounds)
+                source.charge_random(new_ids[:kept][met_by != i])
             random_accesses += (m - 1) * kept
             new_ids, new_first, new_scores = new_ids[:kept], new_first[:kept], new_scores[:kept]
             if traced:

@@ -98,3 +98,63 @@ class TestQualityCheckEdges:
         decision = QualityCheck().decide(index, BM25(), [], nth_score=1.0,
                                          found=50, n=5)
         assert not bool(decision)
+
+
+def build_weighted_world(n_docs=80, seed=5):
+    """Like :func:`build_world`, with term 0's frequency varying per
+    document, so large-fragment terms can reorder small-fragment
+    answers."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        tokens = [0] * int(rng.integers(1, 8))
+        tokens += rng.integers(1, 30, size=10).tolist()
+        docs.append(Document(i, np.asarray(tokens, dtype=np.int64)))
+    collection = Collection(docs, [f"t{j}" for j in range(30)], name="hand")
+    return fragment_by_volume(InvertedIndex.build(collection), volume_cut=0.5)
+
+
+class TestSafeLabel:
+    """An unswitched answer is labelled safe only when certified:
+    s_{N+1} + missing_mass <= s_N."""
+
+    def pairs(self, fragmented):
+        large = [t for t in range(30) if not fragmented.in_small[t]]
+        small = [t for t in range(30) if fragmented.in_small[t]]
+        return [[s, t] for t in large for s in small]
+
+    def test_unswitched_answer_that_differs_is_unsafe(self):
+        fragmented = build_weighted_world()
+        assert fragmented.in_small[3] and not fragmented.in_small[1]
+        executor = FragmentedExecutor(fragmented, BM25(), QualityCheck(sensitivity=1e9))
+        exact = executor.query([3, 1], 5, Strategy.UNFRAGMENTED)
+        result = executor.query([3, 1], 5, Strategy.SAFE_SWITCH)
+        assert not result.stats["switched"]
+        assert not result.same_ranking(exact)
+        assert not result.safe
+
+    def test_safe_label_is_a_certificate(self):
+        """Every unswitched answer labelled safe has the exact top-n
+        set; some are, and the rest are labelled unsafe."""
+        fragmented = build_weighted_world()
+        executor = FragmentedExecutor(fragmented, BM25(), QualityCheck(sensitivity=1e9))
+        labels = []
+        for query in self.pairs(fragmented) + [[0, t] for t in range(1, 30)
+                                               if fragmented.in_small[t]]:
+            exact = executor.query(query, 5, Strategy.UNFRAGMENTED)
+            result = executor.query(query, 5, Strategy.SAFE_SWITCH)
+            assert not result.stats["switched"]
+            if result.safe:
+                assert ({item.obj_id for item in result.items}
+                        == {item.obj_id for item in exact.items}), query
+            labels.append(result.safe)
+        assert any(labels) and not all(labels)
+
+    def test_switched_and_small_only_answers_are_safe(self):
+        fragmented = build_weighted_world()
+        executor = FragmentedExecutor(fragmented, BM25(), QualityCheck(sensitivity=0.0))
+        switched = executor.query([3, 1], 5, Strategy.SAFE_SWITCH)
+        assert switched.stats["switched"] and switched.safe
+        small = [t for t in range(30) if fragmented.in_small[t]][:3]
+        small_only = executor.query(small, 5, Strategy.SAFE_SWITCH)
+        assert small_only.stats["terms_large"] == 0 and small_only.safe

@@ -162,24 +162,21 @@ class TestBlockedEngineMatrix:
     @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
     @pytest.mark.parametrize("max_depth", [0, 3, 300, 310])
     def test_bounded_depth_parity(self, engine, max_depth):
-        """max_depth / min_check_depth knobs cut off at the same rank."""
+        """The max_depth knob cuts off at the same rank."""
         if engine == "ta":
             pytest.skip("TA has no depth bound knobs")
         matrix = corpus("skewed", seed=6)
         if engine == "nra":
             reference = nra_topn(make_sources(matrix), 10, SUM, check_every=4,
-                                 max_depth=max_depth, min_check_depth=8)
+                                 max_depth=max_depth)
             result = blocked_nra_topn(blocked_sources(matrix, 7), 10, SUM,
-                                      check_every=4, max_depth=max_depth,
-                                      min_check_depth=8)
+                                      check_every=4, max_depth=max_depth)
         else:
             reference = combined_topn(make_sources(matrix), 10, SUM, h=4,
-                                      check_every=4, max_depth=max_depth,
-                                      min_check_depth=8)
+                                      check_every=4, max_depth=max_depth)
             result = blocked_combined_topn(blocked_sources(matrix, 7), 10, SUM,
                                            h=4, check_every=4,
-                                           max_depth=max_depth,
-                                           min_check_depth=8)
+                                           max_depth=max_depth)
         assert_exact(result, reference, (engine, max_depth))
         assert result.stats["stop_reason"] == reference.stats["stop_reason"]
 

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.resume import ReplayLog, ReplaySource
 from repro.errors import TopNError
 from repro.mm import ArraySource, BlockedSource, PostingsSource
 from repro.obs import run_profiled
@@ -174,8 +173,24 @@ class TestMatchesReference:
                                  rising, [(5, None)], 8, traced)
 
 
+class ScalarOnlySource:
+    """A graded list with the one-at-a-time protocol only: no bulk
+    reads, no bulk charges."""
+
+    name = "scalar"
+    n_objects = 2
+
+    def sorted_access(self, rank):
+        return rank, 1.0 - rank / 2
+
+    def random_access(self, obj_id):
+        return 1.0 - obj_id / 2
+
+    def exhausted(self, rank):
+        return rank >= 2
+
+
 class TestBulkReadsRequired:
     def test_source_without_bulk_reads_is_refused(self):
-        wrapped = ReplaySource(ArraySource(np.array([0.5, 0.25])), ReplayLog("s"))
         with pytest.raises(TopNError, match="sorted_slab"):
-            threshold_topn([wrapped], 1)
+            threshold_topn([ScalarOnlySource()], 1)
