@@ -7,8 +7,8 @@ Three mechanisms, matched to what each engine can certify:
 
 **TA frontier snapshots** (:class:`TAResumeState`).  TA random-access-
 completes every object the moment it is first seen, so all bookkeeping
-is *exact*: the saved ``{object: score}`` map plus the per-source last
-grades and the next sorted-access depth reconstruct the algorithm state
+is *exact*: the seen objects with their scores and first-seen depths,
+plus τ at every processed depth, reconstruct the algorithm state
 bit-for-bit.  A resumed top-``m`` first re-evaluates the stop rule at
 the saved depth (a cold top-``m`` checks there too — skipping that
 check could read deeper and change tie outcomes), then continues the
@@ -55,7 +55,11 @@ from ..sync import declares_shared_state, make_lock
 
 @dataclass
 class TAResumeState:
-    """Frontier snapshot of one Threshold-Algorithm run."""
+    """Frontier snapshot of one Threshold-Algorithm run.
+
+    The four arrays are read-only: cache entries and a served stream
+    share one snapshot across threads, and a resumed run builds new
+    arrays instead of extending these."""
 
     #: the ``n`` the snapshot was taken at (resume targets should exceed it)
     n: int
@@ -63,14 +67,28 @@ class TAResumeState:
     m_sources: int
     #: aggregate name (aggregation must match on resume)
     agg_name: str
-    #: next sorted-access depth (the stopped run processed depths below)
-    depth_next: int
-    #: per-source grade at the deepest processed rank (threshold inputs)
-    last_grades: tuple
-    #: exact aggregate of every object seen under sorted access
-    seen_scores: dict
+    #: every object seen under sorted access, in first-seen order
+    ids: np.ndarray
+    #: each object's exact aggregate
+    scores: np.ndarray
+    #: the depth at which each object was first seen (non-decreasing)
+    first_seen: np.ndarray
+    #: τ at every processed depth; its length is the next sorted-access depth
+    tau: np.ndarray
     #: True when every source was drained (resume returns immediately)
     exhausted: bool = False
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("ids", np.int64), ("scores", np.float64),
+                            ("first_seen", np.int64), ("tau", np.float64)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            setattr(self, name, array)
+
+    @property
+    def depth_next(self) -> int:
+        """The next sorted-access depth (the run processed depths below)."""
+        return len(self.tau)
 
     def covers(self) -> int:
         """How many result items this frontier can certify: all of them

@@ -4,14 +4,22 @@ The Fagin-family engines are natural **anytime** algorithms — run one
 with a sorted-access budget and you get the best certified answer so
 far plus enough state to continue.  :class:`AnytimeRunner` packages
 that into a ``step()`` iterator the server streams from, one chunk per
-step, with a doubling depth schedule (total work stays within a small
-constant of a single uncapped run):
+step, at a doubling depth schedule (``chunk_depth``, 2×, 4×, ...; total
+work stays within a small constant of a single uncapped run):
 
-* **TA** chains frontier snapshots: every step passes the previous
-  step's :class:`~repro.cache.resume.TAResumeState` back with a larger
-  ``max_depth``, so the chain visits exactly the states one uncapped
-  run does and the final chunk is bit-identical to the cold library
-  call (same argument — and same tests — as the cache's TA resume).
+* **TA** runs once per stream.  The runner keeps one
+  :class:`~repro.cache.resume.TAResumeState` frontier and advances it
+  through :func:`~repro.topn.threshold_topn` one TA slab at a time, and
+  only when the next chunk lies past it; every chunk is cut from what
+  has been read (:func:`~repro.topn.ta.answer_at`).  The chunk at
+  depth ``d`` answers from the objects first seen below ``d``, bounded
+  by τ at ``d - 1``, and carries the stats a run resumed from the
+  previous chunk and capped at ``d`` would report — so the stream
+  equals chaining capped, resumed runs chunk for chunk, and its final
+  chunk is bit-identical to the cold library call.  ``chunk_depth``
+  sets the chunk schedule, not how far the engine reads per step: on a
+  disconnect or deadline the stream may have been charged past its
+  last delivered chunk, up to the end of the current slab.
 * **NRA / CA** re-run the cold algorithm per step over
   :class:`~repro.cache.resume.ReplayLog`-memoized sources with a
   growing depth cap: memoized prefixes make re-runs cheap, and because
@@ -43,6 +51,7 @@ from ..intervals import ThresholdBound
 from ..obs import metrics
 from ..sync import acquires, declares_shared_state, make_lock, releases
 from ..topn import SUM, combined_topn, fagin_topn, nra_topn, threshold_topn
+from ..topn.ta import answer_at, slab_end
 
 ALGORITHMS = ("fa", "ta", "nra", "ca")
 
@@ -108,7 +117,7 @@ class AnytimeRunner:
     SHARED_STATE = {
         "_depth": "<barrier>",
         "_seq": "<barrier>",
-        "_ta_state": "<barrier>",
+        "_run": "<barrier>",
         "_last": "<barrier>",
     }
 
@@ -124,14 +133,16 @@ class AnytimeRunner:
         self.agg = agg
         self.epoch = epoch
         if algorithm == "ta":
-            # TA chains exact frontier snapshots; no replay needed
+            # TA keeps one exact frontier; no replay needed
             self.sources = sources
         else:
             logs = [ReplayLog(("serve", i)) for i in range(len(sources))]
             self.sources = wrap_sources(sources, logs)
         self._depth = chunk_depth
         self._seq = 0
-        self._ta_state = None
+        #: TA: the latest run over the stream's one frontier, which it
+        #: holds as ``stats["resume_state"]``
+        self._run = None
         self._last: Chunk | None = None
 
     @property
@@ -139,37 +150,46 @@ class AnytimeRunner:
         return self._last is not None and self._last.final
 
     def step(self) -> Chunk:
-        """Run the next budget slice; returns the next chunk (the final
+        """Answer the next chunk depth; returns the next chunk (the final
         chunk again once finished — re-sends after a failed delivery
         must not re-advance the frontier)."""
         if self.finished:
             return self._last
-        if self.algorithm == "fa":
-            result = fagin_topn(self.sources, self.n, self.agg)
-        elif self.algorithm == "ta":
-            result = threshold_topn(self.sources, self.n, self.agg,
-                                    resume_from=self._ta_state,
-                                    capture_state=True,
-                                    max_depth=self._depth)
-            self._ta_state = result.stats.pop("resume_state", None)
-        elif self.algorithm == "nra":
-            result = nra_topn(self.sources, self.n, self.agg,
-                              max_depth=self._depth)
+        if self.algorithm == "ta":
+            run = self._run
+            if run is None or (run.stats["stop_reason"] == "max_depth"
+                               and run.stats["depth"] < self._depth):
+                # read on by a whole TA slab, or to this chunk past it
+                read = run.stats["depth"] if run is not None else 0
+                run = self._run = threshold_topn(
+                    self.sources, self.n, self.agg,
+                    resume_from=run.stats["resume_state"] if run is not None else None,
+                    capture_state=True,
+                    max_depth=max(self._depth, slab_end(read)))
+            items, stats = answer_at(
+                run, self._depth, since=self._last.depth if self._last is not None else 0)
         else:
-            result = combined_topn(self.sources, self.n, self.agg,
-                                   max_depth=self._depth)
-        stop_reason = result.stats.get("stop_reason", "")
-        final = self.algorithm == "fa" or stop_reason != "max_depth"
+            if self.algorithm == "fa":
+                result = fagin_topn(self.sources, self.n, self.agg)
+            elif self.algorithm == "nra":
+                result = nra_topn(self.sources, self.n, self.agg,
+                                  max_depth=self._depth)
+            else:
+                result = combined_topn(self.sources, self.n, self.agg,
+                                       max_depth=self._depth)
+            items = [(item.obj_id, item.score) for item in result.items]
+            stats = result.stats
+        final = self.algorithm == "fa" or stats.get("stop_reason") != "max_depth"
         chunk = Chunk(
             seq=self._seq,
-            items=[(item.obj_id, item.score) for item in result.items],
-            depth=int(result.stats.get("depth", self._depth)),
+            items=items,
+            depth=int(stats.get("depth", self._depth)),
             final=final,
             certified=final,
-            bound=self._bound(result, final),
+            bound=self._bound(items, stats, final),
             epoch=self.epoch,
             algorithm=self.algorithm,
-            stats=result.stats,
+            stats=stats,
         )
         self._seq += 1
         self._last = chunk
@@ -178,7 +198,7 @@ class AnytimeRunner:
         metrics.inc("serve.chunks")
         return chunk
 
-    def _bound(self, result, final: bool) -> ThresholdBound | None:
+    def _bound(self, items: list, stats: dict, final: bool) -> ThresholdBound | None:
         """The chunk's certified score bound, epoch-stamped.
 
         Partial chunks bound the *unseen*: TA's τ and NRA/CA's
@@ -187,16 +207,14 @@ class AnytimeRunner:
         answer's own n-th sort key — the same shape the coordinator
         records into :class:`~repro.cache.bounds.CoordinatorBounds`.
         """
-        if final and result.items:
-            tail = result.items[-1]
-            return ThresholdBound(n=len(result.items),
-                                  key=(-tail.score, tail.obj_id),
+        if final and items:
+            obj_id, score = items[-1]
+            return ThresholdBound(n=len(items), key=(-score, obj_id),
                                   epoch=self.epoch)
-        ceiling = result.stats.get("final_threshold",
-                                   result.stats.get("bottom_aggregate"))
+        ceiling = stats.get("final_threshold", stats.get("bottom_aggregate"))
         if ceiling is None:
             return None
-        return ThresholdBound(n=len(result.items), key=(-float(ceiling), -1),
+        return ThresholdBound(n=len(items), key=(-float(ceiling), -1),
                               epoch=self.epoch)
 
 

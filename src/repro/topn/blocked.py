@@ -145,31 +145,33 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         traced = tracer.enabled()
         seen = np.zeros(n_objects, dtype=bool)
         scores = np.zeros(n_objects, dtype=np.float64)
-        first_seen = np.full(n_objects, _NEVER, dtype=np.int64)
+        # where each object was first met, as depth * m + source (the
+        # order one access at a time meets objects); -1 for objects a
+        # resumed frontier already holds
+        first_met = np.full(n_objects, _NEVER, dtype=np.int64)
+        saved_ids = np.empty(0, dtype=np.int64)
+        saved_first = np.empty(0, dtype=np.int64)
+        taus = []  # τ per processed depth, row by row
         depth = 0
         random_accesses = 0
         resumed_from = 0
         stop_reason = "threshold"
         done = False
         d_star: int | None = None  # objects first seen <= d_star answer
-        last_grades = [0.0] * m
         if resume_from is not None:
             _check_resume(resume_from, n, m, agg)
             resumed_from = resume_from.n
-            seeded = np.fromiter(resume_from.seen_scores.keys(), dtype=np.int64,
-                                 count=len(resume_from.seen_scores))
-            seeded_scores = np.fromiter(resume_from.seen_scores.values(),
-                                        dtype=np.float64, count=len(seeded))
-            seen[seeded] = True
-            scores[seeded] = seeded_scores
-            first_seen[seeded] = -1  # strictly before any resumed depth
-            last_grades = list(resume_from.last_grades)
+            saved_ids, saved_first = resume_from.ids, resume_from.first_seen
+            seen[saved_ids] = True
+            scores[saved_ids] = resume_from.scores
+            first_met[saved_ids] = -1
+            taus.append(resume_from.tau)
             depth = resume_from.depth_next
             if resume_from.exhausted:
                 done, stop_reason = True, "exhausted"
-            elif first_stop(np.array([agg.combine(last_grades)]),
-                            np.zeros(len(seeded), dtype=np.int64),
-                            seeded_scores, n) is not None:
+            elif depth and first_stop(resume_from.tau[-1:],
+                                      np.zeros(len(saved_ids), dtype=np.int64),
+                                      resume_from.scores, n) is not None:
                 # a cold run at this n re-checks (and stops) at the
                 # saved depth before reading deeper
                 done = True
@@ -182,12 +184,12 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                 # TA runs one final inactive round: every
                 # grade floors to 0, τ = t(0..0), and the heap rule gets
                 # a last look before "exhausted"
-                last_grades = [0.0] * m
-                tau = agg.combine(last_grades)
+                tau = combine_columns(agg, list(np.zeros((m, 1))))
+                taus.append(tau)
                 ranks_read = depth + 1
                 d_star = None  # every seen object is in play
                 in_play = scores[seen]
-                if first_stop(np.array([tau]), np.zeros(len(in_play), dtype=np.int64),
+                if first_stop(tau, np.zeros(len(in_play), dtype=np.int64),
                               in_play, n) is None:
                     stop_reason = "exhausted"
                 break
@@ -200,7 +202,6 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
             # one vectorized probe per source (same floats one random
             # access at a time fetches)
             all_docs = docs.ravel()
-            offsets = np.repeat(np.arange(lo, hi, dtype=np.int64), m)
             valid = all_docs >= 0
             fresh = valid & ~seen[np.clip(all_docs, 0, None)]
             fresh_docs = all_docs[fresh]
@@ -213,28 +214,30 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                 stats.charge_random_accesses((m - 1) * len(uniq))
                 random_accesses += (m - 1) * len(uniq)
                 scores[uniq] = combine_columns(agg, grade_rows)
-                np.minimum.at(first_seen, fresh_docs, offsets[fresh])
+                np.minimum.at(first_met, fresh_docs,
+                              lo * m + np.flatnonzero(fresh))
 
             # τ per depth of the row — one column fold, exact floats
             tau_row = combine_columns(agg, list(grades))
-            last_grades = grades[:, hi - 1 - lo].tolist()
+            taus.append(tau_row)
             if traced:
                 tracer.event("ta.block", lo=lo, hi=hi,
                              threshold=float(tau_row[-1]),
                              objects_seen=int(np.count_nonzero(seen)))
             ranks_read = hi
             ids = np.flatnonzero(seen)
-            stop = first_stop(tau_row, first_seen[ids] - lo, scores[ids], n)
+            stop = first_stop(tau_row, first_met[ids] // m - lo, scores[ids], n)
             if stop is not None:
                 # TA's exact stop depth inside this block row
                 d_star = lo + stop
                 ranks_read = d_star + 1
-                last_grades = grades[:, d_star - lo].tolist()
+                taus[-1] = tau_row[:stop + 1]
                 break
             depth = hi
 
-        threshold = agg.combine(last_grades)
-        in_play = seen if d_star is None else (seen & (first_seen <= d_star))
+        tau = np.concatenate(taus)
+        threshold = float(tau[-1]) if len(tau) else 0.0
+        in_play = seen if d_star is None else (seen & (first_met // m <= d_star))
         ids = np.flatnonzero(in_play)
         items = canonical_topn(ids, scores[ids], n)
         blocks_read, blocks_skipped = _emit_block_metrics(cursors)
@@ -253,11 +256,14 @@ def blocked_threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         }
         if capture_state:
             from ..cache.resume import TAResumeState
+            met = ids[first_met[ids] >= 0]
+            met = met[np.argsort(first_met[met])]
+            state_ids = np.concatenate((saved_ids, met))
             run_stats["resume_state"] = TAResumeState(
-                n=n, m_sources=m, agg_name=agg.name, depth_next=ranks_read,
-                last_grades=tuple(last_grades),
-                seen_scores={int(obj): float(scores[obj]) for obj in ids},
-                exhausted=(stop_reason == "exhausted"),
+                n=n, m_sources=m, agg_name=agg.name, ids=state_ids,
+                scores=scores[state_ids],
+                first_seen=np.concatenate((saved_first, first_met[met] // m)),
+                tau=tau, exhausted=(stop_reason == "exhausted"),
             )
         return TopNResult(items, n, strategy="fagin-ta-blocked", safe=True,
                           stats=run_stats)

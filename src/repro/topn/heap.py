@@ -91,10 +91,11 @@ class BoundedTopN:
         return {-neg_id for _, neg_id in self._heap}
 
 
-def canonical_topn(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedItem]:
-    """The canonical top-``n`` cut — argpartition by score, then the
-    whole tied boundary group through the (score desc, id asc) lexsort
-    — identical to offering every pair to a :class:`BoundedTopN`."""
+def canonical_pairs(ids: np.ndarray, values: np.ndarray, n: int) -> list[tuple[int, float]]:
+    """The canonical top-``n`` cut as ``(id, value)`` pairs — argpartition
+    by score, then the whole tied boundary group through the (score
+    desc, id asc) lexsort — identical to offering every pair to a
+    :class:`BoundedTopN`."""
     if len(ids) > n:
         # nth-largest value; keep everything >= it so boundary ties are
         # resolved by id, not by partition order
@@ -102,4 +103,9 @@ def canonical_topn(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedIt
         keep = values >= kth
         ids, values = ids[keep], values[keep]
     order = np.lexsort((ids, -values))[:n]
-    return [RankedItem(int(ids[i]), float(values[i])) for i in order]
+    return list(zip(ids[order].tolist(), values[order].tolist()))
+
+
+def canonical_topn(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedItem]:
+    """:func:`canonical_pairs` as ranked items."""
+    return [RankedItem(obj, value) for obj, value in canonical_pairs(ids, values, n)]

@@ -31,18 +31,24 @@ Answers, stats, resume frontiers, cost counters and the per-depth
 Incremental ("continue") evaluation
 -----------------------------------
 Because TA completes every object the moment it is first seen, its
-whole state is exact: the seen-object score map, the per-source last
-grades, and the next sorted-access depth.  ``capture_state=True``
-snapshots that frontier into the result's ``stats["resume_state"]``;
-passing it back via ``resume_from`` with a larger ``n`` continues the
-run instead of restarting it.  The resumed run first re-evaluates the
-stop rule *at the saved depth* — a cold run at the larger ``n`` checks
-there too, and because a larger heap's N-th-best never exceeds a
-smaller one's, the cold run can never have stopped earlier than the
-saved frontier.  From that point the depth loop proceeds exactly as
-cold, so the resumed answer is identical to a cold run at the new
-``n`` (including tie order) while paying no repeated sorted or random
-accesses for the saved prefix.
+whole state is exact: the seen objects in first-seen order with their
+scores and first-seen depths, and τ at every processed depth (whose
+count is the next sorted-access depth).  ``capture_state=True`` stores
+that frontier, as read-only arrays, in the result's
+``stats["resume_state"]``; passing it back via ``resume_from`` with an
+``n`` no smaller continues the run instead of restarting it, reading
+on from the saved depth.  The resumed run first re-evaluates the stop
+rule *at the saved depth* — a cold run at the larger ``n`` checks there
+too, and because a larger heap's N-th-best never exceeds a smaller
+one's, the cold run can never have stopped earlier than the saved
+frontier.  From that point the depth loop proceeds exactly as cold, so
+the resumed answer is identical to a cold run at the new ``n``
+(including tie order) while paying no repeated sorted or random
+accesses for the saved prefix.  The arrays also answer TA at any
+depth already read: the objects first seen below a depth ``d`` and
+τ at ``d - 1`` are the run's state there, so :func:`answer_at` cuts
+what a run capped at ``d`` returns from a run that read further —
+which is how the serve layer streams anytime chunks from one run.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import numpy as np
 from ..errors import TopNError
 from ..obs import tracer
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
-from .heap import BoundedTopN, canonical_topn
+from .heap import BoundedTopN, canonical_pairs, canonical_topn
 from .result import TopNResult
 
 #: Ranks in TA's first slab; each later slab ends at twice the last end.
@@ -172,7 +178,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
     any *unseen* object's score).  A capped run's captured state
     resumes exactly — chaining capped runs with growing depths visits
     the same states a single uncapped run does, which is how the serve
-    layer streams anytime answers.
+    layer advances a stream's one TA run slab by slab.
     """
     if not sources:
         raise TopNError("threshold_topn needs at least one source")
@@ -188,13 +194,13 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                      resumed=resume_from is not None):
         traced = tracer.enabled()
         # every object seen under sorted access, in first-seen order,
-        # with its exact aggregate (the resumable state)
+        # with its exact aggregate and first-seen depth, and τ at every
+        # processed depth (the resumable state)
         ids = np.empty(0, dtype=np.int64)
         scores = np.empty(0, dtype=np.float64)
+        first_seen = np.empty(0, dtype=np.int64)
+        taus = np.empty(0, dtype=np.float64)
         seen = np.zeros(n_objects, dtype=bool)
-        # per-source grade floor once a list is exhausted: 0 (grades are
-        # non-negative, and posting-style sources grade absent objects 0)
-        last_grades = [0.0] * m
         depth = 0
         random_accesses = 0
         resumed_from = 0
@@ -204,13 +210,12 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         if resume_from is not None:
             _check_resume(resume_from, n, m, agg)
             resumed_from = resume_from.n
-            saved = resume_from.seen_scores
-            ids = np.fromiter(saved.keys(), dtype=np.int64, count=len(saved))
-            scores = np.fromiter(saved.values(), dtype=np.float64, count=len(saved))
+            ids, scores = resume_from.ids, resume_from.scores
+            first_seen, taus = resume_from.first_seen, resume_from.tau
             seen[ids] = True
-            last_grades = list(resume_from.last_grades)
             depth = resume_from.depth_next
-            threshold = agg.combine(last_grades)
+            if depth:
+                threshold = float(taus[-1])
             if resume_from.exhausted:
                 # the saved run drained every source: no unseen objects
                 done, stop_reason = True, "exhausted"
@@ -267,7 +272,9 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             seen[new_ids] = True
             ids = np.concatenate((ids, new_ids))
             scores = np.concatenate((scores, new_scores))
-            last_grades = grades[:, rounds - 1].tolist()
+            if capture_state:
+                first_seen = np.concatenate((first_seen, depth + new_first))
+                taus = np.concatenate((taus, tau[:rounds]))
             threshold = float(tau[rounds - 1])
             ranks_read = depth + rounds
             if stop is not None:
@@ -288,13 +295,41 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         if capture_state:
             from ..cache.resume import TAResumeState
             run_stats["resume_state"] = TAResumeState(
-                n=n, m_sources=m, agg_name=agg.name, depth_next=ranks_read,
-                last_grades=tuple(last_grades),
-                seen_scores=dict(zip(ids.tolist(), scores.tolist())),
+                n=n, m_sources=m, agg_name=agg.name, ids=ids, scores=scores,
+                first_seen=first_seen, tau=taus,
                 exhausted=(stop_reason == "exhausted"),
             )
         return TopNResult(canonical_topn(ids, scores, n), n, strategy="fagin-ta",
                           safe=True, stats=run_stats)
+
+
+def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
+    """TA's answer at ``depth``, cut from ``run`` — a captured run that
+    read that far or stopped before it — with no further access.
+
+    Returns the items, as ``(id, score)`` pairs, and the stats that a
+    run resumed from the same frontier at depth ``since`` (0: a cold
+    run) and capped at ``depth`` returns: the canonical top of the
+    objects first seen below the stop depth, τ at the last depth read
+    as ``final_threshold``, and ``m - 1`` random accesses for each
+    object that capped run would have met.
+    """
+    state = run.stats["resume_state"]
+    stop_reason = run.stats["stop_reason"]
+    if stop_reason == "max_depth" or run.stats["depth"] > depth:
+        stop_reason = "max_depth"
+    else:
+        depth = run.stats["depth"]
+    seen = int(np.searchsorted(state.first_seen, depth))
+    met = seen - int(np.searchsorted(state.first_seen, since))
+    return canonical_pairs(state.ids[:seen], state.scores[:seen], state.n), {
+        "depth": depth,
+        "objects_seen": seen,
+        "random_accesses": (state.m_sources - 1) * met,
+        "final_threshold": float(state.tau[depth - 1]),
+        "stop_reason": stop_reason,
+        "resumed_from": state.n if since else 0,
+    }
 
 
 def _trace_rounds(heap: BoundedTopN, lo: int, tau: np.ndarray, seen_before: int,

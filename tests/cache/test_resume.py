@@ -33,6 +33,12 @@ def same_answer(a, b):
     return a.doc_ids == b.doc_ids and a.scores == b.scores
 
 
+def state_arrays(state):
+    """A TA frontier's arrays with their dtypes, element by element."""
+    return [(name, getattr(state, name).dtype.str, getattr(state, name).tolist())
+            for name in ("ids", "scores", "first_seen", "tau")]
+
+
 class TestTAFrontier:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 1000), n1=st.integers(1, 8), extra=st.integers(0, 20),
@@ -42,9 +48,26 @@ class TestTAFrontier:
         n2 = n1 + extra
         shallow = threshold_topn(make_sources(matrix), n1, SUM, capture_state=True)
         state = shallow.stats["resume_state"]
-        resumed = threshold_topn(make_sources(matrix), n2, SUM, resume_from=state)
-        cold = threshold_topn(make_sources(matrix), n2, SUM)
+        resumed = threshold_topn(make_sources(matrix), n2, SUM, resume_from=state,
+                                 capture_state=True)
+        cold = threshold_topn(make_sources(matrix), n2, SUM, capture_state=True)
         assert same_answer(resumed, cold)
+        # the continued frontier is the cold run's, array for array
+        resumed_state = resumed.stats["resume_state"]
+        cold_state = cold.stats["resume_state"]
+        assert state_arrays(resumed_state) == state_arrays(cold_state)
+        assert resumed_state.depth_next == cold_state.depth_next
+        assert resumed_state.exhausted == cold_state.exhausted
+
+    def test_frontier_arrays_are_read_only(self):
+        """Cache entries share a frontier across threads: its arrays
+        refuse in-place writes."""
+        matrix = np.random.default_rng(4).random((80, 2))
+        state = threshold_topn(make_sources(matrix), 5, SUM,
+                               capture_state=True).stats["resume_state"]
+        for name in ("ids", "scores", "first_seen", "tau"):
+            with pytest.raises(ValueError):
+                getattr(state, name)[:1] = 0
 
     def test_resume_charges_less(self):
         matrix = np.random.default_rng(1).random((500, 3))

@@ -8,6 +8,8 @@ charges in bulk; its items, stats, resume frontier, cost counters and
 ``ta.round`` events must equal this loop's exactly.
 """
 
+import numpy as np
+
 from repro.obs import tracer
 from repro.topn import SUM, BoundedTopN, TopNResult, require_monotone
 from repro.topn.ta import _check_resume
@@ -27,6 +29,8 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
         traced = tracer.enabled()
         heap = BoundedTopN(n)
         seen_scores = {}
+        first_seen = []
+        taus = []
         last_grades = [0.0] * m
         depth = 0
         random_accesses = 0
@@ -37,12 +41,13 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
         if resume_from is not None:
             _check_resume(resume_from, n, m, agg)
             resumed_from = resume_from.n
-            seen_scores = dict(resume_from.seen_scores)
+            seen_scores = dict(zip(resume_from.ids.tolist(), resume_from.scores.tolist()))
             for obj, score in seen_scores.items():
                 heap.push(obj, score)
-            last_grades = list(resume_from.last_grades)
+            first_seen = resume_from.first_seen.tolist()
+            taus = resume_from.tau.tolist()
             depth = resume_from.depth_next
-            threshold = agg.combine(last_grades)
+            threshold = taus[-1] if taus else 0.0
             if resume_from.exhausted:
                 done, stop_reason = True, "exhausted"
             elif heap.full and heap.threshold() >= threshold:
@@ -69,8 +74,10 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
                 random_accesses += m - 1
                 score = agg.combine(grades)
                 seen_scores[obj] = score
+                first_seen.append(depth)
                 heap.push(obj, score)
             threshold = agg.combine(last_grades)
+            taus.append(threshold)
             if traced:
                 tracer.event("ta.round", depth=depth, threshold=threshold,
                              heap_threshold=heap.threshold(),
@@ -94,8 +101,11 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
         if capture_state:
             from repro.cache.resume import TAResumeState
             stats["resume_state"] = TAResumeState(
-                n=n, m_sources=m, agg_name=agg.name, depth_next=ranks_read,
-                last_grades=tuple(last_grades), seen_scores=dict(seen_scores),
+                n=n, m_sources=m, agg_name=agg.name,
+                ids=np.array(list(seen_scores), dtype=np.int64),
+                scores=np.array(list(seen_scores.values()), dtype=np.float64),
+                first_seen=np.array(first_seen, dtype=np.int64),
+                tau=np.array(taus, dtype=np.float64),
                 exhausted=(stop_reason == "exhausted"),
             )
         return TopNResult(heap.items_sorted(), n, strategy="fagin-ta",

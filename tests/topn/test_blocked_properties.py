@@ -180,3 +180,26 @@ class TestWarmEqualsCold:
                               resume_from=first.stats["resume_state"])
         assert warm.doc_ids == cold.doc_ids
         assert warm.scores == cold.scores
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrix=matrices,
+           n_small=st.integers(min_value=1, max_value=5),
+           n_large=st.integers(min_value=6, max_value=12),
+           block_size=st.integers(min_value=1, max_value=70))
+    def test_blocked_and_slab_capture_the_same_frontier(self, matrix, n_small,
+                                                        n_large, block_size):
+        """Cold and resumed, blocked TA captures the slab engine's
+        frontier array for array: order, dtype and every element."""
+        grid = np.asarray(matrix, dtype=np.float64)
+        states = []
+        for engine, sources in ((threshold_topn, scalar_sources),
+                                (blocked_threshold_topn,
+                                 lambda g: blocked_sources(g, block_size))):
+            first = engine(sources(grid), n_small, SUM, capture_state=True)
+            deep = engine(sources(grid), n_large, SUM, capture_state=True,
+                          resume_from=first.stats["resume_state"])
+            states.append([
+                (name, getattr(s, name).dtype.str, getattr(s, name).tolist())
+                for s in (first.stats["resume_state"], deep.stats["resume_state"])
+                for name in ("ids", "scores", "first_seen", "tau")])
+        assert states[0] == states[1]

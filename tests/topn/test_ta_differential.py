@@ -10,12 +10,14 @@ declared monotone, and ``max_depth`` runs chained through
 ``resume_from`` — both must agree on items, every stat, the captured
 :class:`~repro.cache.resume.TAResumeState`, every
 :class:`~repro.storage.CostCounter` field and the traced ``ta.round``
-events, float for float.
+events, float for float.  A run's answer cut at an earlier depth
+(:func:`~repro.topn.ta.answer_at`) must equal the capped, resumed run
+it stands for, items and stats alike.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopNError
@@ -23,6 +25,7 @@ from repro.mm import ArraySource, BlockedSource, PostingsSource
 from repro.obs import run_profiled
 from repro.storage import CostCounter
 from repro.topn import AVG, MAX, MIN, PROD, SUM, UserAggregate, WeightedSum, threshold_topn
+from repro.topn.ta import answer_at
 
 from .ta_reference import reference_threshold_topn
 
@@ -63,7 +66,10 @@ def build_sources(columns, kinds, block_size):
 
 
 def float_bits(value):
-    """Floats as hex strings (so -0.0 and 0.0 differ), recursively."""
+    """Floats as hex strings (so -0.0 and 0.0 differ), recursively;
+    arrays as their dtype and elements, in order."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, float_bits(value.tolist()))
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, dict):
@@ -172,6 +178,32 @@ class TestMatchesReference:
         assert_matches_reference([rng.random(300), rng.random(300)], ["array", "array"],
                                  rising, [(5, None)], 8, traced)
 
+
+class TestAnswerAt:
+    @settings(max_examples=100, deadline=None)
+    @given(instance=instances(),
+           cuts=st.lists(st.integers(min_value=0, max_value=700),
+                         min_size=2, max_size=2, unique=True))
+    def test_cut_equals_a_capped_resumed_run(self, instance, cuts):
+        """The cut at ``depth`` from one uncapped run is what a run
+        resumed from the frontier at ``since`` and capped at ``depth``
+        returns: items and every stat, float for float."""
+        columns, kinds, agg, chain, block_size = instance
+        n = chain[-1][0]
+        since, depth = sorted(cuts)
+        run = threshold_topn(build_sources(columns, kinds, block_size), n, agg,
+                             capture_state=True)
+        sources = build_sources(columns, kinds, block_size)
+        state = None
+        if since:
+            head = threshold_topn(sources, n, agg, capture_state=True, max_depth=since)
+            assume(head.stats["stop_reason"] == "max_depth")
+            state = head.stats["resume_state"]
+        capped = threshold_topn(sources, n, agg, resume_from=state, max_depth=depth)
+        items, stats = answer_at(run, depth, since)
+        assert (float_bits(items)
+                == float_bits([(item.obj_id, item.score) for item in capped.items]))
+        assert float_bits(stats) == float_bits(capped.stats)
 
 class ScalarOnlySource:
     """A graded list with the one-at-a-time protocol only: no bulk
