@@ -24,8 +24,9 @@ class FeatureSpace:
 
     ``columns`` is a read-only column-major copy of ``vectors`` (one
     contiguous row per feature), built once here: the summing
-    similarity scans (l1, l2, histogram) read ``columns.T``, a feature
-    at a time over all objects.
+    similarity scans (l1, l2, histogram) read ``columns.T``, one
+    cache-sized block of objects at a time, each feature's slice of the
+    block contiguous.
     """
 
     name: str

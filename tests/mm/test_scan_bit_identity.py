@@ -1,17 +1,19 @@
-"""The column-major similarity scans equal the row-major reductions bit
-for bit.
+"""The blocked similarity scans equal the row-major reductions bit for
+bit.
 
-``l1``, ``l2`` and ``histogram`` sum a feature column at a time over all
-objects, following NumPy's pairwise summation tree.  The row-major
-expressions below — one reduction per object — are the oracle; every
-distance float must match them exactly (compared as int64 bit
-patterns), whether the scan reads ``FeatureSpace.columns`` or a
-row-major matrix.
+``l1``, ``l2`` and ``histogram`` sum one block of objects at a time,
+a feature row at a time over the block, following NumPy's pairwise
+summation tree.  The row-major expressions below — one reduction per
+object — are the oracle; every distance float must match them exactly
+(compared as int64 bit patterns), whether the scan reads
+``FeatureSpace.columns`` or a row-major matrix, and on either side of
+every block boundary.
 """
 
 import numpy as np
 import pytest
 
+from repro.fragmentation.profiling import profile_hits
 from repro.mm import (
     FeatureSpace,
     distance_to_similarity,
@@ -20,6 +22,7 @@ from repro.mm import (
     l1_distances,
     l2_distances,
 )
+from repro.mm.distances import _BLOCK_TERMS
 
 DIMS = list(range(1, 41)) + [64, 129, 300]
 
@@ -80,3 +83,73 @@ def test_columns_are_a_read_only_copy():
     assert space.columns.flags.c_contiguous
     assert not space.columns.flags.writeable
     assert not np.shares_memory(space.columns, vectors)
+
+
+def block_objects(dim: int) -> int:
+    """Objects per block of a ``dim``-feature scan."""
+    return max(1, _BLOCK_TERMS // dim)
+
+
+BLOCK_DIMS = [1, 7, 8, 9, 16, 129, 300]
+BLOCK_SIZES = ["0", "1", "B-1", "B", "B+1", "3B+1", "20000"]
+
+
+def n_objects(size: str, dim: int) -> int:
+    block = block_objects(dim)
+    return {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+            "3B+1": 3 * block + 1, "20000": 20000}[size]
+
+
+def blocked_space_and_query(n: int, dim: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    vectors = rng.random((n, dim)) * rng.choice([1e-6, 1.0, 1e6], size=(n, dim))
+    query = rng.random(dim)
+    if n > 5:
+        vectors[1] = 0.0
+        vectors[2, ::2] = -0.0
+        vectors[5] = query
+    if n > 1:
+        vectors[-1] = query               # the last object of the last block
+    return FeatureSpace("s", vectors), query
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+@pytest.mark.parametrize("dim", BLOCK_DIMS)
+def test_scan_across_block_boundaries(dim, size):
+    n = n_objects(size, dim)
+    space, query = blocked_space_and_query(n, dim, seed=dim)
+    for measure, scan in SCANS.items():
+        expected = bits(ORACLES[measure](space.vectors, query))
+        assert np.array_equal(bits(scan(space.columns.T, query)), expected), measure
+        assert np.array_equal(bits(scan(space.vectors, query)), expected), measure
+    for measure in ("l1", "l2"):
+        expected = distance_to_similarity(ORACLES[measure](space.vectors, query))
+        got = feature_source(space, query, measure).grades_of(np.arange(n))
+        assert np.array_equal(bits(got), bits(expected)), measure
+
+
+def test_distance_to_similarity_leaves_its_input():
+    distances = np.random.default_rng(3).random(5000) * 7.0
+    before = distances.copy()
+    similarities = distance_to_similarity(distances)
+    assert np.array_equal(bits(distances), bits(before))
+    assert not np.shares_memory(similarities, distances)
+    assert np.array_equal(bits(distance_to_similarity(distances, scale=2.0)),
+                          bits(np.exp(-before / 2.0)))
+    assert np.array_equal(bits(distances), bits(before))
+
+
+def test_profile_hits_match_oracle_distances():
+    dim = 16
+    space, _ = blocked_space_and_query(3 * block_objects(dim) + 1, dim, seed=11)
+    hits = profile_hits(space, n_queries=20, k=50, seed=5)
+    # the same training queries, ranked by the row-major oracle
+    rng = np.random.default_rng(5)
+    expected = np.zeros(space.n_objects, dtype=np.int64)
+    scale = max(float(np.std(space.vectors)), 1e-9)
+    for _ in range(20):
+        anchor = space.vectors[rng.integers(0, space.n_objects)]
+        query = anchor + rng.normal(0.0, 0.1 * scale, size=dim)
+        distances = ORACLES["l2"](space.vectors, query)
+        expected[np.argpartition(distances, 49)[:50]] += 1
+    assert np.array_equal(hits, expected)
