@@ -536,13 +536,11 @@ class MMDatabase:
             manifest = json.load(fh)
         catalog = Catalog.load(directory / "bats")
         with open(directory / "terms.txt") as fh:
-            term_strings = fh.read().split("\n") if fh else []
+            text = fh.read()
+        term_strings = text.split("\n") if text else []
         vocab_arrays = np.load(directory / "vocabulary.npz")
-        vocabulary = Vocabulary()
-        vocabulary._id_to_term = term_strings
-        vocabulary._term_to_id = {t: i for i, t in enumerate(term_strings)}
-        vocabulary._df = vocab_arrays["df"].tolist()
-        vocabulary._cf = vocab_arrays["cf"].tolist()
+        vocabulary = Vocabulary.from_counts(term_strings, vocab_arrays["df"],
+                                            vocab_arrays["cf"])
         offsets = np.load(directory / "offsets.npy")
         index = InvertedIndex(
             catalog.get("postings_terms"),

@@ -88,21 +88,31 @@ class FragmentedExecutor:
         result.stats["strategy"] = Strategy.UNFRAGMENTED.value
         return result
 
-    def _small_fragment_scores(self, tids_small: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Accumulate small-fragment partial scores; returns
-        (accumulator over all docs, candidate mask)."""
+    def _small_fragment_scores(self, tids_small: list[int]) -> tuple[dict, np.ndarray, np.ndarray]:
+        """Small-fragment partial scores: ``(partials by term id,
+        accumulator over all docs, candidate mask)``."""
         index = self.fragmented.small
         with tracer.span("frag.small_fragment", terms=len(tids_small)):
-            accumulator = np.zeros(index.n_docs, dtype=np.float64)
-            touched = np.zeros(index.n_docs, dtype=bool)
+            parts = {}
             for tid in tids_small:
                 doc_ids, tfs = index.postings(tid)
-                if len(doc_ids) == 0:
-                    continue
-                partials = self.model.partial_scores(index, tid, doc_ids, tfs)
-                np.add.at(accumulator, doc_ids, partials)
-                touched[doc_ids] = True
-            return accumulator, touched
+                if len(doc_ids):
+                    parts[tid] = (doc_ids, self.model.partial_scores(index, tid, doc_ids, tfs))
+            accumulator = np.zeros(index.n_docs, dtype=np.float64)
+            touched = np.zeros(index.n_docs, dtype=bool)
+            self._accumulate(parts, tids_small, accumulator, touched)
+            return parts, accumulator, touched
+
+    @staticmethod
+    def _accumulate(parts: dict, tids: list[int], accumulator: np.ndarray,
+                    touched: np.ndarray) -> None:
+        """Add each term's ``(doc_ids, partials)`` in the order of
+        ``tids``, as :func:`~repro.ir.ranking.score_all` does."""
+        for tid in tids:
+            part = parts.get(tid)
+            if part is not None:
+                np.add.at(accumulator, *part)
+                touched[part[0]] = True
 
     def _finish(self, accumulator, touched, n, strategy_name, extra_stats) -> TopNResult:
         candidates = np.nonzero(touched)[0]
@@ -117,7 +127,7 @@ class FragmentedExecutor:
 
     def _unsafe_small(self, tids: list[int], n: int) -> TopNResult:
         tids_small, tids_large = self.fragmented.split_query(tids)
-        accumulator, touched = self._small_fragment_scores(tids_small)
+        _, accumulator, touched = self._small_fragment_scores(tids_small)
         return self._finish(
             accumulator, touched, n, Strategy.UNSAFE_SMALL.value,
             {
@@ -129,7 +139,7 @@ class FragmentedExecutor:
 
     def _with_switch(self, tids: list[int], n: int, use_index: bool) -> TopNResult:
         tids_small, tids_large = self.fragmented.split_query(tids)
-        accumulator, touched = self._small_fragment_scores(tids_small)
+        parts, accumulator, touched = self._small_fragment_scores(tids_small)
 
         # provisional N-th score for the early quality check
         positive = accumulator[touched] if touched.any() else np.empty(0)
@@ -155,14 +165,17 @@ class FragmentedExecutor:
                     postings = self.fragmented.large.indexed_postings(tids_large)
                 else:
                     postings = self.fragmented.large.scan_postings(tids_large)
+                # the small-fragment sums are redone in query-term order
+                # together with the large-fragment partials, as the
+                # unfragmented evaluation adds them, so that a switched
+                # answer equals it bit for bit
+                for doc_ids, _ in parts.values():
+                    accumulator[doc_ids] = 0.0
                 for tid, (doc_ids, tfs) in postings.items():
-                    if len(doc_ids) == 0:
-                        continue
-                    partials = self.model.partial_scores(
-                        self.fragmented.full, tid, doc_ids, tfs
-                    )
-                    np.add.at(accumulator, doc_ids, partials)
-                    touched[doc_ids] = True
+                    if len(doc_ids):
+                        parts[tid] = (doc_ids, self.model.partial_scores(
+                            self.fragmented.full, tid, doc_ids, tfs))
+                self._accumulate(parts, tids, accumulator, touched)
 
         name = Strategy.INDEXED.value if use_index else Strategy.SAFE_SWITCH.value
         result = self._finish(

@@ -70,55 +70,63 @@ class InvertedIndex:
             self.avg_dl = float(self._dl.mean()) if self.n_docs else 0.0
             self.total_cf = int(postings_tf.tail.sum()) if len(postings_tf) else 0
         # per-term maxima, for upper-bound administration
-        self._max_tf = np.zeros(self.n_terms, dtype=np.int64)
-        self._max_tf_over_dl = np.zeros(self.n_terms, dtype=np.float64)
         tf = postings_tf.tail
-        docs = postings_docs.tail
-        for tid in range(self.n_terms):
-            start, stop = offsets[tid], offsets[tid + 1]
-            if stop > start:
-                seg_tf = tf[start:stop]
-                self._max_tf[tid] = int(seg_tf.max())
-                self._max_tf_over_dl[tid] = float(
-                    (seg_tf / self._dl[docs[start:stop]]).max()
-                )
+        self._max_tf = _per_term(np.maximum, tf, offsets).astype(np.int64, copy=False)
+        tf_over_dl = self._dl[postings_docs.tail]
+        np.divide(tf, tf_over_dl, out=tf_over_dl)  # one temporary, not two
+        self._max_tf_over_dl = _per_term(np.maximum, tf_over_dl, offsets)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def build(cls, collection: Collection, vocabulary: Vocabulary | None = None) -> "InvertedIndex":
-        """Build the index from a collection of term-id documents."""
+        """Build the index from a collection of term-id documents.
+
+        Every token becomes one int64 key ``term * n_docs + doc``; one
+        sort puts the keys in term-major, doc-ascending order, and the
+        runs of equal keys are the postings, their lengths the tfs.
+        Without a ``vocabulary``, one is made from the collection's term
+        strings and the postings' df and cf."""
+        n_terms = len(vocabulary) if vocabulary is not None else collection.n_terms
+        n_docs = collection.n_docs
+        token_ids = [doc.token_ids for doc in collection.documents]
+        lengths = np.fromiter(map(len, token_ids), dtype=np.int64, count=n_docs)
+        keys = np.empty(int(lengths.sum()), dtype=np.int64)
+        if n_docs:
+            np.concatenate(token_ids, out=keys)
+        if len(keys):
+            lowest, highest = keys.min(), keys.max()
+            if lowest < 0 or highest >= n_terms:
+                bad = lowest if lowest < 0 else highest
+                raise WorkloadError(f"token id {bad} outside vocabulary")
+        keys *= n_docs
+        # doc ids in the narrowest signed dtype that holds them, so this
+        # temporary is a quarter (int16) to half (int32) of the keys
+        keys += np.repeat(np.arange(n_docs, dtype=np.min_scalar_type(-n_docs)), lengths)
+        keys.sort()
+        run_start = np.empty(len(keys), dtype=bool)
+        run_start[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        # the keys go before the posting columns exist: the build's
+        # peak is the keys plus one bool and one int64 per posting
+        pair_keys = keys[run_start]
+        del keys
+        tfs = np.diff(np.flatnonzero(run_start), append=len(run_start))
+        del run_start
+        terms, docs = np.divmod(pair_keys, n_docs)
+        del pair_keys
+        df = np.bincount(terms, minlength=n_terms)
+        offsets = np.zeros(n_terms + 1, dtype=np.int64)
+        np.cumsum(df, out=offsets[1:])
         if vocabulary is None:
-            vocabulary = Vocabulary.from_token_id_docs(
-                (doc.token_ids for doc in collection.documents), collection.term_strings
-            )
-        n_terms = len(vocabulary)
-        term_chunks, doc_chunks, tf_chunks = [], [], []
-        for doc in collection.documents:
-            unique, counts = np.unique(doc.token_ids, return_counts=True)
-            term_chunks.append(unique.astype(np.int64))
-            doc_chunks.append(np.full(len(unique), doc.doc_id, dtype=np.int64))
-            tf_chunks.append(counts.astype(np.int64))
-        if term_chunks:
-            terms = np.concatenate(term_chunks)
-            docs = np.concatenate(doc_chunks)
-            tfs = np.concatenate(tf_chunks)
-        else:
-            terms = docs = tfs = np.empty(0, dtype=np.int64)
-        order = np.argsort(terms, kind="stable")  # doc order preserved per term
-        terms, docs, tfs = terms[order], docs[order], tfs[order]
-        offsets = np.searchsorted(terms, np.arange(n_terms + 1))
-        doc_lengths = BAT(
-            np.asarray([doc.length for doc in collection.documents], dtype=np.int64),
-            name="doc_lengths",
-            persistent=True,
-        )
+            vocabulary = Vocabulary.from_counts(
+                collection.term_strings, df, _per_term(np.add, tfs, offsets))
         return cls(
             BAT(terms, name="postings_terms", tail_sorted=True, persistent=True),
             BAT(docs, name="postings_docs", persistent=True),
             BAT(tfs, name="postings_tf", persistent=True),
             offsets,
-            doc_lengths,
+            BAT(lengths, name="doc_lengths", persistent=True),
             vocabulary,
         )
 
@@ -215,3 +223,13 @@ class InvertedIndex:
     def _check_tid(self, tid: int) -> None:
         if not 0 <= tid < self.n_terms:
             raise WorkloadError(f"term id {tid} outside index vocabulary (n={self.n_terms})")
+
+
+def _per_term(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over each term's posting range of ``values``;
+    0 for a term without postings."""
+    out = np.zeros(len(offsets) - 1, dtype=values.dtype)
+    nonempty = offsets[:-1] < offsets[1:]
+    if nonempty.any():
+        out[nonempty] = ufunc.reduceat(values, offsets[:-1][nonempty])
+    return out

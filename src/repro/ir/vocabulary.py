@@ -64,6 +64,21 @@ class Vocabulary:
                 vocab._cf[tid] += int(count)
         return vocab
 
+    @classmethod
+    def from_counts(cls, term_strings: list[str], df: np.ndarray,
+                    cf: np.ndarray) -> "Vocabulary":
+        """Build from term strings plus per-term df and cf arrays (the
+        index build's counts, or a saved database's)."""
+        if not len(df) == len(cf) == len(term_strings):
+            raise WorkloadError(
+                f"{len(term_strings)} terms but {len(df)} df and {len(cf)} cf counts")
+        vocab = cls()
+        vocab._id_to_term = list(term_strings)
+        vocab._term_to_id = dict(zip(vocab._id_to_term, range(len(vocab._id_to_term))))
+        vocab._df = np.asarray(df, dtype=np.int64).tolist()
+        vocab._cf = np.asarray(cf, dtype=np.int64).tolist()
+        return vocab
+
     def term_id(self, term: str) -> int:
         try:
             return self._term_to_id[term]

@@ -78,3 +78,27 @@ class TestSaveLoad:
         before, after = original.stats(), loaded.stats()
         for key in ("n_docs", "n_terms", "total_postings", "small_volume_share"):
             assert before[key] == after[key], key
+
+    def test_vocabulary_and_maxima_survive(self, tmp_path_factory, original):
+        """The loaded index rebuilds its vocabulary from the saved df/cf
+        arrays and its per-term maxima from the saved postings."""
+        path = tmp_path_factory.mktemp("db7")
+        original.save(path)
+        loaded = MMDatabase.load(path)
+        saved, index = original.index, loaded.index
+        assert index.vocabulary.terms() == saved.vocabulary.terms()
+        assert np.array_equal(index.vocabulary.df_array(), saved.vocabulary.df_array())
+        assert np.array_equal(index.vocabulary.cf_array(), saved.vocabulary.cf_array())
+        assert type(index.vocabulary.df(0)) is int and type(index.vocabulary.cf(0)) is int
+        for tid in range(index.n_terms):
+            assert index.term_stats(tid) == saved.term_stats(tid)
+        assert np.array_equal(index._max_tf_over_dl.view(np.int64),
+                              saved._max_tf_over_dl.view(np.int64))
+        term = saved.vocabulary.term(3)
+        assert index.vocabulary.term_id(term) == 3
+
+    def test_empty_vocabulary_roundtrip(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("db8")
+        MMDatabase.from_texts([]).save(path)
+        loaded = MMDatabase.load(path)
+        assert loaded.index.n_terms == 0 and len(loaded.index.vocabulary) == 0

@@ -10,7 +10,7 @@ from repro.fragmentation import (
     Strategy,
     fragment_by_volume,
 )
-from repro.ir import BM25, InvertedIndex
+from repro.ir import BM25, InvertedIndex, LanguageModel, TfIdf
 from repro.quality import overlap_at
 from repro.storage import CostCounter
 from repro.workloads import SyntheticCollection, generate_queries, trec
@@ -159,6 +159,31 @@ class TestStrategies:
         if not switched_any:
             pytest.skip("no query triggered the switch in this workload")
         assert indexed_total < scan_total
+
+    @pytest.mark.parametrize("model", [BM25(), TfIdf(), LanguageModel()],
+                             ids=lambda model: model.name)
+    def test_switched_answers_equal_unfragmented_bit_for_bit(self, world, model):
+        """A switched answer adds the same partial scores as the
+        unfragmented one, in query-term order, so ids, order and every
+        score bit agree -- also when small- and large-fragment terms
+        interleave in the query."""
+        collection, _, fragmented, _, _ = world
+        executor = FragmentedExecutor(fragmented, model)
+        queries = generate_queries(collection, n_queries=40, terms_range=(3, 8), seed=4)
+        switched = 0
+        for query in queries.queries:
+            tids = list(query.term_ids)
+            exact = executor.query(tids, self.N, Strategy.UNFRAGMENTED)
+            for strategy in (Strategy.SAFE_SWITCH, Strategy.INDEXED):
+                result = executor.query(tids, self.N, strategy)
+                if not result.stats["switched"]:
+                    continue
+                switched += 1
+                assert result.doc_ids == exact.doc_ids, (tids, strategy)
+                got = np.array([item.score for item in result.items])
+                want = np.array([item.score for item in exact.items])
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (tids, strategy)
+        assert switched >= 40
 
     def test_switch_fires_only_with_large_terms(self, world):
         _, _, fragmented, model, queries = world

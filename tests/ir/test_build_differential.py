@@ -1,0 +1,134 @@
+"""The sort-based index build against the per-document reference build.
+
+Every array of the index -- postings, offsets, document lengths, df/cf
+and the per-term maxima -- must equal the reference's in dtype and bits,
+and ``df()``/``cf()`` must still return Python ints.  Fragments and
+shards go through ``InvertedIndex.from_postings``, so their maxima are
+checked the same way against the per-term reference loop.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import WorkloadError
+from repro.fragmentation import fragment_by_volume
+from repro.ir import Collection, Document, InvertedIndex
+from repro.parallel import shard_index
+
+from .build_reference import reference_maxima, reference_postings, reference_vocabulary
+
+
+def assert_same(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def collections(draw):
+    """Small collections with unused terms, empty documents and, now and
+    then, one term repeated hundreds of times in a document."""
+    n_terms = draw(st.integers(0, 12))
+    n_docs = draw(st.integers(0, 10))
+    documents = []
+    for doc_id in range(n_docs):
+        tokens = []
+        if n_terms:
+            tokens = draw(st.lists(st.integers(0, n_terms - 1), max_size=25))
+            heavy = draw(st.none() | st.tuples(st.integers(0, n_terms - 1),
+                                               st.integers(1, 400)))
+            if heavy is not None:
+                tokens = draw(st.permutations(tokens + [heavy[0]] * heavy[1]))
+        documents.append(Document(doc_id, np.asarray(tokens, dtype=np.int64)))
+    return Collection(documents, [f"t{j}" for j in range(n_terms)], name="drawn")
+
+
+def check_index(index: InvertedIndex, collection: Collection) -> None:
+    terms, docs, tfs, offsets, lengths = reference_postings(collection, collection.n_terms)
+    assert_same(index.postings_terms.tail, terms)
+    assert_same(index.postings_docs.tail, docs)
+    assert_same(index.postings_tf.tail, tfs)
+    assert_same(index.offsets, offsets)
+    assert_same(index.doc_lengths.tail, lengths)
+    max_tf, max_tf_over_dl = reference_maxima(offsets, docs, tfs, lengths)
+    assert_same(index._max_tf, max_tf)
+    assert_same(index._max_tf_over_dl, max_tf_over_dl)
+
+    vocabulary, reference = index.vocabulary, reference_vocabulary(collection)
+    assert vocabulary.terms() == reference.terms()
+    assert_same(vocabulary.df_array(), reference.df_array())
+    assert_same(vocabulary.cf_array(), reference.cf_array())
+    for tid in range(collection.n_terms):
+        assert type(vocabulary.df(tid)) is int and vocabulary.df(tid) == reference.df(tid)
+        assert type(vocabulary.cf(tid)) is int and vocabulary.cf(tid) == reference.cf(tid)
+        assert vocabulary.term_id(collection.term_strings[tid]) == tid
+    assert index.total_cf == reference.total_cf()
+
+
+def check_part(part: InvertedIndex, mask: np.ndarray, collection: Collection) -> None:
+    """``part`` holds exactly the reference postings under ``mask``,
+    with the per-term maxima of those postings."""
+    terms, docs, tfs, _, lengths = reference_postings(collection, collection.n_terms)
+    terms, docs, tfs = terms[mask], docs[mask], tfs[mask]
+    offsets = np.searchsorted(terms, np.arange(collection.n_terms + 1))
+    assert_same(part.postings_terms.tail, terms)
+    assert_same(part.postings_docs.tail, docs)
+    assert_same(part.postings_tf.tail, tfs)
+    assert_same(part.offsets, offsets)
+    max_tf, max_tf_over_dl = reference_maxima(offsets, docs, tfs, lengths)
+    assert_same(part._max_tf, max_tf)
+    assert_same(part._max_tf_over_dl, max_tf_over_dl)
+
+
+@settings(max_examples=200, deadline=None)
+@given(collections())
+def test_build_matches_reference(collection):
+    check_index(InvertedIndex.build(collection), collection)
+
+
+@settings(max_examples=60, deadline=None)
+@given(collections(), st.sampled_from([0.2, 0.5, 0.8, 0.95]))
+def test_fragments_match_reference(collection, cut):
+    index = InvertedIndex.build(collection)
+    fragmented = fragment_by_volume(index, volume_cut=cut)
+    terms = reference_postings(collection, collection.n_terms)[0]
+    in_small = fragmented.in_small[terms]
+    check_part(fragmented.small, in_small, collection)
+    assert_same(fragmented.large.terms.tail, terms[~in_small])
+
+
+@settings(max_examples=60, deadline=None)
+@given(collections(), st.sampled_from([1, 2, 7]), st.sampled_from(["docs", "postings"]))
+def test_shards_match_reference(collection, shards, balance):
+    index = InvertedIndex.build(collection)
+    sharded = shard_index(index, shards, balance=balance)
+    docs = reference_postings(collection, collection.n_terms)[1]
+    for shard in sharded.shards:
+        check_part(shard.index, (docs >= shard.doc_lo) & (docs < shard.doc_hi), collection)
+
+
+def test_empty_collection():
+    collection = Collection([], [], name="empty")
+    index = InvertedIndex.build(collection)
+    check_index(index, collection)
+    assert index.n_terms == 0 and index.total_postings() == 0
+
+
+def test_empty_documents_and_unused_terms():
+    documents = [Document(0, np.empty(0, dtype=np.int64)),
+                 Document(1, np.array([2, 2, 2], dtype=np.int64)),
+                 Document(2, np.empty(0, dtype=np.int64))]
+    collection = Collection(documents, ["a", "b", "c", "d"], name="sparse")
+    index = InvertedIndex.build(collection)
+    check_index(index, collection)
+    assert index.vocabulary.df(0) == 0 and index.term_stats(0).max_tf == 0
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_token_outside_vocabulary(bad):
+    documents = [Document(0, np.array([0, 1], dtype=np.int64)),
+                 Document(1, np.array([2, bad, 0], dtype=np.int64))]
+    with pytest.raises(WorkloadError, match="outside vocabulary"):
+        InvertedIndex.build(Collection(documents, ["a", "b", "c"], name="bad"))
