@@ -75,6 +75,10 @@ class TAResumeState:
     first_seen: np.ndarray
     #: τ at every processed depth; its length is the next sorted-access depth
     tau: np.ndarray
+    #: per source, the ranks one sorted-access charge covered: 1, or the
+    #: block size of block storage (a resume over other units re-reads
+    #: the block holding the saved depth)
+    sorted_units: tuple
     #: True when every source was drained (resume returns immediately)
     exhausted: bool = False
 
@@ -253,16 +257,18 @@ class ReplaySource:
     def grades_of(self, obj_ids):
         return self.inner.grades_of(obj_ids)
 
-    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> None:
+    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> int:
         logged = min(max(self.log.depth() - lo, 0), hi - lo)
         self._replay(logged)
+        blocks = 0
         if lo + logged < hi:
             start = lo + logged
-            self.inner.charge_sorted(start, hi)
+            blocks = self.inner.charge_sorted(start, hi)
             objs, grades = self.inner.sorted_slab(start, hi)
             self.log.record_sorted_run(start, objs.tolist(), grades.tolist())
         if ended:
             self.log.record_exhausted(hi)
+        return blocks
 
     def charge_random(self, obj_ids) -> None:
         objs = [int(obj) for obj in obj_ids]

@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render the adaptive plan choice: candidate table, "
              "est-vs-observed cost, certification, why the winner won",
         description="Enumerate every candidate plan for one query "
-                    "(Fagin-family engines, blocked variants, the "
+                    "(Fagin-family engines, whole-block charging, the "
                     "unsafe budgeted cut-off), cost them with the "
                     "calibrated model, execute each for its observed "
                     "charged cost and overlap@N, and render the table "
@@ -264,8 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--sources", type=int, default=3,
                          help="graded sources (scenario: topn)")
     explain.add_argument("--block-size", type=int, default=None, metavar="B",
-                         help="also enumerate the blocked engine variants "
-                              "at this block size (scenario: topn)")
+                         help="also enumerate TA, NRA and CA over block "
+                              "storage of this block size, which charges "
+                              "sorted access in whole blocks (scenario: topn)")
     explain.add_argument("--json", action="store_true",
                          help="emit the shared diagnostics payload plus "
                               "the explain object")

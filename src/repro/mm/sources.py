@@ -13,7 +13,9 @@ Fagin's analysis — and experiment E6 — is stated in.  Two bulk reads,
 ``sorted_slab`` and ``grades_of``, serve the same data a slab or a
 batch at a time *uncharged*; an engine that uses them (TA, NRA, CA)
 then charges, through ``charge_sorted`` and ``charge_random``, exactly
-the accesses it would have made one at a time.
+the accesses it would have made one at a time.  The storage sets the
+unit of a sorted-access charge: one rank, or for
+:class:`BlockedSource` one whole block.
 
 :class:`ArraySource` wraps a precomputed score array (e.g. a feature
 similarity for one query).  :class:`PostingsSource` adapts one query
@@ -66,11 +68,13 @@ class ScoreSource:
         :meth:`sorted_slab`."""
         raise NotImplementedError
 
-    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> None:
+    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> int:
         """Charge the sorted accesses to ranks ``lo .. hi - 1`` that a
         bulk reader used.  ``ended`` says the reader also met the end
-        of the list at rank ``hi``, which costs nothing."""
+        of the list at rank ``hi``, which costs nothing.  Returns the
+        storage blocks read: none, sorted access is charged per rank."""
         stats.charge_sorted_accesses(hi - lo)
+        return 0
 
     def charge_random(self, obj_ids) -> None:
         """Charge one random access per object of ``obj_ids``, the ones
@@ -296,14 +300,19 @@ class PostingsSource(ScoreSource):
 class BlockedSource(ScoreSource):
     """A graded list stored as scored blocks (block-at-a-time access).
 
-    The :class:`ScoreSource` interface is preserved bit for bit — the
-    block payload is the same descending-grade / id-ascending order
-    :class:`ArraySource` and :class:`PostingsSource` use — so every
-    engine, the replay wrapper :class:`~repro.cache.resume.ReplaySource`
-    and the parallel coordinator's range evaluators work over blocked
-    storage unchanged.  On top of it, the block API serves whole
-    ``(doc_ids, grades)`` blocks with one bulk sorted-access charge and
-    the per-block score upper bounds.
+    The :class:`ScoreSource` interface serves the same ranks and grades
+    — the block payload is the same descending-grade / id-ascending
+    order :class:`ArraySource` and :class:`PostingsSource` use — so
+    every engine, the replay wrapper
+    :class:`~repro.cache.resume.ReplaySource` and the parallel
+    coordinator's range evaluators work over blocked storage unchanged.
+    Only the unit of a sorted-access charge differs: block storage reads
+    a whole block, so the sorted access that opens a block pays for all
+    of it and the block's later ranks cost nothing, whether a reader
+    goes one rank at a time or charges in bulk (:meth:`charge_sorted`).
+    On top of it, the block API serves whole ``(doc_ids, grades)``
+    blocks with one bulk sorted-access charge and the per-block score
+    upper bounds.
     """
 
     def __init__(self, dense_grades: np.ndarray, blocks: ScoredBlocks,
@@ -355,7 +364,8 @@ class BlockedSource(ScoreSource):
         if rank >= self.blocks.n_postings:
             raise SourceExhaustedError(
                 f"sorted access past end of source {self.name!r} (rank {rank})")
-        stats.charge_sorted_accesses(1)
+        if rank % self.block_size == 0:
+            self.read_block(rank // self.block_size)
         return int(self.blocks.doc_ids[rank]), float(self.blocks.grades[rank])
 
     def random_access(self, obj_id: int) -> float:
@@ -370,6 +380,14 @@ class BlockedSource(ScoreSource):
     def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
         return _dense_grades_of(self._dense, obj_ids, self.name)
 
+    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> int:
+        """Read and charge in full every block :meth:`blocks_between`
+        ``lo`` and ``hi`` names; returns how many."""
+        blocks = self.blocks_between(lo, hi)
+        for b in blocks:
+            self.read_block(b)
+        return len(blocks)
+
     # -- block-at-a-time protocol -------------------------------------------
 
     @property
@@ -379,6 +397,13 @@ class BlockedSource(ScoreSource):
     @property
     def n_blocks(self) -> int:
         return self.blocks.n_blocks
+
+    def blocks_between(self, lo: int, hi: int) -> range:
+        """The blocks a reader of ranks ``lo .. hi - 1`` opens: those
+        whose first rank is one of them.  The block holding rank
+        ``lo - 1`` was paid for by whoever read that rank."""
+        size = self.block_size
+        return range(-(-lo // size), -(-min(hi, self.blocks.n_postings) // size))
 
     def read_block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Block ``b`` as ``(doc_ids, grades)``, charged as one bulk

@@ -2,7 +2,7 @@
 
 Given the sources of one top-N query, :func:`enumerate_candidates`
 builds a :class:`PlanCandidate` per applicable strategy — FA / TA /
-NRA / CA, their blocked variants, the parallel coordinator, a cached
+NRA / CA, whole-block TA / NRA / CA, the parallel coordinator, a cached
 answer (served via :meth:`~repro.cache.manager.QueryCache.peek`, so
 enumeration never distorts hit statistics), and an *unsafe* budgeted-TA
 plan that trades predicted overlap@N for a depth cap.  Each candidate
@@ -35,9 +35,6 @@ from dataclasses import dataclass, field
 
 from ...topn import (
     SUM,
-    blocked_combined_topn,
-    blocked_nra_topn,
-    blocked_threshold_topn,
     combined_topn,
     fagin_topn,
     naive_topn_sources,
@@ -67,12 +64,6 @@ _ENGINE_FUNCS = {
     "ta": threshold_topn,
     "nra": nra_topn,
     "ca": combined_topn,
-}
-
-_BLOCKED_FUNCS = {
-    "blocked_ta": blocked_threshold_topn,
-    "blocked_nra": blocked_nra_topn,
-    "blocked_ca": blocked_combined_topn,
 }
 
 #: threshold-engine label the bound analyzer certifies each plan under
@@ -274,11 +265,12 @@ def enumerate_candidates(sources, n: int, agg=SUM, *,
                          features: QueryFeatures | None = None) -> list:
     """Build the candidate table for one query (see module docstring).
 
-    ``blocked_sources`` (block-at-a-time views of the same lists)
-    enables the blocked engine variants; ``shards`` enables the
-    parallel coordinator; ``cache`` + ``fingerprint`` enable the cached
-    candidate.  Every candidate is verifier-checked and bound-certified
-    before :func:`choose` will consider it.
+    ``blocked_sources`` (block-at-a-time views of the same lists, at
+    one block size) enables TA, NRA and CA charging whole blocks;
+    ``shards`` enables the parallel coordinator; ``cache`` +
+    ``fingerprint`` enable the cached candidate.  Every candidate is
+    verifier-checked and bound-certified before :func:`choose` will
+    consider it.
     """
     calibration = calibration or Calibration.uncalibrated()
     feats = features if features is not None else query_features(sources, n, agg)
@@ -311,16 +303,15 @@ def enumerate_candidates(sources, n: int, agg=SUM, *,
             (lambda f=func: f(sources, n, agg)))
 
     if blocked_sources:
-        for name, func in _BLOCKED_FUNCS.items():
-            base = name.removeprefix("blocked_")
+        block = blocked_sources[0].block_size
+        for base in ("ta", "nra", "ca"):
             est, depth, estimator = estimate(base)
-            block = getattr(blocked_sources[0], "block_size", 0)
             # block granularity overshoots the scalar stop by up to one
             # block per list on average
             est = est + 0.5 * block * feats.m * weights.get("sorted_accesses", 1.0)
-            add(name, base, True, est, 1.0, depth, estimator,
+            add(f"blocked_{base}", base, True, est, 1.0, depth, estimator,
                 f"block-at-a-time (block={block})",
-                (lambda f=func: f(blocked_sources, n, agg)))
+                (lambda f=_ENGINE_FUNCS[base]: f(blocked_sources, n, agg)))
 
     if shards:
         # the coordinator's range evaluators scan every shard fully,

@@ -167,7 +167,8 @@ class AnytimeRunner:
                     capture_state=True,
                     max_depth=max(self._depth, slab_end(read)))
             items, stats = answer_at(
-                run, self._depth, since=self._last.depth if self._last is not None else 0)
+                run, self.sources, self._depth,
+                since=self._last.depth if self._last is not None else 0)
         else:
             if self.algorithm == "fa":
                 result = fagin_topn(self.sources, self.n, self.agg)

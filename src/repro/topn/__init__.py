@@ -9,8 +9,8 @@ Safe (exact top-N):
 * :func:`~repro.topn.nra.nra_topn` — No-Random-Access (NRA) and
   :func:`~repro.topn.ca.combined_topn` — the Combined Algorithm (CA),
   on one vectorised bound core (:mod:`~repro.topn.bounds`);
-* :mod:`~repro.topn.blocked` — TA, NRA and CA charging whole storage
-  blocks;
+  over block storage (:class:`~repro.mm.sources.BlockedSource`) any of
+  the three charges sorted access in whole storage blocks;
 * :mod:`~repro.topn.stopafter` — Carey–Kossmann STOP AFTER policies;
 * :mod:`~repro.topn.probabilistic` — Donjerkovic–Ramakrishnan
   histogram-cutoff top-N (exact via restarts).
@@ -34,7 +34,6 @@ from .aggregates import (
     WeightedSum,
     require_monotone,
 )
-from .blocked import blocked_combined_topn, blocked_nra_topn, blocked_threshold_topn
 from .ca import combined_topn
 from .fagin import fagin_topn
 from .heap import BoundedTopN
@@ -62,9 +61,6 @@ __all__ = [
     "UserAggregate",
     "WeightedSum",
     "require_monotone",
-    "blocked_combined_topn",
-    "blocked_nra_topn",
-    "blocked_threshold_topn",
     "classic_topn",
     "conjunctive_topn",
     "combined_topn",

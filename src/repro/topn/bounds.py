@@ -21,8 +21,9 @@ the object was completed), evaluated at exactly the depths the
 one-access-at-a-time loop evaluates them: a completion every ``h``
 rounds, a stop check every ``check_every`` rounds, and the completion
 of the final inactive round that follows the longest list's end.  The
-caller charges afterwards what that loop charged
-(:meth:`BoundRun.charge`, or whole blocks in :mod:`repro.topn.blocked`).
+caller charges afterwards, through the sources, what that loop charged
+(:meth:`BoundRun.charge`), in whatever unit each source's storage
+charges sorted access.
 Items, score floats, stats and the ``nra.check`` / ``ca.check`` /
 ``ca.completion`` trace events equal the loop's, which survives as the
 test oracle in ``tests/topn/nra_reference.py`` and
@@ -35,28 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import QueryCancelledError
-from ..obs import metrics, tracer
+from ..obs import tracer
 from .aggregates import AggregateFunction, combine_columns
 from .heap import canonical_topn
 from .result import RankedItem
-from .ta import new_objects, read_slab, slab_end
+from .ta import check_cancel, new_objects, read_slab, slab_end
 
 #: the rank of a grade no list has shown yet
 _UNSEEN = np.iinfo(np.int64).max
-
-
-def check_cancel(cancel, engine: str, depth: int) -> None:
-    """Raise between rounds when the query's cancel token fired — a
-    deadline expiry or an explicit cancel (e.g. the coordinator already
-    resolved, or a serve-layer request deadline propagated down).
-    Checked only at round boundaries, before anything is charged, so a
-    stopped run never leaves a partially applied bound administration
-    behind."""
-    if cancel is not None and cancel.cancelled():
-        metrics.inc("topn.cancelled")
-        raise QueryCancelledError(
-            f"{engine} cancelled at sorted-access depth {depth}")
 
 
 @dataclass
@@ -79,12 +66,15 @@ class BoundRun:
     #: random access, in completion order
     completed: list[np.ndarray]
 
-    def charge(self, sources: list) -> None:
-        """Charge through each source what one access at a time did."""
+    def charge(self, sources: list) -> int:
+        """Charge through each source what one access at a time did;
+        returns the storage blocks read."""
+        blocks_read = 0
         for source, ranks, ended, objs in zip(sources, self.ranks, self.ended,
                                               self.completed):
-            source.charge_sorted(0, ranks, ended=ended)
+            blocks_read += source.charge_sorted(0, ranks, ended=ended)
             source.charge_random(objs)
+        return blocks_read
 
 
 class _Seen:

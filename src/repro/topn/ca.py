@@ -17,6 +17,9 @@ with NumPy at exactly the depths the one-access-at-a-time loop does
 (:mod:`repro.topn.bounds`); it then charges that loop's sorted and
 random accesses through the sources.  Answers, stats, cost counters
 and the ``ca.completion`` / ``ca.check`` trace events equal the loop's.
+Over block storage the sorted accesses are charged in whole storage
+blocks and the stats carry the block counts, as
+:func:`~repro.topn.ta.threshold_topn` documents.
 """
 
 from __future__ import annotations
@@ -26,35 +29,42 @@ from ..obs import tracer
 from .aggregates import AggregateFunction, SUM, require_monotone
 from .bounds import run_bounds
 from .result import TopNResult
-from .ta import require_slabs
+from .ta import block_storage, record_blocks, require_slabs
 
 
 def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                   h: int = 4, check_every: int = 8,
-                  max_depth: int | None = None) -> TopNResult:
-    """Exact top-N with CA under random/sorted cost ratio ``h``."""
+                  max_depth: int | None = None, *,
+                  cancel=None) -> TopNResult:
+    """Exact top-N with CA under random/sorted cost ratio ``h``.
+
+    ``cancel`` is as in :func:`~repro.topn.ta.threshold_topn`; the
+    token is checked before every completion and stop check."""
     if not sources:
         raise TopNError("combined_topn needs at least one source")
     if h < 1:
         raise TopNError(f"cost ratio h must be >= 1, got {h}")
+    blocked = block_storage(sources)
+    strategy = "fagin-ca-blocked" if blocked else "fagin-ca"
     if n <= 0:
-        return TopNResult([], max(n, 0), strategy="fagin-ca", safe=True)
+        return TopNResult([], max(n, 0), strategy=strategy, safe=True)
     require_monotone(agg, "CA")
     agg.validate_arity(len(sources))
     require_slabs(sources, "combined_topn")
 
-    with tracer.span("topn.ca", n=n, m=len(sources), agg=agg.name, h=h,
+    with tracer.span("topn.ca_blocked" if blocked else "topn.ca",
+                     n=n, m=len(sources), agg=agg.name, h=h,
                      objects=max(source.n_objects for source in sources)):
         run = run_bounds(sources, n, agg, "combined_topn", check_every=check_every,
-                         h=h, max_depth=max_depth)
-        run.charge(sources)
+                         h=h, max_depth=max_depth, cancel=cancel)
+        blocks_read = run.charge(sources)
         tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
                         objects_seen=run.objects_seen, completions=run.completions)
-        return TopNResult(
-            run.items, n, strategy="fagin-ca", safe=True,
-            stats={"depth": run.depth, "objects_seen": run.objects_seen,
-                   "completions": run.completions, "h": h,
-                   "stop_reason": run.stop_reason,
-                   "bottom_aggregate": run.bottom_aggregate,
-                   "bound_checks": run.bound_checks},
-        )
+        stats = {"depth": run.depth, "objects_seen": run.objects_seen,
+                 "completions": run.completions, "h": h,
+                 "stop_reason": run.stop_reason,
+                 "bottom_aggregate": run.bottom_aggregate,
+                 "bound_checks": run.bound_checks}
+        if blocked:
+            stats.update(record_blocks(sources, blocks_read))
+        return TopNResult(run.items, n, strategy=strategy, safe=True, stats=stats)

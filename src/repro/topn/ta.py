@@ -49,14 +49,32 @@ depth already read: the objects first seen below a depth ``d`` and
 τ at ``d - 1`` are the run's state there, so :func:`answer_at` cuts
 what a run capped at ``d`` returns from a run that read further —
 which is how the serve layer streams anytime chunks from one run.
+
+Block storage
+-------------
+The storage sets the unit of a sorted-access charge.  Over block
+storage (:class:`~repro.mm.sources.BlockedSource`) a block is read,
+and charged in full, the first time the run needs one of its ranks.
+Blocks past the stop are never read — the block-max prune, safe
+because every unread block's upper bound is at most the τ the stop
+rule already beat.  A run whose every source is block storage
+(:func:`block_storage`) reports ``block_size`` / ``blocks_read`` /
+``blocks_skipped`` in its stats and the ``topn.blocks_*`` metrics,
+under the ``topn.ta_blocked`` span and the ``fagin-ta-blocked``
+strategy.  Everything else, random accesses included, is the same
+run's: a block is a charging unit, not another algorithm.  A resumed
+run that reads on pays again for the block holding the saved depth
+only where the capture charged that source in another unit
+(``TAResumeState.sorted_units``), so a capture plus a resume that
+reads on never charges less than one cold run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TopNError
-from ..obs import tracer
+from ..errors import QueryCancelledError, TopNError
+from ..obs import metrics, tracer
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
 from .heap import BoundedTopN, canonical_pairs, canonical_topn
 from .result import TopNResult
@@ -90,6 +108,47 @@ def require_slabs(sources: list, engine: str) -> None:
                     f"{engine} needs sources with bulk reads "
                     f"(repro.mm.ScoreSource.{method}); "
                     f"{type(source).__name__} has no {method}()")
+
+
+def check_cancel(cancel, engine: str, depth: int) -> None:
+    """Raise between rounds when the query's cancel token fired — a
+    deadline expiry or an explicit cancel (e.g. the coordinator already
+    resolved, or a serve-layer request deadline propagated down).
+    Checked only at round boundaries, before anything is charged, so a
+    stopped run never leaves a partially applied bound administration
+    behind."""
+    if cancel is not None and cancel.cancelled():
+        metrics.inc("topn.cancelled")
+        raise QueryCancelledError(
+            f"{engine} cancelled at sorted-access depth {depth}")
+
+
+def block_storage(sources: list) -> bool:
+    """True when every source is block storage, which charges sorted
+    access in whole blocks: the run then reports its block counts."""
+    return all(hasattr(source, "read_block") for source in sources)
+
+
+def sorted_units(sources: list) -> tuple:
+    """The ranks one sorted-access charge of each source covers."""
+    return tuple(getattr(source, "block_size", 1) for source in sources)
+
+
+def block_stats(sources: list, blocks_read: int) -> dict:
+    """``block_size`` / ``blocks_read`` / ``blocks_skipped`` of a run
+    over block storage that read ``blocks_read`` blocks."""
+    return {"block_size": sources[0].block_size, "blocks_read": blocks_read,
+            "blocks_skipped": sum(source.n_blocks for source in sources) - blocks_read}
+
+
+def record_blocks(sources: list, blocks_read: int) -> dict:
+    """:func:`block_stats`, also added to the ``topn.blocks_*`` metrics
+    and the open span."""
+    stats = block_stats(sources, blocks_read)
+    metrics.inc("topn.blocks_read", stats["blocks_read"])
+    metrics.inc("topn.blocks_skipped", stats["blocks_skipped"])
+    tracer.annotate(**stats)
+    return stats
 
 
 def first_stop(tau: np.ndarray, first_seen: np.ndarray, scores: np.ndarray,
@@ -162,7 +221,7 @@ def slab_end(lo: int) -> int:
 
 def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                    resume_from=None, capture_state: bool = False,
-                   max_depth: int | None = None) -> TopNResult:
+                   max_depth: int | None = None, cancel=None) -> TopNResult:
     """Exact top-N over graded sources with the Threshold Algorithm.
 
     ``resume_from`` continues a previous run's saved frontier (a
@@ -179,18 +238,27 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
     resumes exactly — chaining capped runs with growing depths visits
     the same states a single uncapped run does, which is how the serve
     layer advances a stream's one TA run slab by slab.
+
+    Over block storage the stats also carry the block counts (module
+    docstring).  ``cancel`` is a token checked before each slab is
+    read: once it reports cancelled the run raises
+    :class:`~repro.errors.QueryCancelledError`.
     """
     if not sources:
         raise TopNError("threshold_topn needs at least one source")
+    blocked = block_storage(sources)
+    strategy = "fagin-ta-blocked" if blocked else "fagin-ta"
     if n <= 0:
-        return TopNResult([], max(n, 0), strategy="fagin-ta", safe=True)
+        return TopNResult([], max(n, 0), strategy=strategy, safe=True)
     require_monotone(agg, "TA")
     agg.validate_arity(len(sources))
     require_slabs(sources, "threshold_topn")
 
     m = len(sources)
     n_objects = max(source.n_objects for source in sources)
-    with tracer.span("topn.ta", n=n, m=m, agg=agg.name, objects=n_objects,
+    units = sorted_units(sources)
+    with tracer.span("topn.ta_blocked" if blocked else "topn.ta",
+                     n=n, m=m, agg=agg.name, objects=n_objects,
                      resumed=resume_from is not None):
         traced = tracer.enabled()
         # every object seen under sorted access, in first-seen order,
@@ -203,6 +271,9 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
         seen = np.zeros(n_objects, dtype=bool)
         depth = 0
         random_accesses = 0
+        blocks_read = 0
+        # per source, the ranks below the saved depth this run reads again
+        reread = [0] * m
         resumed_from = 0
         stop_reason = "threshold"
         threshold = 0.0
@@ -216,6 +287,12 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             depth = resume_from.depth_next
             if depth:
                 threshold = float(taus[-1])
+            # block storage reads whole blocks: where the capture charged
+            # a source in another unit, it paid only for the ranks of the
+            # block holding the saved depth that it read, so reading on
+            # reads that block again
+            reread = [depth % unit if unit != saved else 0
+                      for unit, saved in zip(units, resume_from.sorted_units)]
             if resume_from.exhausted:
                 # the saved run drained every source: no unseen objects
                 done, stop_reason = True, "exhausted"
@@ -235,6 +312,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             if max_depth is not None and depth >= max_depth:
                 stop_reason = "max_depth"
                 break
+            check_cancel(cancel, "threshold_topn", depth)
             hi = slab_end(depth)
             if max_depth is not None:
                 hi = min(hi, max_depth)
@@ -262,8 +340,11 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             # complete it by random access
             met_by = met_at[:kept] % m
             for i, (source, count) in enumerate(zip(sources, live)):
-                source.charge_sorted(depth, depth + min(count, rounds), ended=count < rounds)
+                end = depth + min(count, rounds)
+                blocks_read += source.charge_sorted(
+                    depth - reread[i] if end > depth else depth, end, ended=count < rounds)
                 source.charge_random(new_ids[:kept][met_by != i])
+            reread = [0] * m
             random_accesses += (m - 1) * kept
             new_ids, new_first, new_scores = new_ids[:kept], new_first[:kept], new_scores[:kept]
             if traced:
@@ -292,27 +373,32 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             "stop_reason": stop_reason,
             "resumed_from": resumed_from,
         }
+        if blocked:
+            run_stats.update(record_blocks(sources, blocks_read))
         if capture_state:
             from ..cache.resume import TAResumeState
             run_stats["resume_state"] = TAResumeState(
                 n=n, m_sources=m, agg_name=agg.name, ids=ids, scores=scores,
-                first_seen=first_seen, tau=taus,
+                first_seen=first_seen, tau=taus, sorted_units=units,
                 exhausted=(stop_reason == "exhausted"),
             )
-        return TopNResult(canonical_topn(ids, scores, n), n, strategy="fagin-ta",
+        return TopNResult(canonical_topn(ids, scores, n), n, strategy=strategy,
                           safe=True, stats=run_stats)
 
 
-def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
-    """TA's answer at ``depth``, cut from ``run`` — a captured run that
-    read that far or stopped before it — with no further access.
+def answer_at(run: TopNResult, sources: list, depth: int,
+              since: int = 0) -> tuple[list, dict]:
+    """TA's answer at ``depth``, cut from ``run`` — a captured run over
+    ``sources`` that read that far or stopped before it — with no
+    further access.
 
     Returns the items, as ``(id, score)`` pairs, and the stats that a
-    run resumed from the same frontier at depth ``since`` (0: a cold
-    run) and capped at ``depth`` returns: the canonical top of the
-    objects first seen below the stop depth, τ at the last depth read
-    as ``final_threshold``, and ``m - 1`` random accesses for each
-    object that capped run would have met.
+    run over the same sources resumed from the same frontier at depth
+    ``since`` (0: a cold run) and capped at ``depth`` returns: the
+    canonical top of the objects first seen below the stop depth, τ at
+    the last depth read as ``final_threshold``, ``m - 1`` random
+    accesses for each object that capped run would have met, and over
+    block storage the blocks it would have opened.
     """
     state = run.stats["resume_state"]
     stop_reason = run.stats["stop_reason"]
@@ -322,7 +408,7 @@ def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
         depth = run.stats["depth"]
     seen = int(np.searchsorted(state.first_seen, depth))
     met = seen - int(np.searchsorted(state.first_seen, since))
-    return canonical_pairs(state.ids[:seen], state.scores[:seen], state.n), {
+    stats = {
         "depth": depth,
         "objects_seen": seen,
         "random_accesses": (state.m_sources - 1) * met,
@@ -330,6 +416,10 @@ def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
         "stop_reason": stop_reason,
         "resumed_from": state.n if since else 0,
     }
+    if block_storage(sources):
+        stats.update(block_stats(sources, sum(
+            len(source.blocks_between(since, depth)) for source in sources)))
+    return canonical_pairs(state.ids[:seen], state.scores[:seen], state.n), stats
 
 
 def _trace_rounds(heap: BoundedTopN, lo: int, tau: np.ndarray, seen_before: int,

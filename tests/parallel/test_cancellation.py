@@ -1,5 +1,6 @@
-"""Deadline-aware cancellation: CancelToken deadlines, blocked-engine
-cancellation between rounds, and the no-dangling-work guarantee."""
+"""Deadline-aware cancellation: CancelToken deadlines, TA/NRA/CA
+cancellation between rounds (over per-access and block storage), and
+the no-dangling-work guarantee."""
 
 import time
 
@@ -7,20 +8,24 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryCancelledError
-from repro.mm.sources import BlockedSource
+from repro.mm.sources import ArraySource, BlockedSource
 from repro.parallel.executor import CancelToken, ExecutorPool
-from repro.topn import (
-    blocked_combined_topn,
-    blocked_nra_topn,
-    blocked_threshold_topn,
-)
+from repro.topn import combined_topn, nra_topn, threshold_topn
 
-BLOCKED_ENGINES = (blocked_threshold_topn, blocked_nra_topn,
-                   blocked_combined_topn)
+ENGINES = pytest.mark.parametrize(
+    "engine", (threshold_topn, nra_topn, combined_topn), ids=("ta", "nra", "ca"))
+BLOCK_SIZES = pytest.mark.parametrize("block_size", (None, 16),
+                                      ids=("per_access", "block16"))
 
 
-def make_sources(seed=3, n_objects=256, n_sources=3, block_size=16):
+def make_sources(seed=3, n_objects=2048, n_sources=3, block_size=16):
+    """Block storage at ``block_size``, or per-access storage for None.
+    Large enough that TA, which checks once per slab, reads more than
+    its first 128-rank slab."""
     rng = np.random.default_rng(seed)
+    if block_size is None:
+        return [ArraySource(rng.random(n_objects), name=f"s{i}")
+                for i in range(n_sources)]
     return [BlockedSource.from_array(rng.random(n_objects), block_size,
                                      name=f"s{i}") for i in range(n_sources)]
 
@@ -71,29 +76,33 @@ class TestCancelTokenDeadline:
 
 
 class TestBlockedEngineCancellation:
-    @pytest.mark.parametrize("engine", BLOCKED_ENGINES)
-    def test_prefired_token_cancels_the_run(self, engine):
+    @ENGINES
+    @BLOCK_SIZES
+    def test_prefired_token_cancels_the_run(self, engine, block_size):
         token = CancelToken()
         token.cancel()
         with pytest.raises(QueryCancelledError, match="cancelled at"):
-            engine(make_sources(), 10, cancel=token)
+            engine(make_sources(block_size=block_size), 10, cancel=token)
 
-    @pytest.mark.parametrize("engine", BLOCKED_ENGINES)
-    def test_midrun_cancellation_raises_between_rounds(self, engine):
+    @ENGINES
+    @BLOCK_SIZES
+    def test_midrun_cancellation_raises_between_rounds(self, engine, block_size):
         token = CountdownToken(fuse=1)
         with pytest.raises(QueryCancelledError, match=engine.__name__):
-            engine(make_sources(), 10, cancel=token)
+            engine(make_sources(block_size=block_size), 10, cancel=token)
         assert token.checks > 1  # the first check passed; a later round hit
 
-    @pytest.mark.parametrize("engine", BLOCKED_ENGINES)
-    def test_no_token_means_no_cancellation(self, engine):
-        result = engine(make_sources(), 5)
+    @ENGINES
+    @BLOCK_SIZES
+    def test_no_token_means_no_cancellation(self, engine, block_size):
+        result = engine(make_sources(block_size=block_size), 5)
         assert len(result.items) == 5
 
-    @pytest.mark.parametrize("engine", BLOCKED_ENGINES)
-    def test_unfired_token_does_not_change_the_answer(self, engine):
-        plain = engine(make_sources(), 10)
-        tokened = engine(make_sources(), 10, cancel=CancelToken())
+    @ENGINES
+    @BLOCK_SIZES
+    def test_unfired_token_does_not_change_the_answer(self, engine, block_size):
+        plain = engine(make_sources(block_size=block_size), 10)
+        tokened = engine(make_sources(block_size=block_size), 10, cancel=CancelToken())
         assert tokened.items == plain.items
 
 
@@ -132,7 +141,7 @@ class TestNoDanglingWork:
             token.cancel()
             with pytest.raises(QueryCancelledError):
                 with pool.admit():
-                    blocked_threshold_topn(make_sources(), 10, cancel=token)
+                    threshold_topn(make_sources(), 10, cancel=token)
             assert pool.in_flight == 0
             assert pool._pending == 0
             with pool.admit():  # the slot is reusable immediately

@@ -7,13 +7,16 @@ object with the best ``(upper bound, smallest id)`` key is completed by
 random access, and every ``check_every`` rounds the stop condition
 rebuilds both bounds of every seen object.  The library engine reads
 slabs and charges afterwards; its items, stats, cost counters and
-``ca.completion`` / ``ca.check`` events must equal this loop's exactly.
+``ca.completion`` / ``ca.check`` events must equal this loop's exactly,
+the block counts over block storage included.
 """
 
 import math
 
 from repro.obs import tracer
 from repro.topn import SUM, RankedItem, TopNResult, require_monotone
+
+from .ta_reference import block_counts, opens_block
 
 
 def reference_combined_topn(sources, n, agg=SUM, h=4, check_every=8, max_depth=None):
@@ -27,6 +30,7 @@ def reference_combined_topn(sources, n, agg=SUM, h=4, check_every=8, max_depth=N
     grades = {}
     bottoms = [math.inf] * m
     depth = 0
+    blocks_read = 0
     completions = 0
 
     def effective_bottoms():
@@ -67,6 +71,7 @@ def reference_combined_topn(sources, n, agg=SUM, h=4, check_every=8, max_depth=N
                     continue
                 active = True
                 obj, grade = source.sorted_access(depth)
+                blocks_read += opens_block(source, depth)
                 bottoms[i] = grade
                 grades.setdefault(obj, [None] * m)[i] = grade
             depth += 1
@@ -106,10 +111,9 @@ def reference_combined_topn(sources, n, agg=SUM, h=4, check_every=8, max_depth=N
         items = [RankedItem(obj, score) for score, obj in scored[:n]]
         tracer.annotate(stop_reason=stop_reason, depth=depth,
                         objects_seen=len(grades), completions=completions)
-        return TopNResult(
-            items, n, strategy="fagin-ca", safe=True,
-            stats={"depth": depth, "objects_seen": len(grades),
-                   "completions": completions, "h": h, "stop_reason": stop_reason,
-                   "bottom_aggregate": agg.combine(effective_bottoms()),
-                   "bound_checks": bound_checks},
-        )
+        stats = {"depth": depth, "objects_seen": len(grades),
+                 "completions": completions, "h": h, "stop_reason": stop_reason,
+                 "bottom_aggregate": agg.combine(effective_bottoms()),
+                 "bound_checks": bound_checks}
+        stats.update(block_counts(sources, blocks_read))
+        return TopNResult(items, n, strategy="fagin-ca", safe=True, stats=stats)

@@ -5,13 +5,16 @@ Every round reads one sorted access per live source through the
 sources' charged scalar protocol, and every ``check_every`` rounds the
 stop condition rebuilds both bounds of every seen object.  The library
 engine reads slabs and charges afterwards; its items, stats, cost
-counters and ``nra.check`` events must equal this loop's exactly.
+counters and ``nra.check`` events must equal this loop's exactly, the
+block counts over block storage included.
 """
 
 import math
 
 from repro.obs import tracer
 from repro.topn import SUM, RankedItem, TopNResult, require_monotone
+
+from .ta_reference import block_counts, opens_block
 
 
 def reference_nra_topn(sources, n, agg=SUM, check_every=16, max_depth=None):
@@ -27,6 +30,7 @@ def reference_nra_topn(sources, n, agg=SUM, check_every=16, max_depth=None):
         grades = {}
         bottoms = [math.inf] * m  # current last sorted-access grade per source
         depth = 0
+        blocks_read = 0
         stopped = False
         stop_reason = "exhausted"
         bound_checks = 0
@@ -41,6 +45,7 @@ def reference_nra_topn(sources, n, agg=SUM, check_every=16, max_depth=None):
                     continue
                 active = True
                 obj, grade = source.sorted_access(depth)
+                blocks_read += opens_block(source, depth)
                 bottoms[i] = grade
                 grades.setdefault(obj, [None] * m)[i] = grade
             depth += 1
@@ -64,16 +69,15 @@ def reference_nra_topn(sources, n, agg=SUM, check_every=16, max_depth=None):
         items = [RankedItem(obj, lower) for lower, obj in scored[:n]]
         tracer.annotate(stop_reason=stop_reason, depth=depth,
                         objects_seen=len(grades))
-        return TopNResult(
-            items, n, strategy="fagin-nra", safe=True,
-            stats={
-                "depth": depth,
-                "objects_seen": len(grades),
-                "bottom_aggregate": agg.combine(effective_bottoms),
-                "stop_reason": stop_reason,
-                "bound_checks": bound_checks,
-            },
-        )
+        stats = {
+            "depth": depth,
+            "objects_seen": len(grades),
+            "bottom_aggregate": agg.combine(effective_bottoms),
+            "stop_reason": stop_reason,
+            "bound_checks": bound_checks,
+        }
+        stats.update(block_counts(sources, blocks_read))
+        return TopNResult(items, n, strategy="fagin-nra", safe=True, stats=stats)
 
 
 def stop_condition_met(grades, bottoms, n, agg):

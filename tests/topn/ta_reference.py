@@ -5,7 +5,9 @@ Every round reads one sorted access per live source and completes each
 newly seen object at once by ``m - 1`` random accesses, through the
 sources' charged scalar protocol.  The library engine reads slabs and
 charges in bulk; its items, stats, resume frontier, cost counters and
-``ta.round`` events must equal this loop's exactly.
+``ta.round`` events must equal this loop's exactly.  Over block storage
+the loop counts the blocks its sorted accesses open
+(:func:`opens_block`) and reports them as :func:`block_counts` does.
 """
 
 import numpy as np
@@ -13,6 +15,24 @@ import numpy as np
 from repro.obs import tracer
 from repro.topn import SUM, BoundedTopN, TopNResult, require_monotone
 from repro.topn.ta import _check_resume
+
+
+def opens_block(source, rank):
+    """1 when sorted access at ``rank`` opens a storage block of
+    ``source`` (block storage charges the whole block there), else 0."""
+    size = getattr(source, "block_size", None)
+    return int(size is not None and rank % size == 0)
+
+
+def block_counts(sources, blocks_read):
+    """The block counts a run over block storage reports in its stats
+    and on its span; empty when some source is not block storage."""
+    if not all(hasattr(source, "read_block") for source in sources):
+        return {}
+    counts = {"block_size": sources[0].block_size, "blocks_read": blocks_read,
+              "blocks_skipped": sum(source.n_blocks for source in sources) - blocks_read}
+    tracer.annotate(**counts)
+    return counts
 
 
 def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
@@ -34,6 +54,7 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
         last_grades = [0.0] * m
         depth = 0
         random_accesses = 0
+        blocks_read = 0
         resumed_from = 0
         stop_reason = "threshold"
         threshold = 0.0
@@ -64,6 +85,7 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
                     continue
                 active = True
                 obj, grade = source.sorted_access(depth)
+                blocks_read += opens_block(source, depth)
                 last_grades[i] = grade
                 if obj in seen_scores:
                     continue
@@ -98,6 +120,7 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
             "stop_reason": stop_reason,
             "resumed_from": resumed_from,
         }
+        stats.update(block_counts(sources, blocks_read))
         if capture_state:
             from repro.cache.resume import TAResumeState
             stats["resume_state"] = TAResumeState(
@@ -106,6 +129,7 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
                 scores=np.array(list(seen_scores.values()), dtype=np.float64),
                 first_seen=np.array(first_seen, dtype=np.int64),
                 tau=np.array(taus, dtype=np.float64),
+                sorted_units=tuple(getattr(source, "block_size", 1) for source in sources),
                 exhausted=(stop_reason == "exhausted"),
             )
         return TopNResult(heap.items_sorted(), n, strategy="fagin-ta",

@@ -1,6 +1,6 @@
-"""Differential conformance: blocked engines vs their scalar oracles.
+"""Differential conformance: engines over block storage vs per-access storage.
 
-The blocked TA/NRA/CA variants (:mod:`repro.topn.blocked`) promise
+TA, NRA and CA over block storage (whole-block charging) promise
 **exactness**, not tie-aware agreement: same ids, same float scores,
 same canonical tie order as the scalar reference engine — block-max
 pruning only skips work the scalar engine's stop rule would also never
@@ -28,9 +28,6 @@ from repro.topn import (
     PROD,
     SUM,
     WeightedSum,
-    blocked_combined_topn,
-    blocked_nra_topn,
-    blocked_threshold_topn,
     combined_topn,
     naive_topn,
     naive_topn_sources,
@@ -45,20 +42,10 @@ from .test_conformance import SHAPES, corpus, make_sources
 #: 1 = degenerate, 7 does not divide 300, 4096 > the 300-object corpus
 BLOCK_SIZES = [1, 7, 64, 4096]
 
-ENGINE_PAIRS = {
-    "ta": (
-        lambda sources, n, agg: threshold_topn(sources, n, agg),
-        lambda sources, n, agg: blocked_threshold_topn(sources, n, agg),
-    ),
-    "nra": (
-        lambda sources, n, agg: nra_topn(sources, n, agg, check_every=4),
-        lambda sources, n, agg: blocked_nra_topn(sources, n, agg, check_every=4),
-    ),
-    "ca": (
-        lambda sources, n, agg: combined_topn(sources, n, agg, h=4, check_every=4),
-        lambda sources, n, agg: blocked_combined_topn(sources, n, agg, h=4,
-                                                      check_every=4),
-    ),
+ENGINES = {
+    "ta": lambda sources, n, agg: threshold_topn(sources, n, agg),
+    "nra": lambda sources, n, agg: nra_topn(sources, n, agg, check_every=4),
+    "ca": lambda sources, n, agg: combined_topn(sources, n, agg, h=4, check_every=4),
 }
 
 
@@ -76,19 +63,19 @@ def assert_exact(candidate, reference, context):
 class TestBlockedEngineMatrix:
     """Every (engine, shape, block size, n) cell is exact."""
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     @pytest.mark.parametrize("n", [1, 10, 25])
     def test_blocked_is_exactly_scalar(self, engine, shape, block_size, n):
-        scalar, blocked = ENGINE_PAIRS[engine]
+        engine_fn = ENGINES[engine]
         for seed in (0, 1):
             matrix = corpus(shape, seed)
-            reference = scalar(make_sources(matrix), n, SUM)
-            result = blocked(blocked_sources(matrix, block_size), n, SUM)
+            reference = engine_fn(make_sources(matrix), n, SUM)
+            result = engine_fn(blocked_sources(matrix, block_size), n, SUM)
             assert_exact(result, reference, (engine, shape, block_size, n, seed))
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("agg", [AVG, MIN, MAX, PROD,
                                      WeightedSum([0.5, 0.3, 0.2])],
                              ids=["avg", "min", "max", "product", "wsum"])
@@ -96,37 +83,37 @@ class TestBlockedEngineMatrix:
     def test_aggregates_preserve_float_association(self, engine, agg, block_size):
         """The vectorized column folds must associate float operations
         exactly as the scalar left-to-right folds do."""
-        scalar, blocked = ENGINE_PAIRS[engine]
+        engine_fn = ENGINES[engine]
         matrix = corpus("uniform", seed=2)
-        reference = scalar(make_sources(matrix), 10, agg)
-        result = blocked(blocked_sources(matrix, block_size), 10, agg)
+        reference = engine_fn(make_sources(matrix), 10, agg)
+        result = engine_fn(blocked_sources(matrix, block_size), 10, agg)
         assert_exact(result, reference, (engine, agg.name, block_size))
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("n_objects", [1, 2, 5, 13])
     @pytest.mark.parametrize("block_size", [1, 7, 4096])
     def test_tiny_corpora(self, engine, n_objects, block_size):
         """Corpora smaller than (or awkwardly sized against) the block:
         short last blocks and single-block sources stay exact."""
-        scalar, blocked = ENGINE_PAIRS[engine]
+        engine_fn = ENGINES[engine]
         matrix = corpus("uniform", seed=3, n_objects=n_objects)
-        reference = scalar(make_sources(matrix), 10, SUM)
-        result = blocked(blocked_sources(matrix, block_size), 10, SUM)
+        reference = engine_fn(make_sources(matrix), 10, SUM)
+        result = engine_fn(blocked_sources(matrix, block_size), 10, SUM)
         assert_exact(result, reference, (engine, n_objects, block_size))
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_n_larger_than_corpus(self, engine):
-        scalar, blocked = ENGINE_PAIRS[engine]
+        engine_fn = ENGINES[engine]
         matrix = corpus("ties", seed=4, n_objects=20)
-        reference = scalar(make_sources(matrix), 50, SUM)
-        result = blocked(blocked_sources(matrix, 7), 50, SUM)
+        reference = engine_fn(make_sources(matrix), 50, SUM)
+        result = engine_fn(blocked_sources(matrix, 7), 50, SUM)
         assert_exact(result, reference, engine)
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_nonpositive_n_is_empty(self, engine):
-        _, blocked = ENGINE_PAIRS[engine]
+        engine_fn = ENGINES[engine]
         matrix = corpus("uniform", seed=0, n_objects=10)
-        result = blocked(blocked_sources(matrix, 4), 0, SUM)
+        result = engine_fn(blocked_sources(matrix, 4), 0, SUM)
         assert result.items == []
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -137,61 +124,63 @@ class TestBlockedEngineMatrix:
         bottom aggregate as their scalar oracle."""
         matrix = corpus(shape, seed=1)
         ta_ref = threshold_topn(make_sources(matrix), 10, SUM)
-        ta = blocked_threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
+        ta = threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
         for key in ("depth", "objects_seen", "final_threshold", "stop_reason"):
             assert ta.stats[key] == ta_ref.stats[key], (shape, block_size, key)
-        # the blocked engine completes every fresh object in the stopping
-        # block row — including ones past the exact stop depth — so its
-        # random-access count is the scalar's rounded up to the block
-        assert ta.stats["random_accesses"] >= ta_ref.stats["random_accesses"], \
+        # block storage changes the unit of sorted access only: TA
+        # completes the objects met at or before its stop, nothing past it
+        assert ta.stats["random_accesses"] == ta_ref.stats["random_accesses"], \
             (shape, block_size)
 
         nra_ref = nra_topn(make_sources(matrix), 10, SUM, check_every=4)
-        nra = blocked_nra_topn(blocked_sources(matrix, block_size), 10, SUM,
-                               check_every=4)
+        nra = nra_topn(blocked_sources(matrix, block_size), 10, SUM,
+                       check_every=4)
         for key in ("depth", "objects_seen", "stop_reason", "bottom_aggregate"):
             assert nra.stats[key] == nra_ref.stats[key], (shape, block_size, key)
 
         ca_ref = combined_topn(make_sources(matrix), 10, SUM, h=4, check_every=4)
-        ca = blocked_combined_topn(blocked_sources(matrix, block_size), 10, SUM,
-                                   h=4, check_every=4)
+        ca = combined_topn(blocked_sources(matrix, block_size), 10, SUM,
+                           h=4, check_every=4)
         for key in ("depth", "objects_seen", "stop_reason", "completions",
                     "bound_checks"):
             assert ca.stats[key] == ca_ref.stats[key], (shape, block_size, key)
 
-    @pytest.mark.parametrize("engine", list(ENGINE_PAIRS))
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("max_depth", [0, 3, 300, 310])
     def test_bounded_depth_parity(self, engine, max_depth):
         """The max_depth knob cuts off at the same rank."""
-        if engine == "ta":
-            pytest.skip("TA has no depth bound knobs")
         matrix = corpus("skewed", seed=6)
-        if engine == "nra":
+        if engine == "ta":
+            reference = threshold_topn(make_sources(matrix), 10, SUM,
+                                       max_depth=max_depth)
+            result = threshold_topn(blocked_sources(matrix, 7), 10, SUM,
+                                    max_depth=max_depth)
+        elif engine == "nra":
             reference = nra_topn(make_sources(matrix), 10, SUM, check_every=4,
                                  max_depth=max_depth)
-            result = blocked_nra_topn(blocked_sources(matrix, 7), 10, SUM,
-                                      check_every=4, max_depth=max_depth)
+            result = nra_topn(blocked_sources(matrix, 7), 10, SUM,
+                              check_every=4, max_depth=max_depth)
         else:
             reference = combined_topn(make_sources(matrix), 10, SUM, h=4,
                                       check_every=4, max_depth=max_depth)
-            result = blocked_combined_topn(blocked_sources(matrix, 7), 10, SUM,
-                                           h=4, check_every=4,
-                                           max_depth=max_depth)
+            result = combined_topn(blocked_sources(matrix, 7), 10, SUM,
+                                   h=4, check_every=4,
+                                   max_depth=max_depth)
         assert_exact(result, reference, (engine, max_depth))
         assert result.stats["stop_reason"] == reference.stats["stop_reason"]
 
 
 class TestScalarProtocolOverBlockedStorage:
-    """BlockedSource preserves the scalar ScoreSource protocol bit for
-    bit: scalar engines and the certified parallel coordinator run over
-    blocked storage unchanged."""
+    """BlockedSource serves the ScoreSource protocol's ranks and grades
+    bit for bit: the engines and the certified parallel coordinator run
+    over blocked storage unchanged."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_scalar_engines_agree(self, shape):
         matrix = corpus(shape, seed=1)
-        for scalar, _ in ENGINE_PAIRS.values():
-            reference = scalar(make_sources(matrix), 10, SUM)
-            over_blocks = scalar(blocked_sources(matrix, 64), 10, SUM)
+        for engine_fn in ENGINES.values():
+            reference = engine_fn(make_sources(matrix), 10, SUM)
+            over_blocks = engine_fn(blocked_sources(matrix, 64), 10, SUM)
             assert_exact(over_blocks, reference, shape)
 
     @pytest.mark.parametrize("shards", [1, 2, 4, 7])
@@ -284,5 +273,5 @@ class TestBlockedPostingsSources:
             blocked_srcs = [BlockedSource.from_postings(index, tid, model,
                                                         block_size)
                             for tid in tids]
-            result = blocked_threshold_topn(blocked_srcs, 10, SUM)
+            result = threshold_topn(blocked_srcs, 10, SUM)
             assert_exact(result, reference, (tids, block_size))

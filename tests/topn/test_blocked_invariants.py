@@ -1,4 +1,5 @@
-"""Trace invariants of the blocked engines.
+"""Trace invariants of TA, NRA and CA over block storage, which charges
+sorted access in whole blocks.
 
 Block-at-a-time must never read *more* than block-rounding dictates:
 
@@ -20,9 +21,8 @@ from repro.obs import metrics
 from repro.storage import CostCounter
 from repro.topn import (
     SUM,
-    blocked_combined_topn,
-    blocked_nra_topn,
-    blocked_threshold_topn,
+    combined_topn,
+    nra_topn,
     threshold_topn,
 )
 
@@ -47,8 +47,8 @@ class TestSortedAccessBound:
         scalar_depth = reference.stats["depth"]
 
         with CostCounter.activate() as blocked_cost:
-            result = blocked_threshold_topn(blocked_sources(matrix, block_size),
-                                            10, SUM)
+            result = threshold_topn(blocked_sources(matrix, block_size),
+                                    10, SUM)
         assert result.doc_ids == reference.doc_ids
 
         rounded = math.ceil(scalar_depth / block_size) * block_size
@@ -63,7 +63,7 @@ class TestSortedAccessBound:
         """At a small block size on 300 objects the early stop must
         leave whole blocks unread."""
         matrix = corpus(shape, seed=1)
-        result = blocked_threshold_topn(blocked_sources(matrix, 7), 10, SUM)
+        result = threshold_topn(blocked_sources(matrix, 7), 10, SUM)
         total_blocks = sum(s.n_blocks for s in blocked_sources(matrix, 7))
         assert result.stats["blocks_read"] + result.stats["blocks_skipped"] \
             == total_blocks
@@ -85,8 +85,8 @@ class TestBlocksSkippedMonotone:
     def test_ta_monotone_in_n(self, shape, block_size):
         matrix = corpus(shape, seed=1)
         skipped = [
-            blocked_threshold_topn(blocked_sources(matrix, block_size),
-                                   n, SUM).stats["blocks_skipped"]
+            threshold_topn(blocked_sources(matrix, block_size),
+                           n, SUM).stats["blocks_skipped"]
             for n in (1, 5, 10, 25, 50)
         ]
         assert skipped == sorted(skipped, reverse=True), (shape, skipped)
@@ -100,10 +100,10 @@ class TestBlocksSkippedMonotone:
         n_objects = matrix.shape[0]
         for n in (1, 5, 10, 25, 50):
             if engine == "nra":
-                result = blocked_nra_topn(blocked_sources(matrix, block_size),
-                                          n, SUM, check_every=4)
+                result = nra_topn(blocked_sources(matrix, block_size),
+                                  n, SUM, check_every=4)
             else:
-                result = blocked_combined_topn(
+                result = combined_topn(
                     blocked_sources(matrix, block_size), n, SUM, h=4,
                     check_every=4)
             ingested = min(result.stats["depth"], n_objects)
@@ -118,7 +118,7 @@ class TestBlockMetrics:
         metrics.enable()
         try:
             metrics.reset()
-            result = blocked_threshold_topn(blocked_sources(matrix, 7), 10, SUM)
+            result = threshold_topn(blocked_sources(matrix, 7), 10, SUM)
             counters = metrics.snapshot()["counters"]
             assert counters.get("topn.blocks_read") == result.stats["blocks_read"]
             assert counters.get("topn.blocks_skipped") \
@@ -130,7 +130,7 @@ class TestBlockMetrics:
     def test_silent_when_disabled(self):
         matrix = corpus("uniform", seed=1)
         assert not metrics.enabled()
-        blocked_threshold_topn(blocked_sources(matrix, 7), 10, SUM)
+        threshold_topn(blocked_sources(matrix, 7), 10, SUM)
         counters = metrics.snapshot()["counters"]
         assert "topn.blocks_read" not in counters
 
@@ -145,5 +145,61 @@ class TestRandomAccessCharge:
     def test_counter_equals_stat(self, block_size, m):
         matrix = np.random.default_rng(5).random((2000, m))
         with CostCounter.activate() as cost:
-            result = blocked_threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
+            result = threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
         assert cost.random_accesses == result.stats["random_accesses"]
+
+
+class TestResumeChargesLikeCold:
+    """A capture at ``n_small`` plus a resume at ``n_large``, both over
+    block storage, pays exactly what one cold run at ``n_large`` pays:
+    the block holding the saved depth was charged by the capture, and
+    neither run completes objects past its own stop."""
+
+    @pytest.mark.parametrize("block_size,n_small,n_large",
+                             [(64, 10, 50), (64, 5, 20), (7, 5, 20), (1, 3, 30)])
+    def test_capture_plus_resume_equals_cold(self, block_size, n_small, n_large):
+        matrix = np.random.default_rng(3).random((3000, 3))
+        with CostCounter.activate() as warm_cost:
+            first = threshold_topn(blocked_sources(matrix, block_size), n_small, SUM,
+                                   capture_state=True)
+            warm = threshold_topn(blocked_sources(matrix, block_size), n_large, SUM,
+                                  resume_from=first.stats["resume_state"])
+        with CostCounter.activate() as cold_cost:
+            cold = threshold_topn(blocked_sources(matrix, block_size), n_large, SUM)
+        assert warm.items == cold.items
+        assert warm_cost.sorted_accesses == cold_cost.sorted_accesses
+        assert warm_cost.random_accesses == cold_cost.random_accesses
+        assert first.stats["blocks_read"] + warm.stats["blocks_read"] \
+            == cold.stats["blocks_read"]
+
+    @pytest.mark.parametrize("block_size,n_small,n_large",
+                             [(64, 10, 50), (64, 5, 20), (7, 5, 20)])
+    def test_per_access_capture_rereads_the_open_block(self, block_size, n_small,
+                                                       n_large):
+        """A capture over per-access storage paid for the ranks it read,
+        not for the rest of the block holding the saved depth: the
+        resume over block storage reads that block again, so the two
+        pay one cold block-storage run plus the ranks read twice."""
+        matrix = np.random.default_rng(3).random((3000, 3))
+        with CostCounter.activate() as warm_cost:
+            first = threshold_topn(make_sources(matrix), n_small, SUM,
+                                   capture_state=True)
+            warm = threshold_topn(blocked_sources(matrix, block_size), n_large, SUM,
+                                  resume_from=first.stats["resume_state"])
+        with CostCounter.activate() as cold_cost:
+            cold = threshold_topn(blocked_sources(matrix, block_size), n_large, SUM)
+        saved = first.stats["depth"]
+        assert first.stats["resume_state"].sorted_units == (1, 1, 1)
+        assert saved % block_size and warm.stats["depth"] > saved
+        assert warm.items == cold.items
+        assert warm_cost.sorted_accesses \
+            == cold_cost.sorted_accesses + matrix.shape[1] * (saved % block_size)
+        assert warm_cost.random_accesses == cold_cost.random_accesses
+
+    @pytest.mark.parametrize("block_size", [64, 1024])
+    def test_random_accesses_equal_per_access_ta(self, block_size):
+        matrix = np.random.default_rng(3).random((3000, 3))
+        reference = threshold_topn(make_sources(matrix), 10, SUM)
+        with CostCounter.activate() as cost:
+            threshold_topn(blocked_sources(matrix, block_size), 10, SUM)
+        assert cost.random_accesses == reference.stats["random_accesses"]

@@ -23,9 +23,6 @@ from repro.mm import ArraySource, BlockedSource
 from repro.storage.blocks import DocBlocks, ScoredBlocks
 from repro.topn import (
     SUM,
-    blocked_combined_topn,
-    blocked_nra_topn,
-    blocked_threshold_topn,
     combined_topn,
     nra_topn,
     threshold_topn,
@@ -98,7 +95,7 @@ class TestNoDroppedDocuments:
     def test_blocked_ta(self, matrix, n, block_size):
         grid = np.asarray(matrix, dtype=np.float64)
         reference = threshold_topn(scalar_sources(grid), n, SUM)
-        result = blocked_threshold_topn(blocked_sources(grid, block_size), n, SUM)
+        result = threshold_topn(blocked_sources(grid, block_size), n, SUM)
         assert result.doc_ids == reference.doc_ids
         assert result.scores == reference.scores
 
@@ -108,8 +105,8 @@ class TestNoDroppedDocuments:
     def test_blocked_nra(self, matrix, n, block_size):
         grid = np.asarray(matrix, dtype=np.float64)
         reference = nra_topn(scalar_sources(grid), n, SUM, check_every=4)
-        result = blocked_nra_topn(blocked_sources(grid, block_size), n, SUM,
-                                  check_every=4)
+        result = nra_topn(blocked_sources(grid, block_size), n, SUM,
+                          check_every=4)
         assert result.doc_ids == reference.doc_ids
         assert result.scores == reference.scores
 
@@ -120,8 +117,8 @@ class TestNoDroppedDocuments:
         grid = np.asarray(matrix, dtype=np.float64)
         reference = combined_topn(scalar_sources(grid), n, SUM, h=4,
                                   check_every=4)
-        result = blocked_combined_topn(blocked_sources(grid, block_size), n,
-                                       SUM, h=4, check_every=4)
+        result = combined_topn(blocked_sources(grid, block_size), n,
+                               SUM, h=4, check_every=4)
         assert result.doc_ids == reference.doc_ids
         assert result.scores == reference.scores
 
@@ -138,13 +135,12 @@ class TestWarmEqualsCold:
     def test_blocked_capture_blocked_resume(self, matrix, n_small, n_large,
                                             block_size):
         grid = np.asarray(matrix, dtype=np.float64)
-        cold = blocked_threshold_topn(blocked_sources(grid, block_size),
-                                      n_large, SUM)
-        first = blocked_threshold_topn(blocked_sources(grid, block_size),
-                                       n_small, SUM, capture_state=True)
-        warm = blocked_threshold_topn(blocked_sources(grid, block_size),
-                                      n_large, SUM,
-                                      resume_from=first.stats["resume_state"])
+        cold = threshold_topn(blocked_sources(grid, block_size),
+                              n_large, SUM)
+        first = threshold_topn(blocked_sources(grid, block_size),
+                               n_small, SUM, capture_state=True)
+        warm = threshold_topn(blocked_sources(grid, block_size),
+                              n_large, SUM, resume_from=first.stats["resume_state"])
         assert warm.doc_ids == cold.doc_ids
         assert warm.scores == cold.scores
 
@@ -159,9 +155,8 @@ class TestWarmEqualsCold:
         cold = threshold_topn(scalar_sources(grid), n_large, SUM)
         first = threshold_topn(scalar_sources(grid), n_small, SUM,
                                capture_state=True)
-        warm = blocked_threshold_topn(blocked_sources(grid, block_size),
-                                      n_large, SUM,
-                                      resume_from=first.stats["resume_state"])
+        warm = threshold_topn(blocked_sources(grid, block_size),
+                              n_large, SUM, resume_from=first.stats["resume_state"])
         assert warm.doc_ids == cold.doc_ids
         assert warm.scores == cold.scores
 
@@ -174,8 +169,8 @@ class TestWarmEqualsCold:
                                            block_size):
         grid = np.asarray(matrix, dtype=np.float64)
         cold = threshold_topn(scalar_sources(grid), n_large, SUM)
-        first = blocked_threshold_topn(blocked_sources(grid, block_size),
-                                       n_small, SUM, capture_state=True)
+        first = threshold_topn(blocked_sources(grid, block_size),
+                               n_small, SUM, capture_state=True)
         warm = threshold_topn(scalar_sources(grid), n_large, SUM,
                               resume_from=first.stats["resume_state"])
         assert warm.doc_ids == cold.doc_ids
@@ -192,12 +187,10 @@ class TestWarmEqualsCold:
         frontier array for array: order, dtype and every element."""
         grid = np.asarray(matrix, dtype=np.float64)
         states = []
-        for engine, sources in ((threshold_topn, scalar_sources),
-                                (blocked_threshold_topn,
-                                 lambda g: blocked_sources(g, block_size))):
-            first = engine(sources(grid), n_small, SUM, capture_state=True)
-            deep = engine(sources(grid), n_large, SUM, capture_state=True,
-                          resume_from=first.stats["resume_state"])
+        for sources in (scalar_sources, lambda g: blocked_sources(g, block_size)):
+            first = threshold_topn(sources(grid), n_small, SUM, capture_state=True)
+            deep = threshold_topn(sources(grid), n_large, SUM, capture_state=True,
+                                  resume_from=first.stats["resume_state"])
             states.append([
                 (name, getattr(s, name).dtype.str, getattr(s, name).tolist())
                 for s in (first.stats["resume_state"], deep.stats["resume_state"])
