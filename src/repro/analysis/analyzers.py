@@ -90,7 +90,7 @@ class CacheReuseDeclaration:
     prefix_safe: bool = True
     #: whether the entry holds the complete corpus ranking
     complete: bool = False
-    #: whether the entry carries certified resume state (frontier/replay)
+    #: whether the entry carries certified resume state
     has_resume: bool = False
 
     def violations(self) -> list[tuple[str, str]]:

@@ -256,7 +256,7 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "whose scores depend on the producing run's stopping depth "
         "(NRA/CA lower bounds, quality-switched strategies).  Such "
         "entries serve exact-depth repeats only; deeper requests must "
-        "resume (frontier or access replay) or recompute.",
+        "resume (TA frontier or NRA/CA bound state) or recompute.",
     ),
     # -- score-bound certification --------------------------------------------
     DiagnosticCode(
@@ -313,8 +313,8 @@ CODES: dict[str, DiagnosticCode] = _build_table(
     DiagnosticCode(
         "MOA1002", "resume token redeemed across a corpus epoch", "error",
         "A client tried to resume an anytime stream with a token issued "
-        "at a different corpus epoch.  The captured frontier (TA state, "
-        "replay logs) certifies score bounds only against the issuing "
+        "at a different corpus epoch.  The captured frontier (TA or "
+        "NRA/CA state) certifies score bounds only against the issuing "
         "epoch's scores; continuing it after a mutation could silently "
         "serve a wrong top-N.  The serve-side twin of MOA905: the "
         "registry refuses the resume and emits this diagnostic.",

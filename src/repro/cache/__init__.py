@@ -11,10 +11,10 @@ one fingerprint space:
   :class:`~repro.topn.result.TopNResult` objects; a top-``n`` is
   answered from a cached top-``m`` (``m >= n``) when the producing
   engine is prefix-safe.
-* **Resume state** (:mod:`~repro.cache.resume`): TA frontier
-  snapshots, NRA/CA access-replay logs, and quit/continue accumulator
-  snapshots — each certified equivalent to a cold run by the mechanism
-  its engine can support.
+* **Resume state** (:mod:`~repro.cache.resume`): read-only snapshots
+  of an engine's own state — TA frontiers, NRA/CA bound
+  administrations and quit/continue accumulators — from which a
+  resumed run equals the cold run at the new ``n``.
 * **Bound cache** (:mod:`~repro.cache.bounds`): per-shard thresholds
   from certified parallel runs seed the coordinator's round-1/round-2
   pruning on later, deeper runs of the same query.
@@ -33,29 +33,19 @@ from .fingerprint import (
     text_fingerprint,
 )
 from .manager import CacheEntry, QueryCache
-from .resume import (
-    AccumulatorResumeState,
-    ReplayLog,
-    ReplaySource,
-    TAResumeState,
-    replayed_total,
-    wrap_sources,
-)
+from .resume import AccumulatorResumeState, BoundResumeState, TAResumeState
 
 __all__ = [
     "AccumulatorResumeState",
+    "BoundResumeState",
     "CacheEntry",
     "CoordinatorBounds",
     "QueryCache",
     "QueryFingerprint",
-    "ReplayLog",
-    "ReplaySource",
     "ShardBoundInfo",
     "TAResumeState",
     "ThresholdBound",
-    "replayed_total",
     "source_token",
     "sources_fingerprint",
     "text_fingerprint",
-    "wrap_sources",
 ]

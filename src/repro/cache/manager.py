@@ -4,8 +4,8 @@ One :class:`QueryCache` holds an LRU map of :class:`CacheEntry` objects,
 keyed by the fingerprint digest.  Each entry can carry, independently:
 
 * exact answers per requested depth (``results[n]``);
-* a resume payload (TA frontier, quit/continue accumulator, or NRA/CA
-  replay logs);
+* a resume payload (TA frontier, NRA/CA bound state, or quit/continue
+  accumulator);
 * a :class:`~repro.cache.bounds.CoordinatorBounds` for parallel runs.
 
 Serving discipline
@@ -18,16 +18,17 @@ of the true top-N, so any prefix of a deeper answer *is* the shallower
 answer) and for quit/continue (the accumulator is depth-independent and
 the tail cut is deterministic).  It does **not** hold for NRA/CA, whose
 reported lower bounds tighten with depth — those entries serve exact-
-``n`` repeats only, and deeper requests go through access replay, which
-re-executes the cold algorithm verbatim on memoized sources.
+``n`` repeats only; any other ``n`` resumes the saved bound state,
+which recomputes where the cold run at that ``n`` stops.
 
 Entries whose ``complete`` flag is set hold the full corpus ranking
 (the producing run drained every source), so they serve *any* ``n``.
 
 Concurrency: the entry map and all counters are guarded by ``_lock``
 under the ``repro.sync`` protocol; entries hand out immutable items
-(:class:`~repro.topn.result.RankedItem` is frozen) and their mutable
-payloads (replay logs, bounds) carry their own locks.
+(:class:`~repro.topn.result.RankedItem` is frozen), resume states are
+never modified once captured, and the one mutable payload (bounds)
+carries its own lock.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class CacheEntry:
     """Everything cached for one query fingerprint.
 
     Plain data: every read and write happens under the owning
-    :class:`QueryCache`'s lock (payload objects carry their own locks
-    for use after hand-out).
+    :class:`QueryCache`'s lock (after hand-out, resume states are
+    only read and bounds carry their own lock).
     """
 
     fingerprint: QueryFingerprint
@@ -76,10 +77,9 @@ class CacheEntry:
     prefix_safe: bool = True
     #: True when a cached answer covers the entire candidate set
     complete: bool = False
-    #: TAResumeState / AccumulatorResumeState, engine-dependent
+    #: TAResumeState / BoundResumeState / AccumulatorResumeState,
+    #: engine-dependent
     resume: object = None
-    #: per-source ReplayLog list for NRA/CA access replay
-    replay_logs: list | None = None
     #: CoordinatorBounds for parallel fingerprints
     bounds: object = None
     #: free-form reuse hints (e.g. recorded stop depth per n)
@@ -141,7 +141,7 @@ class QueryCache:
         :class:`TopNResult` on a hit (counted), else ``None`` (counted
         as a miss); ``entry`` is the fingerprint's entry when one exists
         — a miss with an entry is the resume opportunity the caller
-        should inspect (frontier / replay logs / bounds).
+        should inspect (resume state / bounds).
         """
         digest = fingerprint.digest()
         with self._lock:
@@ -187,8 +187,8 @@ class QueryCache:
     def store(self, fingerprint: QueryFingerprint, n: int,
               result: TopNResult | None = None, *,
               prefix_safe: bool = True, complete: bool = False,
-              resume: object = None, replay_logs: list | None = None,
-              bounds: object = None, hints: dict | None = None) -> CacheEntry:
+              resume: object = None, bounds: object = None,
+              hints: dict | None = None) -> CacheEntry:
         """Record a fresh (not cache-served) outcome for ``fingerprint``.
 
         Only pass results computed cold or by certified resume — the
@@ -211,8 +211,6 @@ class QueryCache:
                 entry.complete = True
             if resume is not None:
                 entry.resume = resume
-            if replay_logs is not None:
-                entry.replay_logs = replay_logs
             if bounds is not None:
                 entry.bounds = bounds
             if hints:

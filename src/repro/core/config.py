@@ -32,7 +32,7 @@ class DatabaseConfig:
         ``REPRO_PARALLEL_DEFAULT_SHARDS`` environment variable.
     executor_kind:
         Executor pool flavour for parallel search: ``thread``
-        (default), ``process`` or ``serial``.
+        (default) or ``serial``.
     max_parallel_queries:
         Admission-control bound: concurrent parallel queries beyond
         this are rejected with ``AdmissionRejectedError``.
@@ -74,9 +74,9 @@ class DatabaseConfig:
             raise ReproError(
                 f"default_shards must be positive, got {self.default_shards}"
             )
-        if self.executor_kind not in ("serial", "thread", "process"):
+        if self.executor_kind not in ("serial", "thread"):
             raise ReproError(
-                f"executor_kind must be serial/thread/process, got {self.executor_kind!r}"
+                f"executor_kind must be serial/thread, got {self.executor_kind!r}"
             )
         if self.max_parallel_queries < 1:
             raise ReproError(

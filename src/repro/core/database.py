@@ -26,13 +26,9 @@ import numpy as np
 from ..cache import (
     CoordinatorBounds,
     QueryCache,
-    ReplayLog,
-    replayed_total,
     sources_fingerprint,
     text_fingerprint,
-    wrap_sources,
 )
-from ..cache.fingerprint import source_token
 from ..errors import ReproError, TopNError, WorkloadError
 from ..fragmentation import FragmentedExecutor, QualityCheck, Strategy, fragment_by_volume
 from ..ir.analysis import Analyzer, DEFAULT_ANALYZER
@@ -68,7 +64,7 @@ _ALGORITHMS = {
 #: engines whose reported scores are independent of the requested depth,
 #: so a cached top-m answers any top-n with n <= m (see repro.cache);
 #: NRA/CA report termination-depth-dependent lower bounds and are
-#: served for exact-n repeats or resumed by access replay instead
+#: served for exact-n repeats or resumed from their bound state instead
 _PREFIX_SAFE_ALGORITHMS = frozenset({"fa", "ta"})
 
 #: text strategies whose ranking is independent of n (exact engines and
@@ -356,11 +352,13 @@ class MMDatabase:
         """Run a Fagin-family engine through the cache, when enabled.
 
         Per-algorithm reuse (see :mod:`repro.cache`): TA resumes from a
-        saved frontier; NRA/CA replay memoized source accesses (their
-        lower-bound scores depend on termination depth, so re-running
-        the exact algorithm over replayed accesses is the only
-        bit-identical warm path); FA is prefix-safe, so its results are
-        served from cache but carry no resume state.
+        saved frontier at any ``n`` no smaller than the saved one;
+        NRA/CA resume from a saved bound administration at any ``n``
+        (their lower-bound scores depend on the stopping depth, which
+        the resumed run recomputes for the new ``n``); FA is
+        prefix-safe, so its results are served from cache but carry no
+        resume state.  A resumed answer equals the cold one, and each
+        run stores its state for the next.
         """
         engine = _ALGORITHMS[algorithm]
         if self.cache is None:
@@ -372,36 +370,22 @@ class MMDatabase:
             tracer.annotate(hit=served is not None)
         if served is not None:
             return served
-        if algorithm == "ta":
-            resume = entry.resume if entry is not None else None
-            if resume is not None and n >= resume.n:
-                result = threshold_topn(sources, n, agg, resume_from=resume,
-                                        capture_state=True)
-                self.cache.note_resume()
-            else:
-                result = threshold_topn(sources, n, agg, capture_state=True)
+        if algorithm == "fa":
+            result = engine(sources, n, agg)
             self.cache.store(fingerprint, n, result, prefix_safe=True,
-                             complete=len(result.items) < n,
-                             resume=result.stats.pop("resume_state", None))
+                             complete=len(result.items) < n)
             return result
-        if algorithm in ("nra", "ca"):
-            logs = entry.replay_logs if entry is not None else None
-            fresh_logs = logs is None
-            if fresh_logs:
-                logs = tuple(ReplayLog(source_token(s)) for s in sources)
-            wrapped = wrap_sources(sources, logs)
-            result = engine(wrapped, n, agg)
-            if not fresh_logs and replayed_total(wrapped):
-                self.cache.note_resume()
-            result.stats["replayed_accesses"] = replayed_total(wrapped)
-            # a run that exhausts the corpus ranks every object with
-            # exact (depth-independent) scores: complete is safe
-            self.cache.store(fingerprint, n, result, prefix_safe=False,
-                             complete=len(result.items) < n, replay_logs=logs)
-            return result
-        result = engine(sources, n, agg)
-        self.cache.store(fingerprint, n, result, prefix_safe=True,
-                         complete=len(result.items) < n)
+        resume = entry.resume if entry is not None else None
+        if algorithm == "ta" and resume is not None and n < resume.n:
+            resume = None
+        result = engine(sources, n, agg, resume_from=resume, capture_state=True)
+        if resume is not None:
+            self.cache.note_resume()
+        # a run that exhausts the corpus ranks every object with exact
+        # (depth-independent) scores: complete is safe
+        self.cache.store(fingerprint, n, result, prefix_safe=algorithm == "ta",
+                         complete=len(result.items) < n,
+                         resume=result.stats.pop("resume_state", None))
         return result
 
     def feature_sources(self, queries: dict[str, np.ndarray],

@@ -68,11 +68,10 @@ class ScoreSource:
         :meth:`sorted_slab`."""
         raise NotImplementedError
 
-    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> int:
+    def charge_sorted(self, lo: int, hi: int) -> int:
         """Charge the sorted accesses to ranks ``lo .. hi - 1`` that a
-        bulk reader used.  ``ended`` says the reader also met the end
-        of the list at rank ``hi``, which costs nothing.  Returns the
-        storage blocks read: none, sorted access is charged per rank."""
+        bulk reader used.  Returns the storage blocks read: none,
+        sorted access is charged per rank."""
         stats.charge_sorted_accesses(hi - lo)
         return 0
 
@@ -303,8 +302,7 @@ class BlockedSource(ScoreSource):
     The :class:`ScoreSource` interface serves the same ranks and grades
     — the block payload is the same descending-grade / id-ascending
     order :class:`ArraySource` and :class:`PostingsSource` use — so
-    every engine, the replay wrapper
-    :class:`~repro.cache.resume.ReplaySource` and the parallel
+    every engine, its resumes and served streams, and the parallel
     coordinator's range evaluators work over blocked storage unchanged.
     Only the unit of a sorted-access charge differs: block storage reads
     a whole block, so the sorted access that opens a block pays for all
@@ -380,7 +378,7 @@ class BlockedSource(ScoreSource):
     def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
         return _dense_grades_of(self._dense, obj_ids, self.name)
 
-    def charge_sorted(self, lo: int, hi: int, ended: bool = False) -> int:
+    def charge_sorted(self, lo: int, hi: int) -> int:
         """Read and charge in full every block :meth:`blocks_between`
         ``lo`` and ``hi`` names; returns how many."""
         blocks = self.blocks_between(lo, hi)

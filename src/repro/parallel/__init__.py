@@ -6,7 +6,7 @@ The subsystem has three layers plus integration glue:
   document-range shards, each with its own BAT storage, local df
   statistics and per-shard score upper bounds;
 * :mod:`~repro.parallel.executor` — a bounded executor pool (threads by
-  default, processes opt-in, serial for determinism) with per-query
+  default, serial for determinism) with per-query
   admission control, explicit rejection, and cooperative cancellation;
 * :mod:`~repro.parallel.coordinator` — the TPUT/TA-style two-round
   threshold merge producing results that are tie-aware-identical to

@@ -79,9 +79,8 @@ class IndexShardEvaluator:
     """Evaluates one query against one index shard.
 
     The full local ranking is computed once and cached, so a round-2
-    probe reuses round 1's work (thread/serial pools share memory; a
-    process pool recomputes on the worker — the documented cost of
-    opting into processes).
+    probe reuses round 1's work (thread and serial pools share
+    memory).
     """
 
     #: written by a round-1 worker, read by round 2 — safe because the

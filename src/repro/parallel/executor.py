@@ -1,10 +1,9 @@
 """Executor pool: scheduling, admission control and cancellation.
 
 Shard tasks are CPU work against shared read-only BATs, so the default
-pool uses threads (numpy releases the GIL for the heavy kernels); a
-``ProcessPoolExecutor`` is available opt-in for genuinely parallel
-Python, and a ``serial`` pool runs tasks inline, which keeps the
-coordinator's control flow identical across all three.
+pool uses threads (numpy releases the GIL for the heavy kernels), and
+a ``serial`` pool runs tasks inline, which keeps the coordinator's
+control flow identical across both.
 
 Two bookkeeping problems dominate the design:
 
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -96,7 +95,7 @@ class TaskOutcome:
     ``error``.  ``cost`` is the task's :class:`CostCounter` snapshot;
     ``already_charged`` tells the coordinator whether that cost already
     reached the caller's counters (serial pool) or still needs a
-    :func:`replay_cost` (thread/process pools).
+    :func:`replay_cost` (thread pool).
     """
 
     status: str
@@ -131,8 +130,7 @@ def replay_cost(snapshot: dict | None) -> None:
 
 
 def _run_counted(fn: Callable[[], object]) -> tuple[object, dict]:
-    """Run ``fn`` under a fresh cost counter; return (payload, snapshot).
-    Module-level so the process pool can pickle it."""
+    """Run ``fn`` under a fresh cost counter; return (payload, snapshot)."""
     with CostCounter.activate() as counter:
         payload = fn()
     return payload, counter.snapshot()
@@ -142,13 +140,11 @@ def _run_counted(fn: Callable[[], object]) -> tuple[object, dict]:
 class ExecutorPool:
     """A bounded pool executing shard tasks for admitted queries.
 
-    ``kind`` is ``"thread"`` (default), ``"process"`` (opt-in; task
-    callables and payloads must pickle, and live-skip predicates are
-    only evaluated at submit time since workers share no memory), or
-    ``"serial"`` (inline execution on the caller thread).
+    ``kind`` is ``"thread"`` (default) or ``"serial"`` (inline
+    execution on the caller thread).
     """
 
-    KINDS = ("serial", "thread", "process")
+    KINDS = ("serial", "thread")
 
     SHARED_STATE = {
         "_in_flight": "_lock",
@@ -180,8 +176,6 @@ class ExecutorPool:
         if kind == "thread":
             self._executor = ThreadPoolExecutor(max_workers=workers,
                                                 thread_name_prefix="repro-shard")
-        elif kind == "process":
-            self._executor = ProcessPoolExecutor(max_workers=workers)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -269,9 +263,7 @@ class ExecutorPool:
         try:
             if self.kind == "serial":
                 return self._run_serial(fns, token, skip_when)
-            if self.kind == "thread":
-                return self._run_threaded(fns, token, skip_when)
-            return self._run_processes(fns, token, skip_when)
+            return self._run_threaded(fns, token, skip_when)
         finally:
             metrics.counter("parallel.tasks").inc(len(fns))
 
@@ -320,29 +312,4 @@ class ExecutorPool:
         for future in futures:
             outcomes.append(future.result())
             self._release()
-        return outcomes
-
-    def _run_processes(self, fns, token, skip_when) -> list[TaskOutcome]:
-        # no shared memory: token/skip decisions happen at submit time
-        outcomes: list[TaskOutcome | None] = [None] * len(fns)
-        futures = {}
-        for i, fn in enumerate(fns):
-            guarded = self._guarded(i, fn, token, skip_when)
-            if guarded is not None:
-                outcomes[i] = guarded
-                self._release()
-                continue
-            futures[self._executor.submit(_run_counted, fn)] = i
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = futures[future]
-                exc = future.exception()
-                if exc is not None:
-                    outcomes[i] = TaskOutcome("error", error=exc)
-                else:
-                    payload, snapshot = future.result()
-                    outcomes[i] = TaskOutcome("done", payload, snapshot)
-                self._release()
         return outcomes

@@ -20,15 +20,17 @@ work stays within a small constant of a single uncapped run):
   sets the chunk schedule, not how far the engine reads per step: on a
   disconnect or deadline the stream may have been charged past its
   last delivered chunk, up to the end of the current slab.
-* **NRA / CA** re-run the cold algorithm per step over
-  :class:`~repro.cache.resume.ReplayLog`-memoized sources with a
-  growing depth cap: memoized prefixes make re-runs cheap, and because
-  a replayed source returns the exact floats the cold source did, the
-  first run whose stop reason is not ``max_depth`` *is* the cold
-  result, bit for bit.
+* **NRA / CA** keep one bound administration per stream, advanced by
+  one engine call per chunk: each call resumes the previous chunk's
+  captured :class:`~repro.cache.resume.BoundResumeState` at the
+  stream's own ``n`` and reads on to the chunk depth, so it charges
+  only the ranks and completions past the previous chunk.  Every
+  chunk answers what the cold run capped at its depth answers (items,
+  bound and stats, except that over block storage the block counts
+  are the chunk's own), and the first chunk whose stop reason is not
+  ``max_depth`` *is* the cold result, bit for bit.
 * **FA** has no mid-run frontier to certify, so it answers in a single
-  final chunk (over replay-logged sources, making a post-disconnect
-  re-send cheap).
+  final chunk, which the runner keeps for a post-disconnect re-send.
 
 A disconnected client resumes through :class:`SessionRegistry`: the
 token ``sv1.<id>.<epoch>`` embeds the corpus epoch the stream started
@@ -45,7 +47,6 @@ import secrets
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..cache.resume import ReplayLog, wrap_sources
 from ..errors import ResumeTokenError, TopNError
 from ..intervals import ThresholdBound
 from ..obs import metrics
@@ -110,8 +111,8 @@ class AnytimeRunner:
     Not itself locked: the owning :class:`ServeSession`'s busy flag
     serializes ``step()`` calls, so successive steps — even on
     different pool threads — are separated by the session lock's
-    happens-before edge (hence the ``<barrier>`` declarations), and
-    the replay logs underneath carry their own locks.
+    happens-before edge (hence the ``<barrier>`` declarations).  The
+    run each step resumes is read-only.
     """
 
     SHARED_STATE = {
@@ -132,16 +133,11 @@ class AnytimeRunner:
         self.algorithm = algorithm
         self.agg = agg
         self.epoch = epoch
-        if algorithm == "ta":
-            # TA keeps one exact frontier; no replay needed
-            self.sources = sources
-        else:
-            logs = [ReplayLog(("serve", i)) for i in range(len(sources))]
-            self.sources = wrap_sources(sources, logs)
+        self.sources = sources
         self._depth = chunk_depth
         self._seq = 0
-        #: TA: the latest run over the stream's one frontier, which it
-        #: holds as ``stats["resume_state"]``
+        #: TA, NRA, CA: the latest run over the stream's one frontier,
+        #: which it holds as ``stats["resume_state"]``
         self._run = None
         self._last: Chunk | None = None
 
@@ -172,14 +168,16 @@ class AnytimeRunner:
         else:
             if self.algorithm == "fa":
                 result = fagin_topn(self.sources, self.n, self.agg)
-            elif self.algorithm == "nra":
-                result = nra_topn(self.sources, self.n, self.agg,
-                                  max_depth=self._depth)
             else:
-                result = combined_topn(self.sources, self.n, self.agg,
-                                       max_depth=self._depth)
+                engine = nra_topn if self.algorithm == "nra" else combined_topn
+                result = self._run = engine(
+                    self.sources, self.n, self.agg, max_depth=self._depth,
+                    resume_from=(self._run.stats["resume_state"]
+                                 if self._run is not None else None),
+                    capture_state=True)
             items = [(item.obj_id, item.score) for item in result.items]
-            stats = result.stats
+            stats = {key: value for key, value in result.stats.items()
+                     if key != "resume_state"}
         final = self.algorithm == "fa" or stats.get("stop_reason") != "max_depth"
         chunk = Chunk(
             seq=self._seq,

@@ -35,9 +35,12 @@ from .ta import block_storage, record_blocks, require_slabs
 def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                   h: int = 4, check_every: int = 8,
                   max_depth: int | None = None, *,
+                  resume_from=None, capture_state: bool = False,
                   cancel=None) -> TopNResult:
     """Exact top-N with CA under random/sorted cost ratio ``h``.
 
+    ``resume_from`` / ``capture_state`` are as in
+    :func:`~repro.topn.nra.nra_topn` (the state must also share ``h``).
     ``cancel`` is as in :func:`~repro.topn.ta.threshold_topn`; the
     token is checked before every completion and stop check."""
     if not sources:
@@ -56,7 +59,8 @@ def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                      n=n, m=len(sources), agg=agg.name, h=h,
                      objects=max(source.n_objects for source in sources)):
         run = run_bounds(sources, n, agg, "combined_topn", check_every=check_every,
-                         h=h, max_depth=max_depth, cancel=cancel)
+                         h=h, max_depth=max_depth, cancel=cancel, resume_from=resume_from,
+                         capture_state=capture_state)
         blocks_read = run.charge(sources)
         tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
                         objects_seen=run.objects_seen, completions=run.completions)
@@ -67,4 +71,6 @@ def combined_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                  "bound_checks": run.bound_checks}
         if blocked:
             stats.update(record_blocks(sources, blocks_read))
+        if capture_state:
+            stats["resume_state"] = run.state
         return TopNResult(run.items, n, strategy=strategy, safe=True, stats=stats)

@@ -36,15 +36,21 @@ from .ta import block_storage, record_blocks, require_slabs
 
 def nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
              check_every: int = 16, max_depth: int | None = None, *,
+             resume_from=None, capture_state: bool = False,
              cancel=None) -> TopNResult:
     """Top-N by sorted access only (NRA).
 
     ``check_every`` controls how often the stop condition is evaluated;
     ``max_depth`` optionally caps sorted-access depth (the result is
     then best-effort, still safe in membership if the stop condition
-    was met earlier).  ``cancel`` is as in
-    :func:`~repro.topn.ta.threshold_topn`; the token is checked before
-    every stop check.
+    was met earlier).  ``resume_from`` continues a
+    :class:`~repro.cache.resume.BoundResumeState` captured over the
+    same sources, aggregate and ``check_every``, at any ``n``, and
+    returns what a cold run returns while charging only what the
+    capture did not; ``capture_state=True`` stores this run's state
+    under ``stats["resume_state"]`` (:mod:`repro.topn.bounds`).
+    ``cancel`` is as in :func:`~repro.topn.ta.threshold_topn`; the
+    token is checked before every stop check.
     """
     if not sources:
         raise TopNError("nra_topn needs at least one source")
@@ -60,7 +66,8 @@ def nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
                      n=n, m=len(sources), agg=agg.name, check_every=check_every,
                      objects=max(source.n_objects for source in sources)):
         run = run_bounds(sources, n, agg, "nra_topn", check_every=check_every,
-                         max_depth=max_depth, cancel=cancel)
+                         max_depth=max_depth, cancel=cancel, resume_from=resume_from,
+                         capture_state=capture_state)
         blocks_read = run.charge(sources)
         tracer.annotate(stop_reason=run.stop_reason, depth=run.depth,
                         objects_seen=run.objects_seen)
@@ -73,4 +80,6 @@ def nra_topn(sources: list, n: int, agg: AggregateFunction = SUM,
         }
         if blocked:
             stats.update(record_blocks(sources, blocks_read))
+        if capture_state:
+            stats["resume_state"] = run.state
         return TopNResult(run.items, n, strategy=strategy, safe=True, stats=stats)

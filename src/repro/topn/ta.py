@@ -342,7 +342,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
             for i, (source, count) in enumerate(zip(sources, live)):
                 end = depth + min(count, rounds)
                 blocks_read += source.charge_sorted(
-                    depth - reread[i] if end > depth else depth, end, ended=count < rounds)
+                    depth - reread[i] if end > depth else depth, end)
                 source.charge_random(new_ids[:kept][met_by != i])
             reread = [0] * m
             random_accesses += (m - 1) * kept

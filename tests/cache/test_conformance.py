@@ -112,7 +112,7 @@ class TestFeatureWarmEqualsCold:
     def test_resumed_deepening_equals_cold(self, collection, features,
                                            feature_queries, algorithm):
         """top-10 then top-100 on a cached database must equal a
-        single cold top-100 (frontier resume / access replay)."""
+        single cold top-100 (TA frontier / NRA-CA bound-state resume)."""
         reference = build(collection, features, cache=False)
         db = build(collection, features)
         for fq in feature_queries:

@@ -139,10 +139,8 @@ class TestCounters:
     def test_entry_carries_payloads(self):
         cache = QueryCache()
         entry = cache.store(fp(), 5, result(5), resume="frontier",
-                            replay_logs=["log"], bounds="bounds",
-                            hints={"depth": 12})
+                            bounds="bounds", hints={"depth": 12})
         assert entry.resume == "frontier"
-        assert entry.replay_logs == ["log"]
         assert entry.bounds == "bounds"
         assert entry.hints["depth"] == 12
         assert entry.best_n() == 5

@@ -1,7 +1,7 @@
 """Resume equivalence: a resumed top-``m`` must equal a cold top-``m``
 element for element (ids, scores, tie order), for every mechanism —
-TA frontier, NRA/CA access replay, quit/continue accumulator — plus
-the replay-log and coordinator-bound primitives they build on.
+TA frontier, NRA/CA bound state, quit/continue accumulator — plus the
+coordinator-bound primitives.
 """
 
 import numpy as np
@@ -9,17 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    CoordinatorBounds,
-    ReplayLog,
-    ShardBoundInfo,
-    replayed_total,
-    wrap_sources,
-)
+from repro.cache import BoundResumeState, CoordinatorBounds, ShardBoundInfo
 from repro.errors import TopNError
 from repro.mm import ArraySource
 from repro.storage import CostCounter
-from repro.topn import SUM, nra_topn, quit_continue_topn, threshold_topn
+from repro.topn import MAX, SUM, nra_topn, quit_continue_topn, threshold_topn
 from repro.topn.ca import combined_topn
 from repro.workloads import SyntheticCollection, generate_queries, trec
 
@@ -90,52 +84,95 @@ class TestTAFrontier:
             threshold_topn(make_sources(matrix), 2, SUM, resume_from=state)
 
 
-class TestAccessReplay:
-    @pytest.mark.parametrize("engine", [nra_topn, combined_topn])
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 1000), n1=st.integers(1, 6), extra=st.integers(0, 15),
-           objects=st.integers(1, 50))
-    def test_replayed_equals_cold(self, engine, seed, n1, extra, objects):
-        """Replay re-executes the cold algorithm verbatim on memoized
-        sources: the deep answer must be identical to cold-deep."""
+def charged(call):
+    """``call()`` and its :class:`CostCounter` snapshot."""
+    with CostCounter.activate() as cost:
+        result = call()
+    return result, cost.snapshot()
+
+
+BOUND_ENGINES = [nra_topn, combined_topn]
+
+
+class TestBoundResume:
+    @pytest.mark.parametrize("engine", BOUND_ENGINES)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 1000), n1=st.integers(1, 12), n2=st.integers(1, 25),
+           objects=st.integers(1, 80), ties=st.sampled_from([None, 2, 4]))
+    def test_resumed_equals_cold(self, engine, seed, n1, n2, objects, ties):
+        """A resume at a larger or a smaller ``n`` returns the cold run's
+        items and stats, and with the capture charges every cost field
+        exactly as the deeper of the two cold runs does."""
         matrix = np.random.default_rng(seed).random((objects, 2))
-        n2 = n1 + extra
-        logs = tuple(ReplayLog() for _ in range(2))
-        engine(wrap_sources(make_sources(matrix), logs), n1, SUM)
-        wrapped = wrap_sources(make_sources(matrix), logs)
-        deep = engine(wrapped, n2, SUM)
-        cold = engine(make_sources(matrix), n2, SUM)
-        assert same_answer(deep, cold)
+        if ties is not None:
+            matrix = np.ceil(matrix * ties) / ties
+        shallow, capture_cost = charged(
+            lambda: engine(make_sources(matrix), n1, SUM, capture_state=True))
+        state = shallow.stats.pop("resume_state")
+        resumed, resume_cost = charged(lambda: engine(
+            make_sources(matrix), n2, SUM, resume_from=state, capture_state=True))
+        resumed_state = resumed.stats.pop("resume_state")
+        cold, cold_cost = charged(lambda: engine(make_sources(matrix), n2, SUM))
+        assert same_answer(resumed, cold)
+        assert resumed.stats == cold.stats
+        deeper = cold.stats["depth"] > state.depth
+        assert {key: capture_cost[key] + resume_cost[key] for key in capture_cost} == \
+            (cold_cost if deeper else capture_cost)
+        assert resumed_state.depth == max(state.depth, cold.stats["depth"])
 
-    def test_replay_saves_accesses(self):
+    @pytest.mark.parametrize("engine", BOUND_ENGINES)
+    def test_resume_charges_less(self, engine):
         matrix = np.random.default_rng(3).random((400, 3))
-        logs = tuple(ReplayLog() for _ in range(3))
-        nra_topn(wrap_sources(make_sources(matrix), logs), 10, SUM)
-        with CostCounter.activate() as cold_cost:
-            nra_topn(make_sources(matrix), 50, SUM)
-        wrapped = wrap_sources(make_sources(matrix), logs)
-        with CostCounter.activate() as warm_cost:
-            nra_topn(wrapped, 50, SUM)
-        assert replayed_total(wrapped) > 0
-        assert warm_cost.sorted_accesses < cold_cost.sorted_accesses
+        state = engine(make_sources(matrix), 10, SUM,
+                       capture_state=True).stats["resume_state"]
+        _, cold_cost = charged(lambda: engine(make_sources(matrix), 50, SUM))
+        _, warm_cost = charged(lambda: engine(make_sources(matrix), 50, SUM,
+                                              resume_from=state))
+        assert warm_cost["sorted_accesses"] < cold_cost["sorted_accesses"]
 
-    def test_log_mismatch_rejected(self):
-        with pytest.raises(TopNError):
-            wrap_sources(make_sources(np.zeros((5, 2))), (ReplayLog(),))
+    @pytest.mark.parametrize("engine", BOUND_ENGINES)
+    def test_stored_state_never_shallower(self, engine):
+        """A resume that stops above the saved depth charges nothing and
+        captures the state it resumed from."""
+        matrix = np.random.default_rng(5).random((300, 2))
+        deep = engine(make_sources(matrix), 60, SUM, capture_state=True)
+        state = deep.stats["resume_state"]
+        shallow, cost = charged(lambda: engine(make_sources(matrix), 1, SUM,
+                                               resume_from=state, capture_state=True))
+        assert shallow.stats["depth"] < state.depth
+        assert shallow.stats["resume_state"] is state
+        assert cost["sorted_accesses"] == cost["random_accesses"] == 0
 
-    def test_log_primitives(self):
-        log = ReplayLog(token=("term", 1, "bm25"))
-        assert log.sorted_at(0) is None
-        log.record_sorted(0, 42, 0.9)
-        log.record_sorted(0, 99, 0.1)  # duplicate rank: first write wins
-        assert log.sorted_at(0) == (42, 0.9)
-        assert log.depth() == 1
-        log.record_random(7, 0.5)
-        assert log.random_at(7) == 0.5
-        assert not log.known_exhausted(3)
-        log.record_exhausted(3)
-        assert log.known_exhausted(3) and log.known_exhausted(10)
-        assert log.known_live(0) and not log.known_live(5)
+    def test_mismatched_state_rejected(self):
+        matrix = np.random.default_rng(2).random((50, 3))
+        nra = nra_topn(make_sources(matrix), 5, SUM,
+                       capture_state=True).stats["resume_state"]
+        ca = combined_topn(make_sources(matrix), 5, SUM,
+                           capture_state=True).stats["resume_state"]
+        ta = threshold_topn(make_sources(matrix), 5, SUM,
+                            capture_state=True).stats["resume_state"]
+        refused = [
+            (nra_topn, {}, nra, (matrix[:, :2], SUM), "m_sources"),
+            (nra_topn, {}, nra, (matrix, MAX), "agg_name"),
+            (nra_topn, {"check_every": 8}, nra, (matrix, SUM), "check_every"),
+            (combined_topn, {"h": 2}, ca, (matrix, SUM), "h"),
+            (combined_topn, {}, nra, (matrix, SUM), "h"),
+            (nra_topn, {}, ta, (matrix, SUM), "h"),
+        ]
+        for engine, params, state, (grades, agg), name in refused:
+            with pytest.raises(TopNError, match=name):
+                engine(make_sources(grades), 10, agg, resume_from=state, **params)
+
+    def test_state_arrays_are_read_only(self):
+        """Cache entries and served streams share one state across
+        threads: its arrays refuse in-place writes."""
+        matrix = np.random.default_rng(4).random((80, 2))
+        state = combined_topn(make_sources(matrix), 5, SUM,
+                              capture_state=True).stats["resume_state"]
+        assert isinstance(state, BoundResumeState)
+        for name in ("ids", "first", "rank", "grades", "completed", "completed_at"):
+            with pytest.raises(ValueError):
+                getattr(state, name)[:1] = 0
 
 
 class TestQuitContinue:

@@ -10,10 +10,13 @@ import threading
 
 import numpy as np
 
-from repro.cache import QueryCache, QueryFingerprint, ReplayLog, wrap_sources
-from repro.mm import ArraySource
-from repro.topn import SUM, nra_topn
+import pytest
+
+from repro.cache import QueryCache, QueryFingerprint
+from repro.core import DatabaseConfig, MMDatabase
+from repro.mm import FeatureSpace
 from repro.topn.result import RankedItem, TopNResult
+from repro.workloads import SyntheticCollection, trec
 
 THREADS = 2
 ROUNDS = 60
@@ -60,27 +63,37 @@ class TestQueryCacheStress:
         assert counters["resumes"] == THREADS * ROUNDS
         assert counters["entries"] <= 8
 
-    def test_concurrent_replay_log_sharing(self):
-        """Two threads resuming through one shared replay log: both
-        must get exactly the cold answer."""
-        matrix = np.random.default_rng(31).random((200, 2))
+    @pytest.mark.parametrize("algorithm", ["nra", "ca"])
+    def test_concurrent_resumes_of_one_entry(self, algorithm):
+        """Two threads resuming one cache entry's bound state at
+        alternating depths: every answer is the cold one."""
+        collection = SyntheticCollection.generate(trec.tiny(seed=31))
+        rng = np.random.default_rng(32)
+        space = FeatureSpace("stress", rng.random((collection.n_docs, 4)))
+        query = {"stress": rng.random(4)}
 
-        def sources():
-            return [ArraySource(matrix[:, j], name=f"s{j}") for j in range(2)]
+        def database(cache):
+            db = MMDatabase.from_collection(collection, DatabaseConfig(cache_enabled=cache))
+            db.add_feature_space(space)
+            return db
 
-        cold = nra_topn(sources(), 25, SUM)
-        logs = tuple(ReplayLog() for _ in range(2))
-        nra_topn(wrap_sources(sources(), logs), 5, SUM)  # seed the prefix
+        depths = (5, 25, 12, 40)
+        cold_db = database(cache=False)
+        cold = {n: cold_db.feature_search(query, n=n, algorithm=algorithm).result
+                for n in depths}
+        db = database(cache=True)
+        db.feature_search(query, n=3, algorithm=algorithm)  # the entry's first state
         errors = []
         barrier = threading.Barrier(THREADS)
 
         def worker(tid):
             try:
                 barrier.wait()
-                for _ in range(10):
-                    deep = nra_topn(wrap_sources(sources(), logs), 25, SUM)
-                    if deep.doc_ids != cold.doc_ids or deep.scores != cold.scores:
-                        errors.append(("diverged", tid))
+                for round_no in range(10):
+                    n = depths[(tid + round_no) % len(depths)]
+                    got = db.feature_search(query, n=n, algorithm=algorithm).result
+                    if got.doc_ids != cold[n].doc_ids or got.scores != cold[n].scores:
+                        errors.append(("diverged", tid, n))
             except Exception as exc:  # noqa: BLE001
                 errors.append(repr(exc))
 
@@ -89,7 +102,10 @@ class TestQueryCacheStress:
             thread.start()
         for thread in threads:
             thread.join()
+        cold_db.close()
+        db.close()
         assert errors == []
+        assert db.cache.counters()["resumes"] >= 1
 
     def test_no_sanitizer_violations_recorded(self):
         """When the runtime sanitizer is armed (CI: REPRO_SANITIZE=1),

@@ -5,8 +5,10 @@ import contextlib
 
 import pytest
 
+from repro.core import DatabaseConfig
 from repro.errors import (
     AdmissionRejectedError,
+    ReproError,
     ShardingError,
     TopNError,
 )
@@ -33,6 +35,14 @@ class TestConstruction:
     def test_bad_kind_rejected(self):
         with pytest.raises(ShardingError):
             ExecutorPool(kind="fibers")
+
+    def test_process_kind_rejected(self):
+        """Process pools could not pickle the coordinator's shard tasks,
+        so no query ever ran on one; both entry points refuse the kind."""
+        with pytest.raises(ShardingError, match="unknown executor kind 'process'"):
+            ExecutorPool(kind="process")
+        with pytest.raises(ReproError, match="executor_kind must be serial/thread"):
+            DatabaseConfig(executor_kind="process").validate()
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
@@ -156,17 +166,3 @@ class TestCostReplay:
                     replay_cost(outcome.cost)
         assert cost.tuples_read == 6
 
-
-class TestProcessPool:
-    def test_process_pool_smoke(self):
-        with ExecutorPool(kind="process", workers=2) as pool:
-            outcomes = pool.run_tasks([_charge_three])
-        assert outcomes[0].status == "done"
-        assert outcomes[0].payload == "paid"
-        assert outcomes[0].cost["tuples_read"] == 3
-
-    def test_process_pool_error(self):
-        with ExecutorPool(kind="process", workers=2) as pool:
-            outcomes = pool.run_tasks([_boom])
-        assert outcomes[0].status == "error"
-        assert isinstance(outcomes[0].error, ValueError)

@@ -9,14 +9,16 @@ mixes of 1-4 array, postings and blocked sources — short posting lists
 that run out (the inactive final round), heavy grade ties, ``n`` past
 the number of objects, every built-in aggregate plus ``WeightedSum``
 and a user aggregate declared monotone, several ``h`` and
-``check_every`` — run uncapped or as the doubling ``max_depth`` chain
-the serve layer's anytime runner makes, directly or through
-:class:`~repro.cache.resume.ReplaySource` wrappers with empty or
-pre-filled logs, both must agree float for float on items, every stat,
-every :class:`~repro.storage.CostCounter` field (``cache.replayed_accesses``
-included), the final replay logs and the traced events.  Block storage
-charges sorted access in whole blocks on both sides, and both report
-the same block counts.
+``check_every`` — the engines run uncapped or as the resume chain the
+serve layer's anytime runner makes (``max_depth`` doubling, each run
+resuming the previous one's captured state), starting cold or from a
+state a run at another ``n`` captured.  Every run must equal the
+reference's cold run capped at the same depth float for float: items,
+stats and the span's attributes; its events are the reference's, less
+the completions and, at the captured ``n``, the checks the state it
+resumed already holds; and its charges are the difference between the
+reference's charges at its depth and at the deepest state before it
+(block counts included), nothing when it stops no deeper.
 """
 
 import numpy as np
@@ -24,9 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.resume import ReplayLog, ReplaySource, replayed_total
 from repro.errors import TopNError
-from repro.mm import BlockedSource
 from repro.obs import run_profiled
 from repro.storage import CostCounter
 from repro.topn import (
@@ -49,17 +49,7 @@ ENGINES = {
     "ca": (combined_topn, reference_combined_topn),
 }
 
-
-def copy_log(log):
-    copy = ReplayLog(log.token)
-    copy.sorted_prefix = list(log.sorted_prefix)
-    copy.random_grades = dict(log.random_grades)
-    copy.exhausted_at = log.exhausted_at
-    return copy
-
-
-def log_state(log):
-    return float_bits([log.sorted_prefix, log.random_grades, log.exhausted_at])
+BLOCK_KEYS = ("blocks_read", "blocks_skipped")
 
 
 def observe(call, traced):
@@ -68,39 +58,77 @@ def observe(call, traced):
         report = run_profiled(call, with_metrics=False)
         result, cost = report.result, report.totals
         (root,) = report.roots
-        trace = (root.attrs, [(e["name"], e["attrs"]) for e in root.events])
+        trace = (dict(root.attrs), [(e["name"], e["attrs"]) for e in root.events])
     else:
         with CostCounter.activate() as counter:
             result = call()
         cost, trace = counter.snapshot(), None
-    return result, cost, float_bits(trace)
+    return result, cost, trace
 
 
-def run_chain(engine, sources, n, agg, params, first_depth, logs, traced):
-    """Run ``engine`` uncapped (``first_depth`` None) or as the anytime
-    runner does — ``max_depth`` doubling until a run ends for another
-    reason — over plain or replay-wrapped sources; record every step
-    and the final logs."""
-    if logs is not None:
-        sources = [ReplaySource(source, copy_log(log)) for source, log in zip(sources, logs)]
-    steps = []
-    depth = first_depth
+def capped_depths(reference, build, n, agg, params, first_depth):
+    """The chain's depth caps: ``first_depth`` doubling until the
+    reference's cold run ends for another reason (None: uncapped)."""
+    caps, depth = [], first_depth
     while True:
-        result, cost, trace = observe(
-            lambda: engine(sources, n, agg, max_depth=depth, **params), traced)
-        steps.append({
-            "items": float_bits([(item.obj_id, item.score) for item in result.items]),
-            "stats": float_bits(result.stats),
-            "cost": cost,
-            "trace": trace,
-        })
-        if result.stats.get("stop_reason") != "max_depth" or depth is None:
-            break
+        caps.append(depth)
+        result = reference(build(), n, agg, max_depth=depth, **params)
+        if depth is None or result.stats["stop_reason"] != "max_depth":
+            return caps
         depth *= 2
-    if logs is not None:
-        steps.append({"replayed": replayed_total(sources),
-                      "per_source": [source.replayed for source in sources],
-                      "logs": [log_state(source.log) for source in sources]})
+
+
+def chain_steps(engine, build, n, agg, params, caps, state, traced):
+    """Run ``engine`` once per cap, each run resuming the previous
+    run's captured state; record every step."""
+    sources = build()
+    steps = []
+    for cap in caps:
+        result, cost, trace = observe(
+            lambda: engine(sources, n, agg, max_depth=cap, resume_from=state,
+                           capture_state=True, **params), traced)
+        state = result.stats.pop("resume_state")
+        steps.append(float_bits({"items": [(item.obj_id, item.score) for item in result.items],
+                                 "stats": result.stats, "cost": cost, "trace": trace}))
+    return steps
+
+
+def expected_steps(reference, build, n, agg, params, caps, prefill, traced):
+    """What each chain step must return: the reference's cold run at
+    its cap, charged and traced relative to the deepest state before."""
+    # the deepest state so far: its depth and n, and the reference's
+    # charges and blocks read there
+    saved = {"depth": 0, "n": n, "cost": {}, "blocks": 0}
+    if prefill is not None:
+        sources = build()
+        result, cost, _ = observe(lambda: reference(sources, prefill, agg, **params), False)
+        saved = {"depth": result.stats["depth"], "n": prefill, "cost": cost,
+                 "blocks": result.stats.get("blocks_read", 0)}
+    steps = []
+    for cap in caps:
+        sources = build()
+        result, cost, trace = observe(
+            lambda: reference(sources, n, agg, max_depth=cap, **params), traced)
+        stats = dict(result.stats)
+        deeper = stats["depth"] > saved["depth"]
+        charged = {key: value - saved["cost"].get(key, 0) if deeper else 0
+                   for key, value in cost.items()}
+        if "blocks_read" in stats:
+            blocks = stats["blocks_read"] - saved["blocks"] if deeper else 0
+            stats["blocks_skipped"] += stats["blocks_read"] - blocks
+            stats["blocks_read"] = blocks
+        if trace is not None:
+            attrs, events = trace
+            attrs.update({key: stats[key] for key in BLOCK_KEYS if key in attrs})
+            rechecks = saved["n"] != n or (cap is not None and cap < saved["depth"])
+            trace = (attrs, [(name, event) for name, event in events
+                             if event["depth"] > saved["depth"]
+                             or (rechecks and name.endswith(".check"))])
+        steps.append(float_bits({"items": [(item.obj_id, item.score) for item in result.items],
+                                 "stats": stats, "cost": charged, "trace": trace}))
+        if deeper:
+            saved = {"depth": stats["depth"], "n": n, "cost": cost,
+                     "blocks": result.stats.get("blocks_read", 0)}
     return steps
 
 
@@ -132,31 +160,26 @@ def instances(draw):
         params["h"] = draw(st.sampled_from([1, 2, 4, 5, 8]))
     n = draw(st.integers(min_value=1, max_value=n_objects + 5))
     first_depth = draw(st.sampled_from([None, 1, 3, 8, 32]))
-    # None: plain sources; 0: empty logs; k: logs a top-k run filled
-    prefill = draw(st.sampled_from([None, 0, 1, n]))
+    # None: a cold chain; k: the chain starts from a top-k run's state
+    prefill = draw(st.sampled_from([None, 1, n, n + 10]))
     block_size = draw(st.integers(min_value=1, max_value=70))
     return columns, kinds, agg, engine, params, n, first_depth, prefill, block_size
 
 
-def prefilled_logs(columns, kinds, block_size, engine, agg, params, k):
-    logs = [ReplayLog(("s", i)) for i in range(len(columns))]
-    if k:
-        wrapped = [ReplaySource(source, log)
-                   for source, log in zip(build_sources(columns, kinds, block_size), logs)]
-        ENGINES[engine][1](wrapped, k, agg, **params)
-    return logs
-
-
 def assert_matches_reference(columns, kinds, agg, engine, params, n, first_depth,
                              prefill, block_size, traced):
-    logs = None if prefill is None else prefilled_logs(
-        columns, kinds, block_size, engine, agg, params, prefill)
     slab, reference = ENGINES[engine]
-    expected = run_chain(reference, build_sources(columns, kinds, block_size), n, agg,
-                         params, first_depth, logs, traced)
-    actual = run_chain(slab, build_sources(columns, kinds, block_size), n, agg,
-                       params, first_depth, logs, traced)
-    assert actual == expected
+
+    def build():
+        return build_sources(columns, kinds, block_size)
+
+    caps = capped_depths(reference, build, n, agg, params, first_depth)
+    state = None
+    if prefill is not None:
+        state = slab(build(), prefill, agg, capture_state=True,
+                     **params).stats["resume_state"]
+    expected = expected_steps(reference, build, n, agg, params, caps, prefill, traced)
+    assert chain_steps(slab, build, n, agg, params, caps, state, traced) == expected
 
 
 class TestMatchesReference:
@@ -187,7 +210,7 @@ class TestMatchesReference:
                                monotone=True)
         rng = np.random.default_rng(3)
         assert_matches_reference([rng.random(300), rng.random(300)], ["array", "array"],
-                                 rising, engine, {"check_every": 4}, 5, None, 0, 8, True)
+                                 rising, engine, {"check_every": 4}, 5, None, 1, 8, True)
 
 
 class TestBlockedSharesTheCore:
@@ -210,7 +233,7 @@ class TestBlockedSharesTheCore:
         shared = [key for key in actual.stats
                   if key not in ("block_size", "blocks_read", "blocks_skipped")]
         assert [actual.stats[key] for key in shared] == [expected.stats[key] for key in shared]
-        assert trace[1] == ref_trace[1]
+        assert float_bits(trace[1]) == float_bits(ref_trace[1])
         assert cost["random_accesses"] == ref_cost["random_accesses"]
         ranks = [min(actual.stats["depth"], source.blocks.n_postings) for source in sources]
         assert cost["sorted_accesses"] == sum(
@@ -223,9 +246,3 @@ class TestBulkReadsRequired:
     def test_source_without_bulk_reads_is_refused(self, engine):
         with pytest.raises(TopNError, match="sorted_slab"):
             ENGINES[engine][0]([ScalarOnlySource()], 1)
-
-    def test_replay_wrapper_has_bulk_reads(self):
-        source = ReplaySource(BlockedSource.from_array(np.array([0.5, 0.25]), 1),
-                              ReplayLog("s"))
-        assert nra_topn([source], 1).items == nra_topn(
-            [BlockedSource.from_array(np.array([0.5, 0.25]), 1)], 1).items
