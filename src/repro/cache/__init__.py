@@ -28,9 +28,11 @@ from ..intervals import ThresholdBound
 from .bounds import CoordinatorBounds, ShardBoundInfo
 from .fingerprint import (
     QueryFingerprint,
+    feature_token,
     source_token,
     sources_fingerprint,
     text_fingerprint,
+    tokens_fingerprint,
 )
 from .manager import CacheEntry, QueryCache
 from .resume import AccumulatorResumeState, BoundResumeState, TAResumeState
@@ -45,7 +47,9 @@ __all__ = [
     "ShardBoundInfo",
     "TAResumeState",
     "ThresholdBound",
+    "feature_token",
     "source_token",
     "sources_fingerprint",
     "text_fingerprint",
+    "tokens_fingerprint",
 ]

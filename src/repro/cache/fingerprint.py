@@ -8,8 +8,10 @@ encodes every input the engines read:
   terms, so term order is irrelevant; duplicates are kept because a
   repeated term contributes twice) or, for middleware queries, one
   stable **token per graded source** (a posting-list source is
-  identified by its term id and model; an array source by a content
-  hash of its grade vector);
+  identified by its term id and model; a feature similarity source by
+  its feature space, measure and a hash of its query vector, so a
+  request is keyed before any similarity scan runs; any other array
+  source by a content hash of its grade vector);
 * the **aggregate** / scoring model combining the sources;
 * the **fragment set** the strategy reads (an unsafe fragment-restricted
   answer must never serve an unfragmented query);
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 def _token(value) -> str:
@@ -85,16 +89,35 @@ class QueryFingerprint:
         }
 
 
+def feature_token(space: str, measure: str, query) -> tuple:
+    """The token of a feature similarity source, from the request alone.
+
+    Its grades are a pure function of the feature space, the measure
+    and the query vector, and the space's identity is already covered
+    by the corpus epoch, so the token is ``(space, measure, hash of the
+    float64 query)`` — the way a posting-list source is keyed by
+    ``(term id, model)``.  Computing it needs no similarity scan.
+    """
+    vector = np.ascontiguousarray(query, dtype=np.float64)
+    return ("feature", space, measure, hashlib.sha1(vector.tobytes()).hexdigest()[:16])
+
+
 def source_token(source) -> tuple:
     """A stable identity token for one graded score source.
 
-    Posting-list sources are content-addressed by ``(term id, model)``
-    — their grades are a pure function of the index and the model, and
-    the index's identity is already covered by the corpus epoch.  Dense
-    array sources (feature similarities) hash their grade vector: two
-    feature queries only share cache state when their score arrays are
-    bit-identical.
+    A feature similarity source carries the ``(space, measure, query)``
+    it was scanned from as its ``request`` and is keyed by
+    :func:`feature_token`, computed here rather than at every scan so
+    that queries with the cache off never pay for it.  Posting-list
+    sources are content-addressed by ``(term id, model)`` — their
+    grades are a pure function of the index and the model, and the
+    index's identity is already covered by the corpus epoch.  Any
+    other dense array source hashes its grade vector: two such sources
+    only share cache state when their score arrays are bit-identical.
     """
+    request = getattr(source, "request", None)
+    if request is not None:
+        return feature_token(*request)
     tid = getattr(source, "tid", None)
     if tid is not None:
         model = getattr(source, "model", None)
@@ -123,9 +146,18 @@ def text_fingerprint(tids, model_name: str, epoch: int, strategy: str = "naive",
 def sources_fingerprint(sources, agg_name: str, epoch: int, algorithm: str,
                         kind: str = "feature") -> QueryFingerprint:
     """Fingerprint of a middleware (Fagin-family) multi-source query."""
+    return tokens_fingerprint(tuple(source_token(source) for source in sources),
+                              agg_name, epoch, algorithm, kind)
+
+
+def tokens_fingerprint(tokens: tuple, agg_name: str, epoch: int, algorithm: str,
+                       kind: str = "feature") -> QueryFingerprint:
+    """Fingerprint of a multi-source query from its per-source tokens
+    (:func:`source_token`), in source order — what a caller that has
+    not built the sources yet keys on."""
     return QueryFingerprint(
         kind=kind,
-        terms=tuple(source_token(source) for source in sources),
+        terms=tuple(tokens),
         aggregate=agg_name,
         epoch=epoch,
         extra=("algorithm", algorithm),

@@ -24,6 +24,15 @@ which recomputes where the cold run at that ``n`` stops.
 Entries whose ``complete`` flag is set hold the full corpus ranking
 (the producing run drained every source), so they serve *any* ``n``.
 
+A served TA stream is cut from a whole run, not from an answer, so it
+looks up with ``frontier=True``: that serves only the run stored at
+exactly the requested ``n`` together with its
+:class:`~repro.cache.resume.TAResumeState`.
+
+Nothing is stored under an epoch the cache has already invalidated: a
+run that started before a corpus mutation and finished after it is
+dropped rather than kept as dead weight.
+
 Concurrency: the entry map and all counters are guarded by ``_lock``
 under the ``repro.sync`` protocol; entries hand out immutable items
 (:class:`~repro.topn.result.RankedItem` is frozen), resume states are
@@ -41,6 +50,7 @@ from ..obs import metrics as _metrics
 from ..sync import declares_shared_state, make_lock
 from ..topn.result import TopNResult
 from .fingerprint import QueryFingerprint
+from .resume import TAResumeState
 
 #: module-level registry of live caches, so ``metrics.reset()`` (and
 #: therefore ``repro profile``) can zero hit/miss counters everywhere.
@@ -116,6 +126,7 @@ class QueryCache:
         "stores": "_lock",
         "evictions": "_lock",
         "invalidations": "_lock",
+        "_epoch_floor": "_lock",
     }
 
     def __init__(self, max_entries: int = 64) -> None:
@@ -130,11 +141,13 @@ class QueryCache:
         self.stores = 0
         self.evictions = 0
         self.invalidations = 0
+        #: the epoch of the last invalidation: stores below it are refused
+        self._epoch_floor = 0
         _instances.add(self)
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, fingerprint: QueryFingerprint, n: int):
+    def lookup(self, fingerprint: QueryFingerprint, n: int, *, frontier: bool = False):
         """Try to answer top-``n`` from cache.
 
         Returns ``(result, entry)``: ``result`` is a served
@@ -142,13 +155,23 @@ class QueryCache:
         as a miss); ``entry`` is the fingerprint's entry when one exists
         — a miss with an entry is the resume opportunity the caller
         should inspect (resume state / bounds).
+
+        ``frontier=True`` asks for a whole TA run rather than an
+        answer: it hits only when the entry holds the run stored at
+        exactly ``n`` and its frontier, which the served result then
+        carries as ``stats["resume_state"]``.
         """
         digest = fingerprint.digest()
         with self._lock:
             entry = self._entries.get(digest)
             if entry is not None:
                 self._entries.move_to_end(digest)
-            result = self._serve_locked(entry, n) if entry is not None else None
+            if entry is None:
+                result = None
+            elif frontier:
+                result = self._serve_run_locked(entry, n)
+            else:
+                result = self._serve_locked(entry, n)
             if result is not None:
                 self.hits += 1
             else:
@@ -182,22 +205,33 @@ class QueryCache:
                 return _served(entry.results[min(covering)], n, "hit-prefix")
         return None
 
+    def _serve_run_locked(self, entry: CacheEntry, n: int):
+        state = entry.resume
+        if n not in entry.results or not isinstance(state, TAResumeState) or state.n != n:
+            return None
+        served = _served(entry.results[n], n, "hit")
+        served.stats["resume_state"] = state
+        return served
+
     # -- store -------------------------------------------------------------
 
     def store(self, fingerprint: QueryFingerprint, n: int,
               result: TopNResult | None = None, *,
               prefix_safe: bool = True, complete: bool = False,
               resume: object = None, bounds: object = None,
-              hints: dict | None = None) -> CacheEntry:
+              hints: dict | None = None) -> CacheEntry | None:
         """Record a fresh (not cache-served) outcome for ``fingerprint``.
 
         Only pass results computed cold or by certified resume — the
         callers never re-store served answers.  ``prefix_safe=False``
         demotes the whole entry (one depth-dependent answer poisons
-        prefix serving for the fingerprint).
+        prefix serving for the fingerprint).  Returns the entry, or
+        None when the fingerprint's epoch was already invalidated.
         """
         digest = fingerprint.digest()
         with self._lock:
+            if fingerprint.epoch < self._epoch_floor:
+                return None
             entry = self._entries.get(digest)
             if entry is None:
                 entry = CacheEntry(fingerprint=fingerprint)
@@ -240,8 +274,10 @@ class QueryCache:
         Stale entries can never *hit* (the epoch is part of the key),
         so this is garbage collection, not correctness — called on
         every epoch bump to keep the LRU from carrying dead weight.
+        Later stores below ``epoch`` are refused for the same reason.
         """
         with self._lock:
+            self._epoch_floor = max(self._epoch_floor, epoch)
             stale = [digest for digest, entry in self._entries.items()
                      if entry.fingerprint.epoch < epoch]
             for digest in stale:

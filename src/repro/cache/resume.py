@@ -83,6 +83,9 @@ class TAResumeState:
     sorted_units: tuple
     #: True when every source was drained (resume returns immediately)
     exhausted: bool = False
+    #: over block storage, each source's stored list length, from which
+    #: a cut counts its blocks without the sources; None otherwise
+    list_lengths: tuple | None = None
 
     def __post_init__(self) -> None:
         _read_only(self, (("ids", np.int64), ("scores", np.float64),
@@ -92,11 +95,6 @@ class TAResumeState:
     def depth_next(self) -> int:
         """The next sorted-access depth (the run processed depths below)."""
         return len(self.tau)
-
-    def covers(self) -> int:
-        """How many result items this frontier can certify: all of them
-        (the snapshot is algorithm state, not an answer prefix)."""
-        return self.n
 
 
 @dataclass

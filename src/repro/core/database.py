@@ -19,15 +19,18 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..cache import (
     CoordinatorBounds,
     QueryCache,
-    sources_fingerprint,
+    feature_token,
     text_fingerprint,
+    tokens_fingerprint,
 )
 from ..errors import ReproError, TopNError, WorkloadError
 from ..fragmentation import FragmentedExecutor, QualityCheck, Strategy, fragment_by_volume
@@ -51,6 +54,7 @@ from ..topn import (
     threshold_topn,
 )
 from ..topn.result import TopNResult
+from ..topn.ta import answer_at
 from .config import DatabaseConfig
 from .session import SearchResult
 
@@ -73,6 +77,21 @@ _PREFIX_SAFE_ALGORITHMS = frozenset({"fa", "ta"})
 #: are served for it
 _PREFIX_SAFE_STRATEGIES = frozenset(
     {"naive", "unfragmented", "unsafe-small", "indexed"})
+
+
+class FeatureStream(NamedTuple):
+    """Where a served multi-feature stream starts
+    (:meth:`MMDatabase.feature_stream`)."""
+
+    #: the corpus epoch the stream is keyed and stamped at
+    epoch: int
+    #: the graded sources to run over; None when ``run`` serves it
+    sources: list | None
+    #: a completed TA run from the cache, with its frontier, to cut
+    #: the stream's chunks from
+    run: TopNResult | None
+    #: called with the stream's final TA run to store it in the cache
+    store: Callable[[TopNResult], None] | None
 
 
 class MMDatabase:
@@ -348,28 +367,26 @@ class MMDatabase:
 
     # -- multimedia search ---------------------------------------------------------
 
-    def _run_multisource(self, sources, n, algorithm, agg, kind):
+    def _run_multisource(self, sources, n, algorithm, agg, fingerprint, entry):
         """Run a Fagin-family engine through the cache, when enabled.
 
-        Per-algorithm reuse (see :mod:`repro.cache`): TA resumes from a
-        saved frontier at any ``n`` no smaller than the saved one;
-        NRA/CA resume from a saved bound administration at any ``n``
-        (their lower-bound scores depend on the stopping depth, which
-        the resumed run recomputes for the new ``n``); FA is
-        prefix-safe, so its results are served from cache but carry no
-        resume state.  A resumed answer equals the cold one, and each
-        run stores its state for the next.
+        The caller looked ``fingerprint`` up before building
+        ``sources`` (None: the cache is off) and missed; ``entry`` is
+        what the lookup found under it.  Per-algorithm reuse (see
+        :mod:`repro.cache`): TA resumes from a saved frontier at any
+        ``n`` no smaller than the saved one; NRA/CA resume from a saved
+        bound administration at any ``n`` (their lower-bound scores
+        depend on the stopping depth, which the resumed run recomputes
+        for the new ``n``); FA is prefix-safe, so its results are
+        served from cache but carry no resume state.  A resumed answer
+        equals the cold one, and each run stores its state for the
+        next — a TA run's result and frontier together, which a served
+        stream at the same ``n`` is cut from
+        (:meth:`feature_stream`).
         """
         engine = _ALGORITHMS[algorithm]
-        if self.cache is None:
+        if fingerprint is None:
             return engine(sources, n, agg)
-        fingerprint = sources_fingerprint(sources, agg.name, self.epoch,
-                                          algorithm, kind=kind)
-        with tracer.span("cache.lookup", kind=kind, n=n):
-            served, entry = self.cache.lookup(fingerprint, n)
-            tracer.annotate(hit=served is not None)
-        if served is not None:
-            return served
         if algorithm == "fa":
             result = engine(sources, n, agg)
             self.cache.store(fingerprint, n, result, prefix_safe=True,
@@ -388,35 +405,68 @@ class MMDatabase:
                          resume=result.stats.pop("resume_state", None))
         return result
 
+    def _multisource_fingerprint(self, tids, queries, measure, algorithm, agg, kind,
+                                 epoch):
+        """The cache key of a multi-source query, from the request
+        alone: one token per source, in the order
+        :meth:`_multisource_search` builds them, so no source is built
+        to look it up."""
+        tokens = tuple(("term", int(tid), self.model.name) for tid in tids) + tuple(
+            feature_token(name, measure, vector) for name, vector in queries.items())
+        return tokens_fingerprint(tokens, agg.name, epoch, algorithm, kind=kind)
+
+    def _check_spaces(self, queries) -> None:
+        for name in queries:
+            if name not in self.feature_spaces:
+                raise WorkloadError(f"unknown feature space {name!r}; "
+                                    f"have {sorted(self.feature_spaces)}")
+
     def feature_sources(self, queries: dict[str, np.ndarray],
                         measure: str = "l2") -> list:
         """Graded sources for a multi-feature query, one per named
         feature space — the building block :meth:`feature_search` and
         the serve layer's anytime runners share."""
-        sources = []
-        for name, vector in queries.items():
-            if name not in self.feature_spaces:
-                raise WorkloadError(f"unknown feature space {name!r}; "
-                                    f"have {sorted(self.feature_spaces)}")
-            sources.append(feature_source(self.feature_spaces[name],
-                                          np.asarray(vector, dtype=np.float64),
-                                          measure))
-        return sources
+        self._check_spaces(queries)
+        return [feature_source(self.feature_spaces[name],
+                               np.asarray(vector, dtype=np.float64), measure)
+                for name, vector in queries.items()]
+
+    def _multisource_search(self, tids, queries, n, algorithm, agg, measure,
+                            kind) -> SearchResult:
+        """One posting source per term id, then one feature source per
+        feature query, combined by ``algorithm``; with the cache on, the
+        request is looked up before any source is built."""
+        if algorithm not in _ALGORITHMS:
+            raise TopNError(f"unknown algorithm {algorithm!r}; have {sorted(_ALGORITHMS)}")
+        self._check_spaces(queries)
+        fingerprint = entry = None
+        if self.cache is not None:
+            fingerprint = self._multisource_fingerprint(tids, queries, measure, algorithm,
+                                                        agg, kind, self.epoch)
+            with tracer.span("cache.lookup", kind=kind, n=n):
+                served, entry = self.cache.lookup(fingerprint, n)
+                tracer.annotate(hit=served is not None)
+            if served is not None:
+                started = time.perf_counter()
+                with CostCounter.activate() as cost:
+                    pass  # a cache hit charges no cost-model operations
+                elapsed = time.perf_counter() - started
+                return SearchResult(served, tids, cost, elapsed, self.collection)
+        sources = [PostingsSource(self.index, tid, self.model) for tid in tids]
+        sources += self.feature_sources(queries, measure)
+        started = time.perf_counter()
+        with CostCounter.activate() as cost:
+            result = self._run_multisource(sources, n, algorithm, agg, fingerprint, entry)
+        elapsed = time.perf_counter() - started
+        return SearchResult(result, tids, cost, elapsed, self.collection)
 
     def feature_search(self, queries: dict[str, np.ndarray], n: int = 10,
                        algorithm: str = "ta", agg=SUM,
                        measure: str = "l2") -> SearchResult:
         """Multi-feature top-``n``: one graded source per feature query,
         combined with a Fagin-family algorithm."""
-        if algorithm not in _ALGORITHMS:
-            raise TopNError(f"unknown algorithm {algorithm!r}; have {sorted(_ALGORITHMS)}")
-        sources = self.feature_sources(queries, measure)
-        started = time.perf_counter()
-        with CostCounter.activate() as cost:
-            result = self._run_multisource(sources, n, algorithm, agg,
-                                           kind="feature")
-        elapsed = time.perf_counter() - started
-        return SearchResult(result, [], cost, elapsed, self.collection)
+        return self._multisource_search([], queries, n, algorithm, agg, measure,
+                                        kind="feature")
 
     def combined_search(self, text_query, feature_queries: dict[str, np.ndarray],
                         n: int = 10, algorithm: str = "ta", agg=SUM,
@@ -425,27 +475,50 @@ class MMDatabase:
         as one multi-source top-N (the paper's target scenario —
         "integrated top N queries on several content and alpha
         numerical types")."""
-        if algorithm not in _ALGORITHMS:
-            raise TopNError(f"unknown algorithm {algorithm!r}; have {sorted(_ALGORITHMS)}")
-        sources = []
         tids = self._terms_to_tids(text_query)
-        for tid in tids:
-            sources.append(PostingsSource(self.index, tid, self.model))
-        for name, vector in feature_queries.items():
-            if name not in self.feature_spaces:
-                raise WorkloadError(f"unknown feature space {name!r}")
-            space = self.feature_spaces[name]
-            # scale text-partial magnitudes and similarities comparably
-            raw = feature_source(space, vector, measure)
-            sources.append(raw)
-        if not sources:
+        if not tids and not feature_queries:
             raise TopNError("combined_search needs at least one source")
-        started = time.perf_counter()
-        with CostCounter.activate() as cost:
-            result = self._run_multisource(sources, n, algorithm, agg,
-                                           kind="combined")
-        elapsed = time.perf_counter() - started
-        return SearchResult(result, tids, cost, elapsed, self.collection)
+        return self._multisource_search(tids, feature_queries, n, algorithm, agg, measure,
+                                        kind="combined")
+
+    def feature_stream(self, queries: dict[str, np.ndarray], n: int, algorithm: str,
+                       agg=SUM, measure: str = "l2") -> FeatureStream:
+        """Where a served multi-feature stream starts.
+
+        With the cache on, a TA stream looks its request up before any
+        source is built, under the key :meth:`feature_search` uses.  A
+        hit is the completed run stored at exactly this ``n`` with its
+        frontier: the stream is cut from it and builds, runs and charges
+        nothing.  On a miss the stream gets its sources and a ``store``
+        that files its final run as the cold library run, for later
+        streams and library calls alike.  NRA, CA and FA streams, and
+        every stream with the cache off, just get their sources.
+        """
+        epoch = self.epoch
+        if self.cache is None or algorithm != "ta":
+            return FeatureStream(epoch, self.feature_sources(queries, measure), None, None)
+        self._check_spaces(queries)
+        fingerprint = self._multisource_fingerprint((), queries, measure, algorithm, agg,
+                                                    "feature", epoch)
+        with tracer.span("cache.lookup", kind="feature", n=n):
+            run, _entry = self.cache.lookup(fingerprint, n, frontier=True)
+            tracer.annotate(hit=run is not None)
+        if run is not None:
+            return FeatureStream(epoch, None, run, None)
+        return FeatureStream(epoch, self.feature_sources(queries, measure), None,
+                             functools.partial(self._store_ta_run, fingerprint, n))
+
+    def _store_ta_run(self, fingerprint, n: int, run: TopNResult) -> None:
+        """Store a stream's final TA run as the cold run at ``n``: its
+        items, the stats the cold library call reports (a stream's last
+        run is resumed, so its own count only its last stretch) and its
+        frontier.  A run whose epoch was invalidated meanwhile is not
+        stored (:meth:`~repro.cache.QueryCache.store`)."""
+        _items, stats = answer_at(run, run.stats["depth"])
+        result = TopNResult(run.items, n, strategy=run.strategy, safe=run.safe, stats=stats)
+        self.cache.store(fingerprint, n, result, prefix_safe=True,
+                         complete=len(result.items) < n,
+                         resume=run.stats["resume_state"])
 
     # -- persistence -------------------------------------------------------------
 

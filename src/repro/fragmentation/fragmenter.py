@@ -92,9 +92,9 @@ class HeapFragment:
             # fetch the aligned doc/tf pages for the hit positions
             if len(positions):
                 stats.charge_tuples_read(2 * len(positions))
-                for page in np.unique(positions // manager.page_tuples):
-                    manager.request(self.docs.segment_id, int(page))
-                    manager.request(self.tfs.segment_id, int(page))
+                manager.request_pages([
+                    key for page in np.unique(positions // manager.page_tuples).tolist()
+                    for key in ((self.docs.segment_id, page), (self.tfs.segment_id, page))])
             out[tid] = (self.docs.tail[positions], self.tfs.tail[positions])
         return out
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..errors import SourceExhaustedError, TopNError
 from ..storage import stats
-from ..storage.blocks import ScoredBlocks
+from ..storage.blocks import ScoredBlocks, blocks_between
 from .distances import similarity_scores
 from .features import FeatureSpace
 
@@ -142,11 +142,17 @@ class ArraySource(ScoreSource):
     and the whole array is sorted instead.  A prefix holds every object
     graded at or above its cut grade, so ties at the cut are never
     split and each prefix equals the same ranks of the full sort.
-    Construction charges nothing and sorts nothing.
+    Construction charges nothing and sorts nothing.  ``request`` is
+    the ``(space, measure, query)`` a feature similarity source was
+    scanned from: the cache keys the source by it
+    (:func:`~repro.cache.fingerprint.source_token`), and without one
+    hashes the grades.
     """
 
-    def __init__(self, scores: np.ndarray, name: str = "array") -> None:
+    def __init__(self, scores: np.ndarray, name: str = "array",
+                 request: tuple | None = None) -> None:
         self.name = name
+        self.request = request
         self._scores = _checked_grades(scores)
         self._order = np.empty(0, dtype=np.int64)
 
@@ -219,7 +225,8 @@ def feature_source(space: FeatureSpace, query: np.ndarray, measure: str = "l2") 
     # reads rows
     matrix = space.vectors if measure == "cosine" else space.columns.T
     scores = similarity_scores(matrix, query, measure)
-    return ArraySource(scores, name=f"{space.name}:{measure}")
+    return ArraySource(scores, name=f"{space.name}:{measure}",
+                       request=(space.name, measure, query))
 
 
 class PostingsSource(ScoreSource):
@@ -397,11 +404,9 @@ class BlockedSource(ScoreSource):
         return self.blocks.n_blocks
 
     def blocks_between(self, lo: int, hi: int) -> range:
-        """The blocks a reader of ranks ``lo .. hi - 1`` opens: those
-        whose first rank is one of them.  The block holding rank
-        ``lo - 1`` was paid for by whoever read that rank."""
-        size = self.block_size
-        return range(-(-lo // size), -(-min(hi, self.blocks.n_postings) // size))
+        """The blocks a reader of ranks ``lo .. hi - 1`` opens
+        (:func:`~repro.storage.blocks.blocks_between`)."""
+        return blocks_between(lo, hi, self.block_size, self.blocks.n_postings)
 
     def read_block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """Block ``b`` as ``(doc_ids, grades)``, charged as one bulk

@@ -18,6 +18,13 @@ deadline, checked between steps; a deadline stop answers ``done`` with
 ``status="deadline"`` and the resume token, so the client keeps the
 certified prefix and can continue later.
 
+A feature request's runner starts where
+:meth:`~repro.core.MMDatabase.feature_stream` says: with the cache on,
+a TA stream whose run at the request's ``n`` is cached is cut from it
+and builds no source; any other stream builds its sources, and a TA
+stream stores its final run for the next.  The cache discipline stays
+in the database.
+
 The MOA10xx rules in :mod:`repro.analysis.serve` check this module's
 discipline statically: every ``run_in_executor`` call site must sit in
 a function that references the admission it runs under (MOA1003) and
@@ -358,6 +365,10 @@ class QueryServer:
                 f"have {sorted(BUILTIN_AGGREGATES)}")
         chunk_depth = int(request.get("chunk_depth", self.config.chunk_depth))
         if kind == "feature":
+            if chunk_depth < 1:
+                # refused before the cache is consulted: a rejected
+                # request must count as neither a hit nor a miss
+                raise ProtocolError(f"chunk_depth must be >= 1, got {chunk_depth}")
             queries = request.get("queries")
             if not isinstance(queries, dict) or not queries:
                 raise ProtocolError(
@@ -365,21 +376,20 @@ class QueryServer:
             vectors = {name: np.asarray(vec, dtype=np.float64)
                        for name, vec in queries.items()}
             measure = str(request.get("measure", self.config.measure))
-            sources = self.db.feature_sources(vectors, measure=measure)
-        elif kind == "text":
+            stream = self.db.feature_stream(vectors, n, algorithm, agg, measure)
+            runner = AnytimeRunner(stream.sources, n, algorithm, agg,
+                                   epoch=stream.epoch, chunk_depth=chunk_depth,
+                                   run=stream.run, store=stream.store)
+            return runner, kind
+        if kind == "text":
             text = request.get("query")
             if not isinstance(text, (str, list)):
                 raise ProtocolError("text query needs 'query': str | [terms]")
             strategy = request.get("strategy")
-            sources = None
             runner = _TextRunner(self.db, text, n, strategy,
                                  epoch=self.db.epoch)
             return runner, kind
-        else:
-            raise ProtocolError(f"unknown query kind {kind!r}; have feature/text")
-        runner = AnytimeRunner(sources, n, algorithm, agg,
-                               epoch=self.db.epoch, chunk_depth=chunk_depth)
-        return runner, kind
+        raise ProtocolError(f"unknown query kind {kind!r}; have feature/text")
 
     def _deadline_token(self, request: dict) -> CancelToken:
         deadline_ms = request.get("deadline_ms")

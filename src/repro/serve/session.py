@@ -19,7 +19,11 @@ work stays within a small constant of a single uncapped run):
   chunk is bit-identical to the cold library call.  ``chunk_depth``
   sets the chunk schedule, not how far the engine reads per step: on a
   disconnect or deadline the stream may have been charged past its
-  last delivered chunk, up to the end of the current slab.
+  last delivered chunk, up to the end of the current slab.  A stream
+  served from the query cache starts from a completed run it did not
+  compute (:meth:`~repro.core.MMDatabase.feature_stream`), has no
+  sources, and only cuts; a stream that computed its run hands the
+  completed run to its ``store``.
 * **NRA / CA** keep one bound administration per stream, advanced by
   one engine call per chunk: each call resumes the previous chunk's
   captured :class:`~repro.cache.resume.BoundResumeState` at the
@@ -122,8 +126,9 @@ class AnytimeRunner:
         "_last": "<barrier>",
     }
 
-    def __init__(self, sources: list, n: int, algorithm: str, agg=SUM,
-                 *, epoch: int = 0, chunk_depth: int = 32) -> None:
+    def __init__(self, sources: list | None, n: int, algorithm: str, agg=SUM,
+                 *, epoch: int = 0, chunk_depth: int = 32, run=None,
+                 store=None) -> None:
         if algorithm not in ALGORITHMS:
             raise TopNError(
                 f"unknown algorithm {algorithm!r}; have {sorted(ALGORITHMS)}")
@@ -137,8 +142,12 @@ class AnytimeRunner:
         self._depth = chunk_depth
         self._seq = 0
         #: TA, NRA, CA: the latest run over the stream's one frontier,
-        #: which it holds as ``stats["resume_state"]``
-        self._run = None
+        #: which it holds as ``stats["resume_state"]``.  A TA stream
+        #: served from the cache starts with a completed run here and
+        #: no sources: every chunk is cut from it, nothing is read.
+        self._run = run
+        #: TA: called once with the completed run the stream computed
+        self._store = store
         self._last: Chunk | None = None
 
     @property
@@ -163,8 +172,10 @@ class AnytimeRunner:
                     capture_state=True,
                     max_depth=max(self._depth, slab_end(read)))
             items, stats = answer_at(
-                run, self.sources, self._depth,
+                run, self._depth,
                 since=self._last.depth if self._last is not None else 0)
+            if self._store is not None and stats["stop_reason"] != "max_depth":
+                self._store(run)
         else:
             if self.algorithm == "fa":
                 result = fagin_topn(self.sources, self.n, self.agg)

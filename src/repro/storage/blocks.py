@@ -43,6 +43,14 @@ from ..errors import StorageError
 from ..intervals import ThresholdBound
 
 
+def blocks_between(lo: int, hi: int, block_size: int, n_postings: int) -> range:
+    """The blocks a reader of ranks ``lo .. hi - 1`` of a list of
+    ``n_postings`` opens: those whose first rank is one of them.  The
+    block holding rank ``lo - 1`` was paid for by whoever read that
+    rank."""
+    return range(-(-lo // block_size), -(-min(hi, n_postings) // block_size))
+
+
 def _check_block_size(block_size: int) -> int:
     block_size = int(block_size)
     if block_size < 1:

@@ -108,30 +108,45 @@ class BufferManager:
     # -- page-level interface ---------------------------------------------
 
     def request(self, segment_id: int, page_no: int) -> bool:
-        """Request one page; return ``True`` on a buffer hit.
+        """Request one page; return ``True`` on a buffer hit
+        (:meth:`request_pages` of one key)."""
+        return self.request_pages([(segment_id, page_no)]) == 1
 
-        Charges either a ``buffer_hit`` or a ``page_read`` on every
-        active :class:`~repro.storage.stats.CostCounter`.
+    def request_pages(self, keys) -> int:
+        """Request the ``(segment_id, page_no)`` pages ``keys``, in
+        order, under one acquisition of the pool lock; return how many
+        hit.
+
+        Each request is the one-page request's: same residency check,
+        touch or admission, and counter update.  Charges one
+        ``buffer_hit`` or ``page_read`` per request on every active
+        :class:`~repro.storage.stats.CostCounter`, and the ``buffer.*``
+        metrics, once for the batch — for the requests made before an
+        admission that raises, too.
         """
-        key = (segment_id, page_no)
-        with self._lock:
-            self.requests += 1
-            hit = key in self._policy
-            if hit:
-                self._policy.touch(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-                self._admit(key)
-        # cost counters are thread-local and the metrics instruments
-        # take their own locks: charge outside the pool lock
-        if hit:
-            stats.charge_buffer_hits(1)
-            _metrics.inc("buffer.hits")
-        else:
-            stats.charge_page_reads(1)
-            _metrics.inc("buffer.misses")
-        return hit
+        hits = misses = 0
+        try:
+            with self._lock:
+                for key in keys:
+                    self.requests += 1
+                    if key in self._policy:
+                        self._policy.touch(key)
+                        self.hits += 1
+                        hits += 1
+                    else:
+                        self.misses += 1
+                        self._admit(key)
+                        misses += 1
+        finally:
+            # cost counters are thread-local and the metrics instruments
+            # take their own locks: charge outside the pool lock
+            if hits:
+                stats.charge_buffer_hits(hits)
+                _metrics.inc("buffer.hits", hits)
+            if misses:
+                stats.charge_page_reads(misses)
+                _metrics.inc("buffer.misses", misses)
+        return hits
 
     @guarded_by("_lock")
     def _admit(self, key: tuple[int, int]) -> None:
@@ -200,12 +215,10 @@ class BufferManager:
             return 0
         first = self.page_of(start_tuple)
         last = self.page_of(start_tuple + n_tuples - 1)
-        misses = 0
-        for page_no in range(first, last + 1):
-            if not self.request(segment_id, page_no):
-                misses += 1
+        hits = self.request_pages([(segment_id, page_no)
+                                   for page_no in range(first, last + 1)])
         stats.charge_tuples_read(n_tuples)
-        return misses
+        return last + 1 - first - hits
 
     def random_read(self, segment_id: int, tuple_pos: int) -> bool:
         """Positionally access one tuple; return ``True`` on a hit."""

@@ -54,8 +54,8 @@ class SparseIndex:
         stats.charge_tuples_read(len(positions))
         if base.persistent:
             manager = get_buffer_manager()
-            for pos in positions:
-                manager.request(base.segment_id, manager.page_of(int(pos)))
+            manager.request_pages([(base.segment_id, manager.page_of(pos))
+                                   for pos in positions.tolist()])
 
     @property
     def entries(self) -> int:
@@ -162,8 +162,8 @@ class HashIndex:
         positions = np.sort(self._order[lo:hi])
         if self.base.persistent and len(positions):
             manager = get_buffer_manager()
-            for page_no in np.unique(positions // manager.page_tuples):
-                manager.request(self.base.segment_id, int(page_no))
+            manager.request_pages([(self.base.segment_id, page_no) for page_no
+                                   in np.unique(positions // manager.page_tuples).tolist()])
         stats.charge_tuples_read(len(positions))
         stats.charge_tuples_written(len(positions))
         return BAT(

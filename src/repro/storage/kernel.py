@@ -96,8 +96,7 @@ def _random_probe_cost(bat: BAT, positions: np.ndarray) -> None:
     if bat.persistent:
         manager = get_buffer_manager()
         pages = np.unique(positions // manager.page_tuples)
-        for page_no in pages:
-            manager.request(bat.segment_id, int(page_no))
+        manager.request_pages([(bat.segment_id, page_no) for page_no in pages.tolist()])
         stats.charge_tuples_read(n)
     else:
         stats.charge_tuples_read(n)
@@ -190,9 +189,8 @@ def _binary_search_cost(bat: BAT) -> None:
         total_pages = manager.pages_for(n)
         probes = min(steps, total_pages)
         # probe a spread of pages, as a real binary search would
-        for k in range(probes):
-            page_no = (total_pages - 1) * (k + 1) // (probes + 1)
-            manager.request(bat.segment_id, page_no)
+        manager.request_pages([(bat.segment_id, (total_pages - 1) * (k + 1) // (probes + 1))
+                               for k in range(probes)])
 
 
 def select_range(

@@ -75,6 +75,7 @@ import numpy as np
 
 from ..errors import QueryCancelledError, TopNError
 from ..obs import metrics, tracer
+from ..storage.blocks import blocks_between
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
 from .heap import BoundedTopN, canonical_pairs, canonical_topn
 from .result import TopNResult
@@ -381,16 +382,17 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                 n=n, m_sources=m, agg_name=agg.name, ids=ids, scores=scores,
                 first_seen=first_seen, tau=taus, sorted_units=units,
                 exhausted=(stop_reason == "exhausted"),
+                list_lengths=(tuple(source.blocks.n_postings for source in sources)
+                              if blocked else None),
             )
         return TopNResult(canonical_topn(ids, scores, n), n, strategy=strategy,
                           safe=True, stats=run_stats)
 
 
-def answer_at(run: TopNResult, sources: list, depth: int,
-              since: int = 0) -> tuple[list, dict]:
-    """TA's answer at ``depth``, cut from ``run`` — a captured run over
-    ``sources`` that read that far or stopped before it — with no
-    further access.
+def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
+    """TA's answer at ``depth``, cut from ``run`` — a captured run that
+    read that far or stopped before it — with no further access and
+    without its sources: everything is read from the run's frontier.
 
     Returns the items, as ``(id, score)`` pairs, and the stats that a
     run over the same sources resumed from the same frontier at depth
@@ -416,9 +418,11 @@ def answer_at(run: TopNResult, sources: list, depth: int,
         "stop_reason": stop_reason,
         "resumed_from": state.n if since else 0,
     }
-    if block_storage(sources):
-        stats.update(block_stats(sources, sum(
-            len(source.blocks_between(since, depth)) for source in sources)))
+    if state.list_lengths is not None:
+        lists = list(zip(state.sorted_units, state.list_lengths))
+        read = sum(len(blocks_between(since, depth, unit, length)) for unit, length in lists)
+        stats.update(block_size=state.sorted_units[0], blocks_read=read,
+                     blocks_skipped=sum(-(-length // unit) for unit, length in lists) - read)
     return canonical_pairs(state.ids[:seen], state.scores[:seen], state.n), stats
 
 

@@ -39,10 +39,13 @@ class _RecordingBuffer(BufferManager):
         super().__init__(capacity_pages=64)
         self.log: list[tuple[int, bool]] = []
 
-    def request(self, segment_id: int, page_no: int) -> bool:
-        hit = super().request(segment_id, page_no)
-        self.log.append((int(page_no), bool(hit)))
-        return hit
+    def request_pages(self, keys) -> int:
+        hits = 0
+        for key in keys:
+            hit = super().request_pages([key])
+            self.log.append((int(key[1]), bool(hit)))
+            hits += hit
+        return hits
 
 
 def _charges(index, queries, strategy):

@@ -1,12 +1,13 @@
 """Golden digests of the feature similarity scans.
 
-Served and cached feature queries are fingerprinted by
-``cache.fingerprint.source_token``, a SHA-1 of a source's grade bytes,
-so a scan that moves one last bit of one grade silently changes every
-cache key built from it.  These digests pin the grades of fixed
+Served and cached feature queries are keyed by their request — the
+space, the measure and a SHA-1 of the query vector
+(``cache.fingerprint.feature_token``) — not by their grades, so a scan
+that moves one last bit of one grade would serve cached answers that
+a cold run no longer gives.  These digests pin the grades of fixed
 queries on the benchmark-shaped spaces, ``color_histograms(20000, 16)``
 and ``texture_features(20000, 8)``, for ``l1``, ``l2`` and
-``histogram``.  They were computed with the column-at-a-time scan
+``histogram``, and the query tokens the cache keys them by.  They were computed with the column-at-a-time scan
 that the blocked kernel replaced, before the kernel changed, so passing
 them shows the blocked scan kept every grade bit for bit.  A deliberate
 change of grade bits (a matmul scan, say) must update them on purpose.
@@ -65,8 +66,9 @@ DISTANCE_DIGESTS = {
     ("texture", "histogram"): "bda809fc449f2f80408e1292d922506de23ae608",
 }
 
-#: the content digest of ``source_token(feature_source(space, query,
-#: measure))``, one per query of :func:`queries`
+#: the first 16 hex digits of ``sha1`` of the grades of
+#: ``feature_source(space, query, measure)``, one per query of
+#: :func:`queries`
 TOKENS = {
     ("color", "l1"): (
         "b7f07ceb4c3d4bdf",
@@ -104,6 +106,16 @@ TOKENS = {
         "78f9f11195b6a02d",
         "8479fb781c8f030d",
     ),
+}
+
+#: the digest in ``source_token(feature_source(space, query, measure))``:
+#: the first 16 hex digits of ``sha1`` of each query of :func:`queries`,
+#: whatever the measure
+QUERY_TOKENS = {
+    "color": ("0305a01ca000cc04", "9c5b49b3c556b70e", "52274ecfcb4a3b5f",
+              "167b278c46ad9c8e"),
+    "texture": ("363c472ee88ce61c", "8b56fdab427a047a", "396e179f60b19a91",
+                "8063b889eb2f4b65"),
 }
 
 #: ``sha1`` of ``np.exp`` over a fixed grid, on the host that computed
@@ -146,5 +158,16 @@ def test_feature_source_tokens(spaces, name, measure):
     if measure != "histogram" and exp_canary() != EXP_CANARY:
         pytest.skip("this platform's np.exp rounds differently from the pinning host")
     space = spaces[name]
+    sources = [feature_source(space, q, measure) for q in queries(space)]
+    got = tuple(sha1(source.grades_of(np.arange(source.n_objects)))[:16] for source in sources)
+    assert got == TOKENS[name, measure]
+
+
+@pytest.mark.parametrize("measure", sorted(SCANS))
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_feature_query_tokens(spaces, name, measure):
+    """A feature source's cache token is its request, computed without
+    its grades: the same on every platform."""
+    space = spaces[name]
     got = tuple(source_token(feature_source(space, q, measure)) for q in queries(space))
-    assert got == tuple(("array", f"{name}:{measure}", digest) for digest in TOKENS[name, measure])
+    assert got == tuple(("feature", name, measure, digest) for digest in QUERY_TOKENS[name])

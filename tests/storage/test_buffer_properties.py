@@ -2,10 +2,15 @@
 
 from collections import OrderedDict
 
+import contextlib
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import BufferManager
+from repro.errors import BufferError_
+from repro.obs import metrics
+from repro.storage import BufferManager, CostCounter
 
 
 class ReferenceLRU:
@@ -81,3 +86,71 @@ def test_counters_are_consistent(sequence):
     assert buffer.hits + buffer.misses == buffer.requests == len(sequence)
     assert 0.0 <= buffer.hit_rate() <= 1.0
     assert buffer.resident_pages <= buffer.capacity_pages
+
+
+@contextlib.contextmanager
+def counted_metrics():
+    """The ``buffer.*`` counters the block emits."""
+    out = {}
+    metrics.enable()
+    try:
+        metrics.reset()
+        yield out
+        out.update(metrics.snapshot()["counters"])
+    finally:
+        metrics.reset()
+        metrics.disable()
+
+
+def _state(buffer):
+    return (buffer.requests, buffer.hits, buffer.misses, buffer.evictions,
+            buffer._policy.keys())
+
+
+@given(st.sampled_from(["lru", "slru", "clock"]), st.integers(1, 8),
+       st.lists(requests, min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_batched_requests_equal_one_at_a_time(policy, capacity, batches):
+    """``request_pages`` is its keys' one-page requests in order: the
+    same hits, counters, charges, metrics and policy state."""
+    batched = BufferManager(capacity_pages=capacity, page_tuples=10, policy=policy)
+    single = BufferManager(capacity_pages=capacity, page_tuples=10, policy=policy)
+    for keys in batches:
+        with counted_metrics() as batched_metrics, \
+                CostCounter.activate() as batched_cost:
+            hits = batched.request_pages(keys)
+        with counted_metrics() as single_metrics, \
+                CostCounter.activate() as single_cost:
+            expected = sum(single.request(*key) for key in keys)
+        assert hits == expected
+        assert batched_cost.snapshot() == single_cost.snapshot()
+        assert batched_metrics == single_metrics
+        assert _state(batched) == _state(single)
+
+
+@pytest.mark.parametrize("policy", ["lru", "slru", "clock"])
+def test_batch_charges_what_it_did_before_a_failed_admission(policy):
+    """Every frame pinned: the batch's first miss cannot be admitted.
+    The hits before it are charged and counted, like one request at a
+    time."""
+    keys = [(0, 0), (0, 1), (0, 5), (0, 2)]
+    managers = []
+    for _ in range(2):
+        manager = BufferManager(capacity_pages=2, policy=policy)
+        for page in range(3):
+            manager.pin(0, page)
+        managers.append(manager)
+    batched, single = managers
+    with CostCounter.activate() as batched_cost:
+        with pytest.raises(BufferError_):
+            batched.request_pages(keys)
+    with CostCounter.activate() as single_cost:
+        with pytest.raises(BufferError_):
+            for key in keys:
+                single.request(*key)
+    # the two hits are charged; the miss whose admission failed is not
+    assert batched_cost.snapshot()["buffer_hits"] == 2
+    assert batched_cost.snapshot()["page_reads"] == 0
+    assert (batched.requests, batched.misses) == (3, 1)
+    assert batched_cost.snapshot() == single_cost.snapshot()
+    assert _state(batched) == _state(single)

@@ -131,6 +131,9 @@ def reference_threshold_topn(sources, n, agg=SUM, *, resume_from=None,
                 tau=np.array(taus, dtype=np.float64),
                 sorted_units=tuple(getattr(source, "block_size", 1) for source in sources),
                 exhausted=(stop_reason == "exhausted"),
+                list_lengths=(tuple(source.blocks.n_postings for source in sources)
+                              if all(hasattr(source, "read_block") for source in sources)
+                              else None),
             )
         return TopNResult(heap.items_sorted(), n, strategy="fagin-ta",
                           safe=True, stats=stats)

@@ -200,7 +200,7 @@ class TestAnswerAt:
             assume(head.stats["stop_reason"] == "max_depth")
             state = head.stats["resume_state"]
         capped = threshold_topn(sources, n, agg, resume_from=state, max_depth=depth)
-        items, stats = answer_at(run, sources, depth, since)
+        items, stats = answer_at(run, depth, since)
         assert (float_bits(items)
                 == float_bits([(item.obj_id, item.score) for item in capped.items]))
         assert float_bits(stats) == float_bits(capped.stats)
