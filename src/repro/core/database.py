@@ -65,12 +65,6 @@ _ALGORITHMS = {
     "ca": combined_topn,
 }
 
-#: engines whose reported scores are independent of the requested depth,
-#: so a cached top-m answers any top-n with n <= m (see repro.cache);
-#: NRA/CA report termination-depth-dependent lower bounds and are
-#: served for exact-n repeats or resumed from their bound state instead
-_PREFIX_SAFE_ALGORITHMS = frozenset({"fa", "ta"})
-
 #: text strategies whose ranking is independent of n (exact engines and
 #: the fragment-restricted unsafe one); safe-switch picks its execution
 #: path based on an n-dependent quality check, so only exact-n repeats

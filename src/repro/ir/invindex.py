@@ -3,11 +3,11 @@
 Layout is CSR-style, exactly how a Moa/MonetDB IR schema would store
 it: three aligned, persistent BATs sorted by term id —
 
-* ``postings_terms``  ``[pos -> term_id]`` (ascending),
-* ``postings_docs``   ``[pos -> doc_id]``,
-* ``postings_tf``     ``[pos -> tf]``,
+* ``postings_terms``  ``[pos -> term_id]`` (ascending; int32),
+* ``postings_docs``   ``[pos -> doc_id]`` (int64),
+* ``postings_tf``     ``[pos -> tf]`` (int16, int32 once a tf reaches 2**15),
 
-plus an in-memory offsets array ``offsets[tid] .. offsets[tid+1]``
+plus an in-memory int64 offsets array ``offsets[tid] .. offsets[tid+1]``
 delimiting each term's posting range, and a ``doc_lengths`` BAT.
 Reading a term's postings charges a scan of exactly that range on the
 simulated buffer manager, so "how much of the inverted file a strategy
@@ -26,6 +26,10 @@ from ..storage.bat import BAT
 from .analysis import Analyzer, DEFAULT_ANALYZER
 from .documents import Collection, Document
 from .vocabulary import Vocabulary
+
+
+#: documents whose token ids one build step checks and keys together
+_BATCH_DOCS = 512
 
 
 @dataclass(frozen=True)
@@ -68,10 +72,10 @@ class InvertedIndex:
             self.total_cf = stats_from.total_cf
         else:
             self.avg_dl = float(self._dl.mean()) if self.n_docs else 0.0
-            self.total_cf = int(postings_tf.tail.sum()) if len(postings_tf) else 0
+            self.total_cf = int(postings_tf.tail.sum(dtype=np.int64))
         # per-term maxima, for upper-bound administration
         tf = postings_tf.tail
-        self._max_tf = _per_term(np.maximum, tf, offsets).astype(np.int64, copy=False)
+        self._max_tf = _per_term(np.maximum, tf, offsets)
         tf_over_dl = self._dl[postings_docs.tail]
         np.divide(tf, tf_over_dl, out=tf_over_dl)  # one temporary, not two
         self._max_tf_over_dl = _per_term(np.maximum, tf_over_dl, offsets)
@@ -82,45 +86,65 @@ class InvertedIndex:
     def build(cls, collection: Collection, vocabulary: Vocabulary | None = None) -> "InvertedIndex":
         """Build the index from a collection of term-id documents.
 
-        Every token becomes one int64 key ``term * n_docs + doc``; one
-        sort puts the keys in term-major, doc-ascending order, and the
-        runs of equal keys are the postings, their lengths the tfs.
+        Every token becomes one key ``term * n_docs + doc``, int32 while
+        ``n_terms * n_docs < 2**31`` and int64 above; one sort puts the
+        keys in term-major, doc-ascending order, and the runs of equal
+        keys are the postings, their lengths the tfs.  The columns come
+        out at the widths :func:`posting_dtypes` picks: int32 term ids,
+        int64 doc ids, and int16 tfs unless a tf reaches ``2**15``.
         Without a ``vocabulary``, one is made from the collection's term
         strings and the postings' df and cf."""
         n_terms = len(vocabulary) if vocabulary is not None else collection.n_terms
         n_docs = collection.n_docs
         token_ids = [doc.token_ids for doc in collection.documents]
         lengths = np.fromiter(map(len, token_ids), dtype=np.int64, count=n_docs)
-        keys = np.empty(int(lengths.sum()), dtype=np.int64)
-        if n_docs:
-            np.concatenate(token_ids, out=keys)
-        if len(keys):
-            lowest, highest = keys.min(), keys.max()
-            if lowest < 0 or highest >= n_terms:
-                bad = lowest if lowest < 0 else highest
-                raise WorkloadError(f"token id {bad} outside vocabulary")
-        keys *= n_docs
-        # doc ids in the narrowest signed dtype that holds them, so this
-        # temporary is a quarter (int16) to half (int32) of the keys
-        keys += np.repeat(np.arange(n_docs, dtype=np.min_scalar_type(-n_docs)), lengths)
+        n_tokens = int(lengths.sum())
+        max_length = int(lengths.max()) if n_docs else 0
+        # a tf never exceeds its document's length
+        term_dtype, tf_dtype, key_dtype = posting_dtypes(n_terms, n_docs, max_length)
+        keys = np.empty(n_tokens, dtype=key_dtype)
+        # the int64 token ids are checked and keyed a batch of documents
+        # at a time, so no int64 copy of the whole collection is made
+        pos = 0
+        for first in range(0, n_docs, _BATCH_DOCS):
+            stop = min(first + _BATCH_DOCS, n_docs)
+            batch = np.concatenate(token_ids[first:stop], dtype=np.int64, casting="same_kind")
+            if len(batch):
+                lowest, highest = batch.min(), batch.max()
+                if lowest < 0 or highest >= n_terms:
+                    bad = lowest if lowest < 0 else highest
+                    raise WorkloadError(f"token id {bad} outside vocabulary")
+            batch *= n_docs
+            batch += np.repeat(np.arange(first, stop), lengths[first:stop])
+            np.copyto(keys[pos:pos + len(batch)], batch, casting="same_kind")
+            pos += len(batch)
         keys.sort()
-        run_start = np.empty(len(keys), dtype=bool)
+        run_start = np.empty(n_tokens, dtype=bool)
         run_start[:1] = True
         np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
         # the keys go before the posting columns exist: the build's
-        # peak is the keys plus one bool and one int64 per posting
+        # peak is the keys plus one bool per token and one key per posting
         pair_keys = keys[run_start]
         del keys
-        tfs = np.diff(np.flatnonzero(run_start), append=len(run_start))
+        starts = np.flatnonzero(run_start)
         del run_start
-        terms, docs = np.divmod(pair_keys, n_docs)
+        if tf_dtype != np.int16:
+            # a document is long enough for a tf to reach 2**15: size the
+            # column by the largest tf, not by the document length
+            max_tf = int(np.diff(starts, append=n_tokens).max())
+            tf_dtype = posting_dtypes(n_terms, n_docs, max_tf)[1]
+        tfs = np.empty(len(starts), dtype=tf_dtype)
+        np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="same_kind")
+        tfs[-1:] = n_tokens - starts[-1:]
+        del starts
+        docs = np.remainder(pair_keys, n_docs, dtype=np.int64)
+        terms = pair_keys if key_dtype == term_dtype else np.empty(len(pair_keys), term_dtype)
+        np.floor_divide(pair_keys, n_docs, out=terms, casting="same_kind")
         del pair_keys
-        df = np.bincount(terms, minlength=n_terms)
-        offsets = np.zeros(n_terms + 1, dtype=np.int64)
-        np.cumsum(df, out=offsets[1:])
+        offsets = _offsets(terms, n_terms)
         if vocabulary is None:
             vocabulary = Vocabulary.from_counts(
-                collection.term_strings, df, _per_term(np.add, tfs, offsets))
+                collection.term_strings, np.diff(offsets), _per_term(np.add, tfs, offsets))
         return cls(
             BAT(terms, name="postings_terms", tail_sorted=True, persistent=True),
             BAT(docs, name="postings_docs", persistent=True),
@@ -145,10 +169,11 @@ class InvertedIndex:
         """Build an index over raw posting triples (must be sorted by
         term id).  Used by the fragmentation layer, which carves one
         full index into term-disjoint physical fragments that share the
-        global vocabulary and collection statistics."""
+        global vocabulary and collection statistics.  The columns are
+        stored as given, in their own dtypes."""
         if len(terms) > 1 and not np.all(terms[:-1] <= terms[1:]):
             raise WorkloadError("from_postings requires term-sorted triples")
-        offsets = np.searchsorted(terms, np.arange(n_terms + 1))
+        offsets = _offsets(terms, n_terms)
         return cls(
             BAT(terms, name=f"{name}_terms", tail_sorted=True, persistent=True),
             BAT(docs, name=f"{name}_docs", persistent=True),
@@ -225,11 +250,38 @@ class InvertedIndex:
             raise WorkloadError(f"term id {tid} outside index vocabulary (n={self.n_terms})")
 
 
+def posting_dtypes(n_terms: int, n_docs: int, max_tf: int) -> tuple[np.dtype, np.dtype, np.dtype]:
+    """``(term id, tf, build key)`` dtypes of an index over ``n_terms``
+    terms and ``n_docs`` documents whose largest tf is ``max_tf``: each
+    the narrowest signed dtype, at least int32 for term ids and keys and
+    int16 for tfs, that holds its largest value (``n_terms``, ``max_tf``
+    and ``n_terms * n_docs``).  Doc ids stay int64: the scoring paths
+    index and scatter with them, and numpy converts narrower index
+    arrays to int64 on every such call."""
+    return (_narrowest(n_terms, np.int32), _narrowest(max_tf, np.int16),
+            _narrowest(n_terms * n_docs, np.int32))
+
+
+def _narrowest(value: int, floor: type) -> np.dtype:
+    for dtype in (np.int16, np.int32):
+        if np.dtype(dtype).itemsize >= np.dtype(floor).itemsize and value <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _offsets(terms: np.ndarray, n_terms: int) -> np.ndarray:
+    """``offsets[tid] .. offsets[tid + 1]``: each term's range of the
+    term-sorted ``terms``.  The needles take the column's dtype, so
+    ``searchsorted`` does not convert the column."""
+    return np.searchsorted(terms, np.arange(n_terms + 1, dtype=terms.dtype))
+
+
 def _per_term(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``ufunc`` reduced over each term's posting range of ``values``;
-    0 for a term without postings."""
-    out = np.zeros(len(offsets) - 1, dtype=values.dtype)
+    0 for a term without postings.  Integer columns reduce and return
+    in int64, whatever their width, so a sum of int16 tfs cannot wrap."""
+    out = np.zeros(len(offsets) - 1, dtype=np.result_type(values.dtype, np.int64))
     nonempty = offsets[:-1] < offsets[1:]
     if nonempty.any():
-        out[nonempty] = ufunc.reduceat(values, offsets[:-1][nonempty])
+        out[nonempty] = ufunc.reduceat(values, offsets[:-1][nonempty], dtype=out.dtype)
     return out

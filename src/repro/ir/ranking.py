@@ -58,7 +58,8 @@ class TfIdf(ScoringModel):
         idf = self._idf(index, index.vocabulary.df(tid))
         dl = index.doc_lengths_array()[doc_ids]
         norm = 1.0 - self.slope + self.slope * dl / max(index.avg_dl, 1e-9)
-        return (1.0 + np.log(tfs)) * idf / norm
+        # float64 whatever the tf column's width: np.log of int16 is float32
+        return (1.0 + np.log(tfs, dtype=np.float64)) * idf / norm
 
     def upper_bound(self, index, stats):
         idf = self._idf(index, stats.df)

@@ -48,7 +48,11 @@ class SparseIndex:
         # one sample per stride: the first tail value of the stride
         positions = np.arange(0, len(base), self.stride, dtype=np.int64)
         self._sample_positions = positions
-        self._sample_values = base.tail[positions] if len(base) else base.tail[:0]
+        sample = base.tail[positions] if len(base) else base.tail[:0]
+        # an integer sample is kept as int64, whatever the column's width:
+        # searchsorted would otherwise convert a narrow sample to int64
+        # for every probe made with a Python int
+        self._sample_values = sample.astype(np.int64) if sample.dtype.kind == "i" else sample
         # building reads the sampled pages only (sparse build touches one
         # value per page, i.e. one page per stride)
         stats.charge_tuples_read(len(positions))

@@ -102,3 +102,38 @@ class TestSaveLoad:
         MMDatabase.from_texts([]).save(path)
         loaded = MMDatabase.load(path)
         assert loaded.index.n_terms == 0 and len(loaded.index.vocabulary) == 0
+
+    def test_narrow_columns_survive(self, tmp_path_factory, original):
+        """Save/load keeps the posting columns' dtypes and values."""
+        path = tmp_path_factory.mktemp("db9")
+        original.save(path)
+        loaded = MMDatabase.load(path)
+        for column, dtype in (("postings_terms", np.int32), ("postings_docs", np.int64),
+                              ("postings_tf", np.int16)):
+            saved, got = getattr(original.index, column).tail, getattr(loaded.index, column).tail
+            assert saved.dtype == got.dtype == dtype, column
+            assert np.array_equal(saved, got), column
+        assert np.array_equal(loaded.index.offsets, original.index.offsets)
+
+    def test_int64_catalog_still_loads(self, tmp_path_factory, original, queries):
+        """A database saved when every posting column was int64 loads as
+        it was written and answers as the narrow one does."""
+        path = tmp_path_factory.mktemp("db10")
+        original.save(path)
+        for column in ("postings_terms", "postings_tf"):
+            npz = path / "bats" / f"{column}.npz"
+            with np.load(npz) as data:
+                tail = data["tail"]
+            np.savez(npz, tail=tail.astype(np.int64))
+        loaded = MMDatabase.load(path)
+        assert loaded.index.postings_terms.tail.dtype == np.int64
+        assert loaded.index.postings_tf.tail.dtype == np.int64
+        for tid in range(loaded.index.n_terms):
+            assert loaded.index.term_stats(tid) == original.index.term_stats(tid)
+        for query in queries:
+            tids = list(query.term_ids)
+            for strategy in ("unfragmented", "unsafe-small", "indexed"):
+                before = original.search(tids, n=10, strategy=strategy)
+                after = loaded.search(tids, n=10, strategy=strategy)
+                assert before.doc_ids == after.doc_ids, (query.query_id, strategy)
+                assert before.result.scores == after.result.scores

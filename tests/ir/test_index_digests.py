@@ -4,12 +4,14 @@
 posting columns every text path reads; ``__init__`` derives the per-term
 maxima the upper bounds use.  These digests pin every array of the index
 over ``trec.ft_like(scale=1.0, seed=0)`` -- the corpus perfbench runs --
-together with its dtype.  They were computed with the per-document
-``np.unique`` build and the per-term maxima loop (now
+together with its dtype.  ``DIGESTS`` were computed with the
+per-document ``np.unique`` build and the per-term maxima loop (now
 ``tests/ir/build_reference.py``) before the sort-based build replaced
-them, so passing them shows the sort-based build kept every array bit
-for bit at the benchmark's size.  A deliberate change of layout (narrow
-dtypes, say) must update them on purpose.
+them, when every integer column was int64.  The build now stores term
+ids as int32 and tfs as int16, so those two columns are pinned as stored
+by ``NARROW_DIGESTS``, and every integer array widened back to int64
+must still hash to its ``DIGESTS`` entry: no value moved.  A deliberate
+change of layout must update them on purpose.
 """
 
 import hashlib
@@ -33,6 +35,17 @@ DIGESTS = {
     "max_tf": "d5307f0a0ae865239ab591fc74273afb41e65799acca95b97ab2d8c75f95ea99",
     "max_tf_over_dl": "3806911bdace9e08151eb3ef0c5ce1ecf1f7a8123fe86239ad830842089c645e",
 }
+
+#: the narrowed columns as stored: ``(dtype, sha256)``
+NARROW_DIGESTS = {
+    "postings_terms": (
+        np.int32, "9566332259bd3e2857c74f295f4db61ef24bc3e136e52a6c8afeb8ababb268dd"),
+    "postings_tf": (
+        np.int16, "91a3a8e6844e7ff74345ef23570823aa61118430952ef4a5ac1e3d79b173e746"),
+}
+
+ARRAYS = ["postings_terms", "postings_docs", "postings_tf", "offsets", "doc_lengths",
+          "df", "cf", "max_tf", "max_tf_over_dl"]
 
 
 def sha256(values: np.ndarray) -> str:
@@ -70,9 +83,24 @@ def test_corpus_is_the_pinned_one(collection):
     assert sha256(tokens) == DIGESTS["tokens"]
 
 
-@pytest.mark.parametrize("name", [
-    "postings_terms", "postings_docs", "postings_tf", "offsets", "doc_lengths",
-    "df", "cf", "max_tf", "max_tf_over_dl",
-])
+@pytest.mark.parametrize("name", ARRAYS)
 def test_index_array_digest(index, name):
-    assert sha256(index_arrays(index)[name]) == DIGESTS[name]
+    """Each array as stored: dtype and bytes."""
+    values = index_arrays(index)[name]
+    if name in NARROW_DIGESTS:
+        dtype, digest = NARROW_DIGESTS[name]
+        assert values.dtype == dtype
+        assert sha256(values) == digest
+    else:
+        assert values.dtype in (np.int64, np.float64)
+        assert sha256(values) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_index_array_values(index, name):
+    """Each array widened to int64 (float arrays as they are) hashes as
+    the all-int64 build did."""
+    values = index_arrays(index)[name]
+    if values.dtype.kind == "i":
+        values = values.astype(np.int64)
+    assert sha256(values) == DIGESTS[name]
