@@ -14,7 +14,6 @@ fastest but lossy; the safe family is exact with smaller speedups.
 
 import pytest
 
-from repro.core import QuerySession
 from repro.mm import PostingsSource
 from repro.quality import mean_over_queries, overlap_at
 from repro.storage import CostCounter

@@ -12,8 +12,6 @@ vocabulary; UNSAFE vs UNFRAGMENTED data-touched reduction, wall-time
 reduction, and average-precision drop over the query set.
 """
 
-import time
-
 import pytest
 
 from repro.core import QuerySession

@@ -25,7 +25,6 @@ from ..errors import AlgebraTypeError
 from . import physical
 from .extensions import OperatorDef, Registry
 from .types import (
-    AtomicType,
     BagType,
     FLOAT,
     INT,

@@ -133,10 +133,6 @@ class Registry:
         """Dispatch ``op_name`` on the extension providing ``stype``."""
         return self.extension(stype.extension_name).operator(op_name)
 
-    def has_operator(self, stype: StructureType, op_name: str) -> bool:
-        ext = self.extensions.get(stype.extension_name)
-        return ext is not None and op_name in ext
-
     def all_operators(self) -> list[OperatorDef]:
         return [
             opdef

@@ -136,8 +136,8 @@ class RangeSelect(PhysicalOp):
         if value.is_atomic_elements:
             out = kernel.select_range(bat, self.lo, self.hi, self.include_lo, self.include_hi)
             if tracer.enabled():
-                # observed selectivity: the calibration store fits the
-                # cost model's select_selectivity constant from these
+                # observed selectivity, printed by `repro profile
+                # --events`; the cost model assumes select_selectivity
                 tracer.event("select.range", rows_in=len(bat), rows_out=len(out))
             return CollectionValue(self.result_type, {ELEM: BAT(
                 out.tail,
@@ -174,8 +174,8 @@ class Convert(PhysicalOp):
                 raise EvaluationError("SET conversion requires atomic elements")
             deduped = kernel.unique_tail(value.bat)
             if tracer.enabled():
-                # observed dedup ratio: calibrates the cost model's
-                # dedup_ratio constant
+                # observed dedup ratio, printed by `repro profile
+                # --events`; the cost model assumes dedup_ratio
                 tracer.event("convert.dedup", rows_in=value.count,
                              rows_out=len(deduped))
             return CollectionValue(

@@ -33,7 +33,6 @@ from .types import (
     SetType,
     StructureType,
     TupleType,
-    atom_for_dtype_kind,
 )
 
 #: column name used for the single column of atomic-element collections
@@ -212,11 +211,6 @@ class CollectionValue(StructureValue):
         if isinstance(self.stype, SetType):
             return set(elements)
         return elements
-
-    def replace_columns(self, columns: Mapping[str, BAT],
-                        stype: StructureType | None = None) -> "CollectionValue":
-        """A new value with the same (or given) type over new columns."""
-        return CollectionValue(stype or self.stype, columns)
 
     # -- semantics-aware equality ------------------------------------------------
 

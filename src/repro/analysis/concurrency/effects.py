@@ -142,9 +142,6 @@ class FunctionEffects:
     spawns: list = field(default_factory=list)
     guarded_by: str | None = None
 
-    def writes_to(self, attr: str):
-        return [w for w in self.self_writes if w.attr == attr]
-
     def reads(self, attr: str) -> bool:
         return attr in self.self_reads
 

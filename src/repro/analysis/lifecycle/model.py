@@ -32,7 +32,6 @@ from ...sync import (
     KEYED_ACQUIRE_METHODS,
     KEYED_RELEASE_METHODS,
     RELEASE_METHODS,
-    RESOURCE_KINDS,
 )
 
 __all__ = [
@@ -107,9 +106,6 @@ class Vocabulary:
             kind = function_releases(node)
             if kind is not None and node.name not in self.keyed_release:
                 self.release.setdefault(node.name, kind)
-
-    def kind_of(self, kind: str) -> str:
-        return kind if kind in RESOURCE_KINDS else "slot"
 
 
 @dataclass

@@ -54,11 +54,6 @@ class PlanProperties:
     def well_typed(self) -> bool:
         return self.stype is not None
 
-    @property
-    def is_ordered_structure(self) -> bool:
-        """Does the *type* maintain a well-defined element order?"""
-        return self.stype is not None and self.stype.ordered
-
 
 def _split_scalars(expr: Apply) -> tuple[list[Expr], list]:
     """Best-effort split into (non-scalar children, literal scalars)

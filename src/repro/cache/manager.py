@@ -182,17 +182,6 @@ class QueryCache:
             _metrics.inc("cache.misses")
         return result, entry
 
-    def peek(self, fingerprint: QueryFingerprint, n: int):
-        """Would :meth:`lookup` hit for top-``n``?  Same serving rules,
-        but *nothing is counted* and the LRU order is untouched — for
-        planners (the adaptive chooser enumerates a ``cached``
-        candidate per query) that must not distort the hit/miss
-        statistics of queries that are never actually served."""
-        with self._lock:
-            entry = self._entries.get(fingerprint.digest())
-            result = self._serve_locked(entry, n) if entry is not None else None
-        return result, entry
-
     def _serve_locked(self, entry: CacheEntry, n: int):
         if n in entry.results:
             return _served(entry.results[n], n, "hit")

@@ -7,7 +7,9 @@ Commands
 ``search``      run one query under a chosen execution strategy
 ``experiment``  run the Step-1 fragmentation experiment and print the
                 paper-vs-measured table
-``example1``    the paper's Example 1 through the optimizer
+``example1``    the paper's Example 1 through the optimizer: the rewrite
+                trace, the estimated cost before and after, and
+                whether the chosen plan is bound-certified
 ``lint``        statically verify algebra plans (the plan verifier)
 ``bounds``      derive certified score intervals over plans and certify
                 every pruning decision (the MOA9xx bound-flow analyzer)
@@ -17,13 +19,6 @@ Commands
                 execution tracer and print the span-tree cost breakdown
 ``serve``       run the asynchronous query service over a synthetic
                 database (length-prefixed JSON frames + HTTP shim)
-``calibrate``   fit the adaptive optimizer's cost calibration from
-                tracer exports and/or a self-profiled engine grid,
-                writing a versioned ``calibration.json``
-``explain``     render the adaptive plan choice for one query: the
-                candidate table with estimated vs observed cost,
-                Pareto frontier, certification status, and why the
-                winner won
 
 All commands except ``serve`` are deterministic given ``--seed``.
 Benchmarks live outside the CLI: ``benchmarks/bench_e*.py`` (the
@@ -199,77 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--chunk-depth", type=int, default=32,
                        help="sorted-access depth of the first streamed "
                             "chunk (doubles per chunk)")
-
-    calibrate = sub.add_parser(
-        "calibrate",
-        help="fit the adaptive optimizer's cost calibration from "
-             "tracer exports (or a self-profiled engine grid)",
-        description="Ingest span exports written by `repro profile "
-                    "--export` (schema_version-validated; damaged or "
-                    "unknown-version records are skipped with a "
-                    "warning), optionally self-profile the Fagin-family "
-                    "engine grid over the synthetic workload classes, "
-                    "fit cost-model constants plus per-engine stopping "
-                    "predictors, and write a versioned calibration.json "
-                    "for `repro explain`.",
-    )
-    calibrate.add_argument("traces", nargs="*", metavar="TRACE_JSONL",
-                           help="profile exports to ingest (none = "
-                                "self-profile only)")
-    calibrate.add_argument("--self-profile", action="store_true",
-                           help="additionally trace the engine grid over "
-                                "the synthetic workload classes (implied "
-                                "when no trace files are given)")
-    calibrate.add_argument("--output", "-o", default="calibration.json",
-                           metavar="PATH", help="where to write the fitted "
-                                                "calibration")
-    calibrate.add_argument("--objects", type=int, default=800,
-                           help="objects per self-profiled corpus")
-    calibrate.add_argument("--sources", type=int, default=3,
-                           help="graded sources per self-profiled query")
-    calibrate.add_argument("--n", type=int, default=10,
-                           help="top-N size of self-profiled queries")
-    calibrate.add_argument("--json", action="store_true",
-                           help="also print the fitted calibration as JSON")
-
-    explain = sub.add_parser(
-        "explain",
-        help="render the adaptive plan choice: candidate table, "
-             "est-vs-observed cost, certification, why the winner won",
-        description="Enumerate every candidate plan for one query "
-                    "(Fagin-family engines, whole-block charging, the "
-                    "unsafe budgeted cut-off), cost them with the "
-                    "calibrated model, execute each for its observed "
-                    "charged cost and overlap@N, and render the table "
-                    "with the Pareto frontier and the MOA verifier / "
-                    "MOA9xx bound-certification verdicts.  Scenarios: "
-                    "'example1' (the paper's Example 1 rewrite choice) "
-                    "and 'topn' (a multi-feature middleware query).  "
-                    "--json emits the shared lint/bounds/check "
-                    "diagnostics payload plus an 'explain' object.",
-    )
-    explain.add_argument("scenario", choices=["example1", "topn"])
-    explain.add_argument("--calibration", metavar="PATH",
-                         help="calibration.json from `repro calibrate` "
-                              "(default: uncalibrated analytic priors)")
-    explain.add_argument("--quality-floor", type=float, default=1.0,
-                         help="minimum predicted overlap@N a candidate "
-                              "must offer (1.0 = exact plans only)")
-    explain.add_argument("--corpus", default="uniform",
-                         choices=["uniform", "skewed", "correlated", "sparse"],
-                         help="workload class (scenario: topn)")
-    explain.add_argument("--n", type=int, default=10, help="top-N size")
-    explain.add_argument("--objects", type=int, default=800,
-                         help="synthetic objects (scenario: topn)")
-    explain.add_argument("--sources", type=int, default=3,
-                         help="graded sources (scenario: topn)")
-    explain.add_argument("--block-size", type=int, default=None, metavar="B",
-                         help="also enumerate TA, NRA and CA over block "
-                              "storage of this block size, which charges "
-                              "sorted access in whole blocks (scenario: topn)")
-    explain.add_argument("--json", action="store_true",
-                         help="emit the shared diagnostics payload plus "
-                              "the explain object")
 
     return parser
 
@@ -682,80 +606,6 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_calibrate(args, out) -> int:
-    import json
-
-    from .errors import CalibrationError
-    from .optimizer.adaptive import CalibrationStore, train_calibration
-
-    store = CalibrationStore()
-    warnings = []
-    ingested = skipped = 0
-    for path in args.traces:
-        try:
-            stats = store.ingest_jsonl(path)
-        except OSError as exc:
-            print(f"calibrate: cannot read {path}: {exc}", file=out)
-            return 2
-        ingested += stats.ingested
-        skipped += stats.skipped
-        warnings.extend(stats.warnings)
-    for warning in warnings:
-        print(f"calibrate: warning: {warning}", file=out)
-    try:
-        if args.self_profile or not args.traces:
-            calibration = train_calibration(
-                store=store, seed=args.seed, objects=args.objects,
-                sources=args.sources, n=args.n)
-        else:
-            calibration = store.fit()
-    except CalibrationError as exc:
-        print(f"calibrate: {exc}", file=out)
-        return 2
-    calibration.save(args.output)
-    meta = calibration.meta
-    print(f"calibrate: {meta.get('observations', 0)} engine observations "
-          f"({ingested} records ingested, {skipped} skipped), "
-          f"weights {'fitted' if meta.get('weights_fitted') else 'defaulted'}, "
-          f"engines: {', '.join(sorted(calibration.engines)) or 'none'}",
-          file=out)
-    print(f"calibration written to {args.output}", file=out)
-    if args.json:
-        print(json.dumps(calibration.to_json(), indent=2), file=out)
-    return 0
-
-
-def _cmd_explain(args, out) -> int:
-    from .errors import CalibrationError
-    from .optimizer.adaptive import Calibration, explain_example1, explain_topn
-
-    calibration = None
-    if args.calibration:
-        try:
-            calibration = Calibration.load(args.calibration)
-        except OSError as exc:
-            print(f"explain: cannot read {args.calibration}: {exc}", file=out)
-            return 2
-        except CalibrationError as exc:
-            print(f"explain: {exc}", file=out)
-            return 2
-    if args.scenario == "example1":
-        report = explain_example1(calibration=calibration)
-    else:
-        report = explain_topn(corpus=args.corpus, n=args.n,
-                              objects=args.objects, sources=args.sources,
-                              seed=args.seed, block_size=args.block_size,
-                              quality_floor=args.quality_floor,
-                              calibration=calibration)
-    exit_code = 0 if report.ok else 1
-    if args.json:
-        _emit_diagnostics_json(out, "explain", [report.diagnostics],
-                               exit_code, explain=report.to_dict())
-    else:
-        print(report.render_text(), file=out)
-    return exit_code
-
-
 def _cmd_example1(args, out) -> int:
     from .algebra import parse
     from .optimizer import Optimizer
@@ -795,10 +645,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _cmd_check(args, out)
     if args.command == "profile":
         return _cmd_profile(args, out)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args, out)
-    if args.command == "explain":
-        return _cmd_explain(args, out)
     if args.command == "serve":
         return _cmd_serve(args, out)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover

@@ -8,7 +8,6 @@ aggregates cost and quality — the workhorse of the benchmark harness.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..quality import average_precision, mean_over_queries, overlap_at, precision_at

@@ -76,11 +76,6 @@ class CostModelError(OptimizerError):
     """The cost model was asked to cost an unknown operator shape."""
 
 
-class CalibrationError(OptimizerError):
-    """A calibration file or trace record could not be used (unknown
-    schema version, damaged payload, empty store)."""
-
-
 class TopNError(ReproError):
     """Base class for errors raised by top-N operator implementations."""
 

@@ -33,11 +33,6 @@ class Document:
         """Document length in tokens."""
         return len(self.token_ids)
 
-    def term_frequencies(self) -> dict[int, int]:
-        """Term id → within-document frequency."""
-        unique, counts = np.unique(self.token_ids, return_counts=True)
-        return {int(t): int(c) for t, c in zip(unique, counts)}
-
     def render_text(self, term_strings: list[str]) -> str:
         """The document as whitespace-joined term strings."""
         return " ".join(term_strings[t] for t in self.token_ids)
@@ -96,11 +91,6 @@ class Collection:
     def doc_lengths(self) -> np.ndarray:
         """Array of document lengths, indexed by doc id."""
         return np.asarray([doc.length for doc in self.documents], dtype=np.int64)
-
-    def average_doc_length(self) -> float:
-        if not self.documents:
-            return 0.0
-        return float(self.doc_lengths().mean())
 
     def texts(self) -> list[str]:
         """All documents rendered to text (slow; for examples/tests)."""

@@ -30,6 +30,9 @@ from .vocabulary import Vocabulary
 
 #: documents whose token ids one build step checks and keys together
 _BATCH_DOCS = 512
+#: postings one step of the per-term maxima reads together (512 KB of
+#: float64 ``tf / dl``)
+_BATCH_POSTINGS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,11 +77,8 @@ class InvertedIndex:
             self.avg_dl = float(self._dl.mean()) if self.n_docs else 0.0
             self.total_cf = int(postings_tf.tail.sum(dtype=np.int64))
         # per-term maxima, for upper-bound administration
-        tf = postings_tf.tail
-        self._max_tf = _per_term(np.maximum, tf, offsets)
-        tf_over_dl = self._dl[postings_docs.tail]
-        np.divide(tf, tf_over_dl, out=tf_over_dl)  # one temporary, not two
-        self._max_tf_over_dl = _per_term(np.maximum, tf_over_dl, offsets)
+        self._max_tf, self._max_tf_over_dl = _per_term_maxima(
+            postings_tf.tail, postings_docs.tail, self._dl, offsets)
 
     # -- construction -------------------------------------------------------
 
@@ -214,10 +214,6 @@ class InvertedIndex:
         kernel.scan_cost(self.postings_tf, n, start=start)
         return self.postings_docs.tail[start:stop], self.postings_tf.tail[start:stop]
 
-    def doc_length(self, doc_ids: np.ndarray) -> np.ndarray:
-        """Lengths of the given documents (random probe charge)."""
-        return kernel.fetch_values(self.doc_lengths, doc_ids).astype(np.float64)
-
     def doc_lengths_array(self) -> np.ndarray:
         """All document lengths (cached metadata; used by models that
         pre-normalize — charged once at build)."""
@@ -274,6 +270,30 @@ def _offsets(terms: np.ndarray, n_terms: int) -> np.ndarray:
     term-sorted ``terms``.  The needles take the column's dtype, so
     ``searchsorted`` does not convert the column."""
     return np.searchsorted(terms, np.arange(n_terms + 1, dtype=terms.dtype))
+
+
+def _per_term_maxima(tfs: np.ndarray, docs: np.ndarray, dl: np.ndarray,
+                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's largest tf (int64) and largest ``tf / dl`` (float64)
+    over its posting range; 0 for a term without postings.  Both are
+    taken ``_BATCH_POSTINGS`` postings at a time, so no int64 or float64
+    copy of a whole column is made; a maximum is exact, so the result
+    does not depend on where the batches cut."""
+    n_terms = len(offsets) - 1
+    max_tf = np.zeros(n_terms, dtype=np.int64)
+    max_ratio = np.zeros(n_terms, dtype=np.float64)
+    for lo in range(0, len(tfs), _BATCH_POSTINGS):
+        hi = min(lo + _BATCH_POSTINGS, len(tfs))
+        # the terms whose ranges meet [lo, hi), and those ranges in it
+        first = int(np.searchsorted(offsets, lo, side="right")) - 1
+        stop = int(np.searchsorted(offsets, hi, side="left"))
+        ranges = np.clip(offsets[first:stop + 1], lo, hi) - lo
+        ratio = dl[docs[lo:hi]]
+        np.divide(tfs[lo:hi], ratio, out=ratio)
+        for out, values in ((max_tf, tfs[lo:hi]), (max_ratio, ratio)):
+            np.maximum(out[first:stop], _per_term(np.maximum, values, ranges),
+                       out=out[first:stop])
+    return max_tf, max_ratio
 
 
 def _per_term(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -80,24 +80,6 @@ class ScoreSource:
         a bulk reader completed from this list, in order."""
         stats.charge_random_accesses(len(obj_ids))
 
-    def synopsis(self, ranks) -> list[tuple[int, float]] | None:
-        """Catalog metadata: ``(object, grade)`` at the given sorted
-        ranks, **uncharged** — the planner's champion-list sketch.
-
-        Like a zone map or the per-block upper bounds of
-        :class:`~repro.storage.blocks.ScoredBlocks`, this is metadata a
-        DBMS keeps with the sorted list, so reading it costs no sorted
-        or random accesses at query time — even where, as in
-        :class:`ArraySource`, answering it extends the lazily built
-        sorted prefix.
-        The adaptive plan chooser uses it to estimate the threshold
-        decay rate and cross-source agreement of a query *before*
-        picking an engine.  Ranks past the stored list report grade 0
-        (the posting convention: absent objects grade 0).  Returns
-        ``None`` when the source keeps no such metadata.
-        """
-        return None
-
 
 def _checked_grades(grades) -> np.ndarray:
     """``grades`` as a float64 vector, or :class:`TopNError` when it is
@@ -208,16 +190,6 @@ class ArraySource(ScoreSource):
     def grades_of(self, obj_ids: np.ndarray) -> np.ndarray:
         return _dense_grades_of(self._scores, obj_ids, self.name)
 
-    def synopsis(self, ranks) -> list[tuple[int, float]]:
-        out = []
-        for rank in ranks:
-            if 0 <= rank < len(self._scores):
-                obj = int(self._prefix(rank)[rank])
-                out.append((obj, float(self._scores[obj])))
-            else:
-                out.append((-1, 0.0))
-        return out
-
 
 def feature_source(space: FeatureSpace, query: np.ndarray, measure: str = "l2") -> ArraySource:
     """Build a graded list from a feature space and a query vector."""
@@ -291,16 +263,6 @@ class PostingsSource(ScoreSource):
             return np.zeros(len(obj_ids), dtype=np.float64)
         pos = np.minimum(np.searchsorted(self._doc_ids, obj_ids), len(self._doc_ids) - 1)
         return np.where(self._doc_ids[pos] == obj_ids, self._partials[pos], 0.0)
-
-    def synopsis(self, ranks) -> list[tuple[int, float]]:
-        out = []
-        for rank in ranks:
-            if 0 <= rank < len(self._by_score_docs):
-                out.append((int(self._by_score_docs[rank]),
-                            float(self._by_score_grades[rank])))
-            else:
-                out.append((-1, 0.0))
-        return out
 
 
 class BlockedSource(ScoreSource):
@@ -422,13 +384,3 @@ class BlockedSource(ScoreSource):
         """Per-block upper bounds as epoch-stamped ThresholdBound
         records (see :meth:`repro.storage.blocks.ScoredBlocks.threshold_bounds`)."""
         return self.blocks.threshold_bounds(epoch)
-
-    def synopsis(self, ranks) -> list[tuple[int, float]]:
-        out = []
-        for rank in ranks:
-            if 0 <= rank < self.blocks.n_postings:
-                out.append((int(self.blocks.doc_ids[rank]),
-                            float(self.blocks.grades[rank])))
-            else:
-                out.append((-1, 0.0))
-        return out

@@ -73,13 +73,11 @@ _local = threading.local()
 #: default bound on retained finished root spans
 DEFAULT_MAX_SPANS = 4096
 
-#: version stamped on every exported span record (``repro profile
-#: --export`` JSONL and ``--json`` payloads).  Consumers — the
-#: calibration ingest in :mod:`repro.optimizer.adaptive` — validate it
-#: and skip records from unknown versions, so a trace produced by a
-#: different build degrades to a warning instead of silently feeding
-#: the cost model misinterpreted fields.  Bump on any change to the
-#: :meth:`SpanRecord.to_dict` schema.
+#: version stamped first on every exported span record (``repro
+#: profile --export`` JSONL and ``--json`` payloads), so a reader of
+#: an export can tell a trace written by a different build and skip
+#: its records instead of misreading their fields.  Bump on any change
+#: to the :meth:`SpanRecord.to_dict` schema.
 TRACE_SCHEMA_VERSION = 1
 
 

@@ -3,22 +3,6 @@ rules, the novel inter-object layer coordinating rewrites across
 extensions, E-ADT-style intra-object rules, and a centralized cost
 model driving plan choice."""
 
-from .adaptive import (
-    CALIBRATION_VERSION,
-    Calibration,
-    CalibrationStore,
-    ChooserDecision,
-    PlanCandidate,
-    QueryFeatures,
-    choose,
-    choose_engine,
-    enumerate_candidates,
-    explain_example1,
-    explain_topn,
-    pareto_frontier,
-    query_features,
-    train_calibration,
-)
 from .cost import ColumnStatisticsLike, CostModel, PlanEstimate
 from .interobject import (
     DEFAULT_INTER_OBJECT_RULES,
@@ -43,10 +27,6 @@ from .rules import (
 __all__ = [
     "AggregateThroughConversion",
     "BUDGET_EXHAUSTED_RULE",
-    "CALIBRATION_VERSION",
-    "Calibration",
-    "CalibrationStore",
-    "ChooserDecision",
     "ColumnStatisticsLike",
     "CostModel",
     "DEFAULT_INTER_OBJECT_RULES",
@@ -55,9 +35,7 @@ __all__ = [
     "MergeSelects",
     "OptimizationReport",
     "Optimizer",
-    "PlanCandidate",
     "PlanEstimate",
-    "QueryFeatures",
     "PushSelectThroughConversion",
     "PushSortThroughConversion",
     "PushTopNThroughConversion",
@@ -67,14 +45,6 @@ __all__ = [
     "SliceOfSortIsTopN",
     "SortIdempotent",
     "TraceEntry",
-    "choose",
-    "choose_engine",
-    "enumerate_candidates",
-    "explain_example1",
-    "explain_topn",
     "intra_rules_for",
     "register_intra_rule",
-    "pareto_frontier",
-    "query_features",
-    "train_calibration",
 ]

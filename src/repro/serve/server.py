@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from ..errors import (
 from ..obs import metrics
 from ..parallel.executor import CancelToken, ExecutorPool
 from ..sync import declares_shared_state, make_lock
-from ..topn.aggregates import BUILTIN_AGGREGATES, SUM
+from ..topn.aggregates import BUILTIN_AGGREGATES
 from .protocol import MAX_FRAME_BYTES, encode_frame, error_frame, read_frame
 from .session import ALGORITHMS, AnytimeRunner, SessionRegistry
 from .tenants import QuotaManager, TenantConfig

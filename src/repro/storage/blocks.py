@@ -117,9 +117,6 @@ class ScoredBlocks:
         """The precomputed score upper bound of block ``b``."""
         return float(self.uppers[b])
 
-    def block_of_rank(self, rank: int) -> int:
-        return rank // self.block_size
-
     def threshold_bounds(self, epoch: int = 0) -> tuple[ThresholdBound, ...]:
         """The per-block bounds as epoch-stamped ThresholdBound records.
 

@@ -33,7 +33,6 @@ def payloads():
         "lint": run_json("lint", "--json", "--expr", "topn([3, 1, 2], 2)"),
         "bounds": run_json("bounds", "--json", "--expr", "topn([3, 1, 2], 2)"),
         "check": run_json("check", "--json"),
-        "explain": run_json("explain", "example1", "--json"),
     }
 
 
@@ -49,7 +48,6 @@ class TestSharedSchema:
         assert key_lists["lint"] == SHARED_KEYS
         assert key_lists["check"] == SHARED_KEYS
         assert key_lists["bounds"] == SHARED_KEYS + ["certificates"]
-        assert key_lists["explain"] == SHARED_KEYS + ["explain"]
 
     def test_command_field_names_the_subcommand(self, payloads):
         for name, (_code, payload) in payloads.items():

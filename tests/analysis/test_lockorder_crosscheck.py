@@ -11,7 +11,6 @@ locks must already be in the static graph
 """
 
 import ast
-import textwrap
 from pathlib import Path
 
 import pytest

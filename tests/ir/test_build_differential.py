@@ -11,6 +11,8 @@ their maxima are checked the same way against the per-term reference
 loop.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.fragmentation import fragment_by_volume
-from repro.ir import Collection, Document, InvertedIndex
+from repro.ir import Collection, Document, InvertedIndex, invindex
 from repro.parallel import shard_index
 
 from .build_reference import reference_maxima, reference_postings, reference_vocabulary
@@ -121,6 +123,45 @@ def test_shards_match_reference(collection, shards, balance):
     docs = reference_postings(collection, collection.n_terms)[1]
     for shard in sharded.shards:
         check_part(shard.index, (docs >= shard.doc_lo) & (docs < shard.doc_hi), collection)
+
+
+def check_stats_unchanged(index: InvertedIndex, one_batch: InvertedIndex) -> None:
+    for tid in range(index.n_terms):
+        assert index.term_stats(tid) == one_batch.term_stats(tid)
+
+
+@settings(max_examples=100, deadline=None)
+@given(collections(), st.integers(1, 9))
+def test_maxima_in_small_batches_match_reference(collection, batch):
+    """With ``_BATCH_POSTINGS`` far below the posting count, the ratios
+    of one index, fragment or shard are taken over many batches, and a
+    term often spans several: the maxima must still equal the per-term
+    reference in bits, and every term's stats the one-batch build's."""
+    one_batch = InvertedIndex.build(collection)
+    with mock.patch.object(invindex, "_BATCH_POSTINGS", batch):
+        index = InvertedIndex.build(collection)
+        fragmented = fragment_by_volume(index, volume_cut=0.5)
+        sharded = shard_index(index, 2)
+    check_index(index, collection)
+    check_stats_unchanged(index, one_batch)
+    terms, docs = reference_postings(collection, collection.n_terms)[:2]
+    check_part(fragmented.small, fragmented.in_small[terms], collection)
+    for shard in sharded.shards:
+        check_part(shard.index, (docs >= shard.doc_lo) & (docs < shard.doc_hi), collection)
+
+
+def test_a_term_longer_than_a_batch_keeps_its_maximum():
+    rng = np.random.default_rng(11)
+    documents = [Document(d, rng.integers(0, 6, size=rng.integers(0, 30)))
+                 for d in range(40)]
+    collection = Collection(documents, [f"t{j}" for j in range(6)], name="batched")
+    one_batch = InvertedIndex.build(collection)
+    with mock.patch.object(invindex, "_BATCH_POSTINGS", 4):
+        index = InvertedIndex.build(collection)
+    assert max(index.posting_length(tid) for tid in range(6)) > 4 * 5
+    assert index.total_postings() > 40
+    check_index(index, collection)
+    check_stats_unchanged(index, one_batch)
 
 
 def test_empty_collection():

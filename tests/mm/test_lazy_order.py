@@ -62,29 +62,13 @@ class TestExactOrder:
         source = ArraySource(grades)
         assert read(source, ranks) == expected(grades, ranks)
 
-    def test_interleaved_sources_and_synopsis(self):
+    def test_interleaved_sources_read_exact_ranks(self):
         grades = grade_arrays(3000, seed=5)
         a, b = ArraySource(grades["heavy_ties"]), ArraySource(grades["distinct"])
         order_a, order_b = full_order(grades["heavy_ties"]), full_order(grades["distinct"])
         for step, rank in enumerate((0, 5, 255, 256, 40, 600, 1, 2999, 700)):
             assert a.sorted_access(rank)[0] == order_a[rank]
             assert b.sorted_access(step * 97)[0] == order_b[step * 97]
-            probes = [rank, rank * 3, 0, 2999, 3000, -1]
-            with CostCounter.activate() as cost:
-                sketch = a.synopsis(probes)
-            assert cost.sorted_accesses == cost.random_accesses == 0
-            assert sketch == [
-                (order_a[r], float(grades["heavy_ties"][order_a[r]]))
-                if 0 <= r < 3000 else (-1, 0.0)
-                for r in probes
-            ]
-
-    def test_synopsis_first_then_sorted_access(self):
-        grades = grade_arrays(2000, seed=6)["heavy_ties"]
-        source = ArraySource(grades)
-        order = full_order(grades)
-        assert source.synopsis([1500])[0][0] == order[1500]
-        assert read(source, range(2000)) == expected(grades, range(2000))
 
     def test_ties_at_the_cut_stay_in_the_prefix(self):
         # 600 objects share the grade at rank 255: the first prefix must

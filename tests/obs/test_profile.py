@@ -13,7 +13,8 @@ import pytest
 
 from repro.cli import main
 from repro.mm import ArraySource
-from repro.obs import run_profiled
+from repro.obs import run_profiled, tracer
+from repro.obs.tracer import TRACE_SCHEMA_VERSION
 from repro.topn import (
     combined_topn,
     fagin_topn,
@@ -30,6 +31,27 @@ def make_sources(seed=0, n_objects=300, m=3):
 
 
 ENGINES = [naive_topn_sources, fagin_topn, threshold_topn, nra_topn, combined_topn]
+
+
+class TestSchemaVersionExport:
+    def test_span_to_dict_carries_schema_version(self):
+        with tracer.trace_session() as session:
+            with tracer.span("topn.ta", n=5, m=2, objects=10):
+                pass
+            records = [record.to_dict() for record in session.spans()]
+        assert records
+        assert all(r["schema_version"] == TRACE_SCHEMA_VERSION for r in records)
+        assert next(iter(records[0])) == "schema_version"
+
+    def test_profile_export_jsonl_carries_schema_version(self, tmp_path):
+        sources = [ArraySource(np.linspace(0.1, 1.0, 50)) for _ in range(2)]
+        report = run_profiled(lambda: threshold_topn(sources, 3))
+        path = tmp_path / "trace.jsonl"
+        report.export_jsonl(path)
+        lines = path.read_text().strip().splitlines()
+        assert lines
+        for line in lines:
+            assert json.loads(line)["schema_version"] == TRACE_SCHEMA_VERSION
 
 
 class TestCostReconciliation:

@@ -75,6 +75,60 @@ class TestCostModel:
         assert large.cost > small.cost
 
 
+# -- the E10 equivalent-plan pairs, inlined at test scale (tests cannot
+# import from ``benchmarks/``): the model must pick the measured winner
+
+PAIR_ROWS = 5_000
+
+EQUIVALENT_PAIRS = [
+    ("select(projecttobag(sorted_xs), 100, 200)",
+     "projecttobag(select(sorted_xs, 100, 200))"),
+    ("slice(sort(bag, 1), 0, 10)", "topn(bag, 10)"),
+    ("select(select(random_xs, 1000, 40000), 2000, 3000)",
+     "select(random_xs, 2000, 3000)"),
+]
+
+
+@pytest.fixture(scope="module")
+def pair_env():
+    rng = np.random.default_rng(101)
+    return {
+        "sorted_xs": make_list(list(range(PAIR_ROWS))),
+        "random_xs": make_list(rng.permutation(PAIR_ROWS).tolist()),
+        "bag": make_bag(rng.random(PAIR_ROWS).tolist()),
+    }
+
+
+def measure(expr_text, env):
+    with CostCounter.activate() as cost:
+        evaluate(parse(expr_text), env)
+    return cost.tuples_read + cost.comparisons
+
+
+def _orders_pairs(model, env):
+    """True when the model picks the measured winner of every pair."""
+    for left_text, right_text in EQUIVALENT_PAIRS:
+        est_left = model.estimate_expr(parse(left_text), env).cost
+        est_right = model.estimate_expr(parse(right_text), env).cost
+        predicted = left_text if est_left < est_right else right_text
+        actual = (left_text if measure(left_text, env) < measure(right_text, env)
+                  else right_text)
+        if predicted != actual:
+            return False
+    return True
+
+
+class TestE10PairConformance:
+    def test_default_model_orders_every_pair(self, pair_env):
+        assert _orders_pairs(CostModel(), pair_env)
+
+    def test_extreme_but_positive_constants_keep_the_ordering(self, pair_env):
+        # the orderings are driven by cardinalities, so any positive
+        # per-unit comparison constant must preserve them
+        for comparison in (0.01, 0.25, 5.0):
+            assert _orders_pairs(CostModel(comparison=comparison), pair_env), comparison
+
+
 class TestPipeline:
     def test_example1_end_to_end(self, optimizer):
         env = {"xs": make_list(list(range(50_000)))}

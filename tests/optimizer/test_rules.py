@@ -7,7 +7,6 @@ from repro.errors import RewriteError
 from repro.optimizer import (
     DEFAULT_INTER_OBJECT_RULES,
     DEFAULT_LOGICAL_RULES,
-    Optimizer,
     RewriteRule,
     RuleContext,
     intra_rules_for,

@@ -10,7 +10,6 @@ from repro.errors import StorageError
 from repro.optimizer import CostModel
 from repro.storage import BAT
 from repro.storage.statistics import (
-    ColumnStatistics,
     EquiDepthHistogram,
     StatisticsRegistry,
     ZoneMap,

@@ -2,8 +2,6 @@
 gate, and the interval transfer (``combine_interval``) containment
 property — the runtime twins of the static MOA901 check."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

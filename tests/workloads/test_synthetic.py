@@ -7,7 +7,6 @@ from repro.errors import WorkloadError
 from repro.ir import InvertedIndex, fit_zipf, vocabulary_share_for_volume
 from repro.workloads import (
     SyntheticCollection,
-    SyntheticSpec,
     generate_queries,
     term_string,
     trec,
