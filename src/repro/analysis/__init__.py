@@ -11,8 +11,7 @@ The correctness tooling around the optimizer (see ``docs/API.md``,
   cardinality property inference over ``Expr`` trees;
 * :mod:`~repro.analysis.analyzers` — the analyzer suite (type
   soundness, ordering, safe-vs-unsafe cut-off classification,
-  cardinality, fragment coverage, shard safety of parallel plans)
-  plus per-rewrite step checks;
+  cardinality, fragment coverage) plus per-rewrite step checks;
 * :mod:`~repro.analysis.bounds` — the interval-domain abstract
   interpreter behind ``repro bounds``: certified score intervals at
   every plan edge and the ``MOA9xx`` bound-certification family;
@@ -35,16 +34,12 @@ from .analyzers import (
     AnalysisContext,
     Analyzer,
     BoundFlowAnalyzer,
-    CacheReuseAnalyzer,
-    CacheReuseDeclaration,
     CardinalityAnalyzer,
     CutoffClassification,
     CutoffSafetyAnalyzer,
     FragmentCoverageAnalyzer,
     FragmentDeclaration,
     OrderingAnalyzer,
-    ShardDeclaration,
-    ShardSafetyAnalyzer,
     TypeSoundnessAnalyzer,
     analyze_expr,
     check_rewrite_step,
@@ -53,12 +48,9 @@ from .analyzers import (
 from .bounds import (
     BoundCertificate,
     BoundFlow,
-    BoundSeedDeclaration,
     PruningDeclaration,
-    ResumeSourceDeclaration,
     WorstCaseError,
     analyze_bound_flow,
-    block_bound_declarations,
     certify,
     check_bounds_rewrite,
     derive_bounds,
@@ -130,10 +122,7 @@ __all__ = [
     "BoundCertificate",
     "BoundFlow",
     "BoundFlowAnalyzer",
-    "BoundSeedDeclaration",
     "CODES",
-    "CacheReuseAnalyzer",
-    "CacheReuseDeclaration",
     "CardinalityAnalyzer",
     "CutoffClassification",
     "CutoffSafetyAnalyzer",
@@ -151,12 +140,9 @@ __all__ = [
     "OrderingAnalyzer",
     "PlanProperties",
     "PruningDeclaration",
-    "ResumeSourceDeclaration",
     "RuleVerdict",
     "SEEDED_UNSOUND_RULES",
     "SEVERITIES",
-    "ShardDeclaration",
-    "ShardSafetyAnalyzer",
     "SoundnessHarness",
     "TypeSoundnessAnalyzer",
     "UnsafeSelectWidening",
@@ -166,7 +152,6 @@ __all__ = [
     "WorstCaseError",
     "all_codes",
     "analyze_bound_flow",
-    "block_bound_declarations",
     "build_lock_graph",
     "analyze_effects",
     "analyze_expr",

@@ -10,8 +10,6 @@ suite covers the verifier's five dimensions:
   (:class:`CutoffSafetyAnalyzer`, :func:`classify_cutoffs`),
 * cardinality bounds (:class:`CardinalityAnalyzer`),
 * fragment coverage (:class:`FragmentCoverageAnalyzer`),
-* shard safety of parallel plans (:class:`ShardSafetyAnalyzer`),
-* cache-reuse safety (:class:`CacheReuseAnalyzer`),
 * score-bound certification (:class:`BoundFlowAnalyzer`, backed by the
   interval abstract interpreter in :mod:`repro.analysis.bounds`).
 
@@ -48,102 +46,6 @@ class FragmentDeclaration:
     total: int
 
 
-@dataclass(frozen=True)
-class ShardDeclaration:
-    """Declares an environment variable as one document-range shard of
-    a parent collection partitioned into ``total`` shards (the
-    :mod:`repro.parallel` sharder's layout, seen statically)."""
-
-    parent: str
-    index: int
-    total: int
-
-
-@dataclass(frozen=True)
-class CacheReuseDeclaration:
-    """Declares one proposed reuse of cached query state.
-
-    Describes what the cache holds (built under which epoch, aggregate,
-    fragment set and shard layout, to which depth, with which safety)
-    against what the query at hand needs; ``None`` fields are "not
-    applicable / unknown" and skip the corresponding check.  The
-    :class:`CacheReuseAnalyzer` turns every unsound pairing into an
-    ``MOA8xx`` diagnostic, and the optimizer consults :meth:`violations`
-    before granting a plan the ``cache_hit`` / ``resume_from`` fast-path
-    properties.
-    """
-
-    #: label for messages (e.g. the fingerprint digest or query text)
-    name: str = "cache entry"
-    cached_epoch: int | None = None
-    current_epoch: int | None = None
-    cached_aggregate: str | None = None
-    query_aggregate: str | None = None
-    cached_fragments: tuple | None = None
-    current_fragments: tuple | None = None
-    cached_shard_layout: tuple | None = None
-    current_shard_layout: tuple | None = None
-    #: deepest cached answer and the depth the query requests
-    cached_n: int | None = None
-    requested_n: int | None = None
-    #: whether the entry's scores are independent of its stopping depth
-    prefix_safe: bool = True
-    #: whether the entry holds the complete corpus ranking
-    complete: bool = False
-    #: whether the entry carries certified resume state
-    has_resume: bool = False
-
-    def violations(self) -> list[tuple[str, str]]:
-        """Every ``(code, message)`` that makes this reuse unsound."""
-        out: list[tuple[str, str]] = []
-        if (self.cached_epoch is not None and self.current_epoch is not None
-                and self.cached_epoch < self.current_epoch):
-            out.append((
-                "MOA801",
-                f"{self.name}: built at corpus epoch {self.cached_epoch}, "
-                f"query runs at epoch {self.current_epoch} — scores may "
-                f"have changed",
-            ))
-        if (self.cached_aggregate is not None and self.query_aggregate is not None
-                and self.cached_aggregate != self.query_aggregate):
-            out.append((
-                "MOA802",
-                f"{self.name}: cached under aggregate "
-                f"{self.cached_aggregate!r}, query aggregates with "
-                f"{self.query_aggregate!r}",
-            ))
-        if (self.cached_fragments is not None and self.current_fragments is not None
-                and tuple(self.cached_fragments) != tuple(self.current_fragments)):
-            out.append((
-                "MOA803",
-                f"{self.name}: cached over fragments "
-                f"{tuple(self.cached_fragments)}, query reads "
-                f"{tuple(self.current_fragments)} — different candidate "
-                f"populations",
-            ))
-        if (self.cached_shard_layout is not None
-                and self.current_shard_layout is not None
-                and tuple(self.cached_shard_layout) != tuple(self.current_shard_layout)):
-            out.append((
-                "MOA804",
-                f"{self.name}: bounds keyed to shard layout "
-                f"{tuple(self.cached_shard_layout)}, current layout is "
-                f"{tuple(self.current_shard_layout)}",
-            ))
-        if (self.cached_n is not None and self.requested_n is not None
-                and not self.complete):
-            deeper = self.requested_n > self.cached_n
-            mismatched = self.requested_n != self.cached_n
-            if (deeper and not self.has_resume) or (not self.prefix_safe and mismatched):
-                out.append((
-                    "MOA805",
-                    f"{self.name}: top-{self.requested_n} requested from a "
-                    f"{'non-prefix-safe ' if not self.prefix_safe else ''}"
-                    f"top-{self.cached_n} entry with no resume state",
-                ))
-        return out
-
-
 @dataclass
 class AnalysisContext:
     """Static context shared by all analyzers."""
@@ -152,16 +54,6 @@ class AnalysisContext:
     registry: Registry = field(default_factory=default_registry)
     #: optional fragment metadata: var name -> FragmentDeclaration
     fragments: Mapping[str, FragmentDeclaration] = field(default_factory=dict)
-    #: optional shard metadata: var name -> ShardDeclaration
-    shards: Mapping[str, ShardDeclaration] = field(default_factory=dict)
-    #: the plan's declared `parallel=K` property: the plan runs under
-    #: the distributed coordinator with K-way sharding (None = serial)
-    parallel: int | None = None
-    #: whether the coordinator's round-2 probe is enabled (the merge
-    #: may re-fetch a shard's items deeper than a shard-local cut-off)
-    merge_probe: bool = True
-    #: proposed cache reuses the plan depends on (MOA8xx checks)
-    cache_reuse: tuple = ()
     #: declared score intervals per environment variable (var name ->
     #: :class:`~repro.intervals.ScoreInterval`), the bound analyzer's
     #: source facts
@@ -175,12 +67,6 @@ class AnalysisContext:
     #: pruning decisions to certify (MOA902):
     #: :class:`~repro.analysis.bounds.PruningDeclaration` records
     pruning: tuple = ()
-    #: seeded threshold bounds to epoch-check (MOA905):
-    #: :class:`~repro.analysis.bounds.BoundSeedDeclaration` records
-    bound_seeds: tuple = ()
-    #: resumed-from-cache frontiers (feedback edges of the bound flow):
-    #: :class:`~repro.analysis.bounds.ResumeSourceDeclaration` records
-    resume_sources: tuple = ()
 
     def properties(self, expr: Expr) -> dict[ExprPath, PlanProperties]:
         return infer_properties(expr, self.env_types, self.registry)
@@ -428,121 +314,14 @@ class FragmentCoverageAnalyzer(Analyzer):
                 )
 
 
-def _cutoff_count(node: Apply) -> int | None:
-    """The element count a cut-off node keeps, when statically known."""
-    scalars = [a.value for a in node.children() if isinstance(a, ScalarLiteral)]
-    if node.op == "topn":
-        if scalars and isinstance(scalars[0], str):
-            scalars = scalars[1:]
-        count = scalars[0] if scalars else None
-    elif node.op == "slice":
-        count = scalars[1] if len(scalars) == 2 and scalars[0] == 0 else None
-    else:  # stopafter
-        count = scalars[0] if scalars else None
-    return int(count) if isinstance(count, (int, float)) else None
-
-
-class ShardSafetyAnalyzer(Analyzer):
-    """Shard safety of parallel plans (MOA601/602/603).
-
-    When the context declares document-range shards, a cut-off whose
-    input reads a strict subset of a parent's shards produces a
-    *shard-local* top-N — sound only under the distributed coordinator
-    (``context.parallel``), and, when cut shallower than the plan's
-    global top-N, only with the coordinator's round-2 probe enabled
-    (``context.merge_probe``): ``stop_after`` may not push below a
-    shard boundary without it.  A declared ``parallel=K`` that
-    disagrees with the shard layout is also flagged.
-    """
-
-    name = "shard-safety"
-
-    def analyze(self, expr, context):
-        if context.parallel is not None:
-            totals = {d.parent: d.total for d in context.shards.values()}
-            for parent, total in sorted(totals.items()):
-                if total != context.parallel:
-                    yield make_diagnostic(
-                        "MOA603",
-                        f"plan declares parallel={context.parallel} but "
-                        f"{parent!r} is split into {total} shards",
-                        (), expr,
-                    )
-        if not context.shards:
-            return
-        nodes = dict(_walk_with_paths(expr))
-        cutoffs = [c for c in classify_cutoffs(expr, context)
-                   if isinstance(nodes.get(c.path), Apply)]
-        global_n = None
-        for classification in sorted(cutoffs, key=lambda c: len(c.path)):
-            count = _cutoff_count(nodes[classification.path])
-            if count is not None:
-                global_n = count
-                break
-        totals = {d.parent: d.total for d in context.shards.values()}
-        for classification in cutoffs:
-            node = nodes[classification.path]
-            used: dict[str, set[int]] = {}
-            for _, sub in _walk_with_paths(node, classification.path):
-                if isinstance(sub, Var) and sub.name in context.shards:
-                    declaration = context.shards[sub.name]
-                    used.setdefault(declaration.parent, set()).add(declaration.index)
-            for parent, indexes in sorted(used.items()):
-                if len(indexes) >= totals[parent]:
-                    continue
-                if context.parallel is None:
-                    yield make_diagnostic(
-                        "MOA601",
-                        f"{classification.op} cuts a scan of "
-                        f"{len(indexes)} of {totals[parent]} shards of "
-                        f"{parent!r} with no distributed merge: the "
-                        f"shard-local top-N is not the global one",
-                        classification.path, node,
-                    )
-                    continue
-                count = _cutoff_count(node)
-                if (not context.merge_probe and count is not None
-                        and global_n is not None and count < global_n):
-                    yield make_diagnostic(
-                        "MOA602",
-                        f"{classification.op} keeps {count} elements per "
-                        f"shard of {parent!r}, below the global top-"
-                        f"{global_n}, and the merge round-2 probe is "
-                        f"disabled: the threshold merge may miss answers",
-                        classification.path, node,
-                    )
-
-
-class CacheReuseAnalyzer(Analyzer):
-    """Cache-reuse safety (MOA801–805).
-
-    The expression tree plays no role: the context's
-    :class:`CacheReuseDeclaration` records describe the reuses the plan
-    depends on, and every unsound pairing becomes a diagnostic at the
-    plan root.  The runtime cache cannot *construct* most of these
-    (fingerprints embed epoch, aggregate, fragments and shard layout),
-    so the analyzer's job is guarding explicit reuse — pinned entries,
-    externally persisted state, hand-built resume plans.
-    """
-
-    name = "cache-reuse"
-
-    def analyze(self, expr, context):
-        for declaration in context.cache_reuse:
-            for code, message in declaration.violations():
-                yield make_diagnostic(code, message, (), expr)
-
-
 class BoundFlowAnalyzer(Analyzer):
-    """Score-bound certification (MOA901/902/903/905).
+    """Score-bound certification (MOA901/902/903).
 
     Runs the interval-domain abstract interpreter of
     :mod:`repro.analysis.bounds` over the plan and checks every pruning
     decision the context declares (threshold engine + aggregate,
-    :class:`~repro.analysis.bounds.PruningDeclaration`,
-    :class:`~repro.analysis.bounds.BoundSeedDeclaration`,
-    :class:`~repro.analysis.bounds.ResumeSourceDeclaration`) against
-    the derived flow.  The body lives in the bounds module; the import
+    :class:`~repro.analysis.bounds.PruningDeclaration`) against the
+    derived flow.  The body lives in the bounds module; the import
     is deferred because that module builds on this one."""
 
     name = "bound-flow"
@@ -559,8 +338,6 @@ DEFAULT_ANALYZERS: tuple[Analyzer, ...] = (
     CutoffSafetyAnalyzer(),
     CardinalityAnalyzer(),
     FragmentCoverageAnalyzer(),
-    ShardSafetyAnalyzer(),
-    CacheReuseAnalyzer(),
     BoundFlowAnalyzer(),
 )
 

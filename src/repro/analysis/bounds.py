@@ -1,17 +1,13 @@
 """Score-bound abstract interpretation over plan DAGs (MOA9xx).
 
-An interval-domain abstract interpreter: a fixpoint dataflow pass over
-the expression tree derives, at every plan edge, a *certified score
-interval* ``[lo, hi]`` — a :class:`~repro.intervals.ScoreInterval` the
-true value of that edge provably lies in.  Transfer functions cover
+An interval-domain abstract interpreter: one bottom-up dataflow pass
+over the expression tree derives, at every plan edge, a *certified
+score interval* ``[lo, hi]`` — a :class:`~repro.intervals.ScoreInterval`
+the true value of that edge provably lies in.  Transfer functions cover
 every algebra operator (selections clamp, cut-offs and reorderings
 preserve, concatenations join, intersections meet, scalar aggregates
-fold the input interval), literal collections (exact hulls), declared
-sources (:attr:`AnalysisContext.score_bounds`) and resumed-from-cache
-frontiers — the one genuinely cyclic flow: a resume source replays
-state produced by a *previous run of the same plan*, so its interval
-depends on the root's, and the pass iterates to a fixpoint with
-classic interval widening to terminate.
+fold the input interval), literal collections (exact hulls) and
+declared sources (:attr:`AnalysisContext.score_bounds`).
 
 On top of the derived flow, :class:`BoundFlowAnalyzer` certifies every
 pruning decision the plan depends on:
@@ -25,10 +21,7 @@ pruning decision the plan depends on:
   answers;
 * **MOA903** — an unsafe cut-off whose worst-case error is not even
   computable (unbounded derived interval or cardinality): the plan
-  trades quality for speed with no machine-checkable error bound;
-* **MOA905** — a seeded coordinator/resume bound stamped with a
-  different corpus epoch than the run's (scores may have changed; the
-  bound certifies nothing).
+  trades quality for speed with no machine-checkable error bound.
 
 :func:`check_bounds_rewrite` is the cross-rewrite check (**MOA904**):
 a rewrite whose derived root interval is *wider* than before lost
@@ -47,14 +40,9 @@ from typing import Iterator
 
 from ..algebra.expr import Apply, Expr, Literal, ScalarLiteral, Var
 from ..algebra.values import CollectionValue
-from ..intervals import ScoreInterval, ThresholdBound, TOP, join_all
+from ..intervals import ScoreInterval, TOP, join_all
 from .analyzers import AnalysisContext, classify_cutoffs
 from .diagnostics import Diagnostic, ExprPath, format_path, make_diagnostic
-
-#: fixpoint schedule: widen endpoints still moving after this many
-#: passes, and give up to TOP after the hard cap (soundness fallback)
-WIDEN_AFTER = 4
-MAX_ITERATIONS = 12
 
 #: the interval of a provably empty edge: no value ever flows, so any
 #: assertion is vacuously certified — pick the bounded one, keeping
@@ -85,74 +73,14 @@ class PruningDeclaration:
     asserted_upper: float
 
 
-@dataclass(frozen=True)
-class BoundSeedDeclaration:
-    """A cached :class:`~repro.intervals.ThresholdBound` seeded into
-    this run (coordinator bound cache, persisted resume state).
-
-    Sound only when the bound's epoch stamp matches the run's corpus
-    epoch — the fingerprint embeds the epoch precisely so stale bounds
-    cannot be constructed by accident; this guards explicit seeding
-    (MOA905)."""
-
-    name: str
-    bound: ThresholdBound
-    current_epoch: int
-
-
-def block_bound_declarations(name: str, bounds, current_epoch: int,
-                             ) -> tuple[BoundSeedDeclaration, ...]:
-    """Per-block score upper bounds as seeded-bound declarations.
-
-    ``bounds`` is the epoch-stamped ThresholdBound tuple a blocked
-    source exports (:meth:`repro.storage.blocks.ScoredBlocks.threshold_bounds`);
-    each block bound becomes one :class:`BoundSeedDeclaration` named
-    ``{name}[b{i}]``, so the MOA9xx interpreter certifies block-max
-    pruning with the exact machinery (including the MOA905 staleness
-    gate) it applies to coordinator thresholds: one stale block bound
-    and the plan loses its ``vectorized`` property."""
-    return tuple(
-        BoundSeedDeclaration(name=f"{name}[b{i}]", bound=bound,
-                             current_epoch=current_epoch)
-        for i, bound in enumerate(bounds)
-    )
-
-
-@dataclass(frozen=True)
-class ResumeSourceDeclaration:
-    """Declares an environment variable as a resumed-from-cache
-    frontier: its values replay state produced by a previous run of
-    this same plan (the feedback edge of the dataflow).
-
-    ``lo``/``hi`` bound the cached frontier itself (e.g. ``[0, τ]``
-    from the producing run); the fixpoint joins the root's derived
-    interval back into the source until stable.  An epoch-stamped
-    declaration whose ``cached_epoch`` disagrees with ``current_epoch``
-    raises MOA905 exactly like a seeded threshold bound."""
-
-    name: str
-    var: str
-    lo: float = -math.inf
-    hi: float = math.inf
-    cached_epoch: int | None = None
-    current_epoch: int | None = None
-
-    def initial(self) -> ScoreInterval:
-        return ScoreInterval(self.lo, self.hi)
-
-
 # -- the derived flow ---------------------------------------------------------
 
 
 @dataclass
 class BoundFlow:
-    """The fixpoint result: a certified interval per plan edge."""
+    """The derived flow: a certified interval per plan edge."""
 
     facts: dict[ExprPath, ScoreInterval] = field(default_factory=dict)
-    #: fixpoint passes taken (1 for acyclic plans)
-    iterations: int = 1
-    #: whether widening fired (some feedback edge kept moving)
-    widened: bool = False
 
     def at(self, path: ExprPath) -> ScoreInterval:
         return self.facts.get(tuple(path), TOP)
@@ -162,8 +90,6 @@ class BoundFlow:
 
     def to_dict(self) -> dict:
         return {
-            "iterations": self.iterations,
-            "widened": self.widened,
             "facts": {format_path(path): interval.to_dict()
                       for path, interval in sorted(self.facts.items())},
         }
@@ -185,64 +111,23 @@ class BoundFlow:
 
 
 def derive_bounds(expr: Expr, context: AnalysisContext | None = None) -> BoundFlow:
-    """Run the fixpoint dataflow pass and annotate every edge.
-
-    Acyclic plans converge in one bottom-up pass.  Resume-source
-    declarations introduce feedback (the frontier's interval joins the
-    previous pass's root interval); iteration continues until the fact
-    map stabilises, with widening after :data:`WIDEN_AFTER` passes and
-    a sound TOP fallback at :data:`MAX_ITERATIONS`.
-    """
+    """Run the bottom-up dataflow pass and annotate every edge."""
     context = context or AnalysisContext()
     try:
         props = context.properties(expr)
     except Exception:  # pathological trees: typing analyzers report those
         props = {}
-    resume = {d.var: d for d in getattr(context, "resume_sources", ())}
-    score_bounds = getattr(context, "score_bounds", {}) or {}
-
-    feedback: dict[str, ScoreInterval] = {
-        name: decl.initial() for name, decl in resume.items()
-    }
     facts: dict[ExprPath, ScoreInterval] = {}
-    iterations = 0
-    widened = False
-    while True:
-        iterations += 1
-        new_facts: dict[ExprPath, ScoreInterval] = {}
-        _transfer(expr, (), context, props, new_facts, feedback, score_bounds)
-        if not resume or new_facts == facts:
-            facts = new_facts
-            break
-        facts = new_facts
-        root = facts.get((), TOP)
-        next_feedback = {}
-        for name, decl in resume.items():
-            grown = feedback[name].join(decl.initial().join(root))
-            if iterations >= WIDEN_AFTER and grown != feedback[name]:
-                grown = feedback[name].widen(grown)
-                widened = True
-            next_feedback[name] = grown
-        if next_feedback == feedback and iterations > 1:
-            break
-        feedback = next_feedback
-        if iterations >= MAX_ITERATIONS:  # soundness fallback
-            feedback = {name: TOP for name in feedback}
-            new_facts = {}
-            _transfer(expr, (), context, props, new_facts, feedback, score_bounds)
-            facts = new_facts
-            widened = True
-            break
-    return BoundFlow(facts=facts, iterations=iterations, widened=widened)
+    _transfer(expr, (), props, facts, context.score_bounds or {})
+    return BoundFlow(facts=facts)
 
 
-def _transfer(node, path, context, props, facts, feedback, score_bounds):
-    child_intervals = []
-    for index, child in enumerate(node.children()):
-        child_intervals.append(_transfer(child, path + (index,), context,
-                                         props, facts, feedback, score_bounds))
-    interval = _node_interval(node, path, child_intervals, props,
-                              feedback, score_bounds)
+def _transfer(node, path, props, facts, score_bounds):
+    child_intervals = [
+        _transfer(child, path + (index,), props, facts, score_bounds)
+        for index, child in enumerate(node.children())
+    ]
+    interval = _node_interval(node, path, child_intervals, props, score_bounds)
     facts[path] = interval
     return interval
 
@@ -266,7 +151,7 @@ def _max_rows(props, path) -> float:
     return entry.max_rows if entry is not None else math.inf
 
 
-def _node_interval(node, path, child_intervals, props, feedback, score_bounds):
+def _node_interval(node, path, child_intervals, props, score_bounds):
     if isinstance(node, ScalarLiteral):
         value = node.value
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -275,8 +160,6 @@ def _node_interval(node, path, child_intervals, props, feedback, score_bounds):
     if isinstance(node, Literal):
         return _literal_interval(node.value)
     if isinstance(node, Var):
-        if node.name in feedback:
-            return feedback[node.name]
         declared = score_bounds.get(node.name)
         return declared if declared is not None else TOP
     if not isinstance(node, Apply):
@@ -451,31 +334,6 @@ def _iter_bound_diagnostics(
             classification.path, classification.expr,
         ), error
 
-    # MOA905 — seeded bounds inconsistent with the fingerprinted epoch
-    for seed in getattr(context, "bound_seeds", ()):
-        if seed.bound.epoch == seed.current_epoch:
-            continue
-        yield make_diagnostic(
-            "MOA905",
-            f"{seed.name}: threshold bound τ({seed.bound.n}) was recorded "
-            f"at corpus epoch {seed.bound.epoch} but the run is "
-            f"fingerprinted at epoch {seed.current_epoch} — stale bounds "
-            f"certify nothing",
-            (), expr,
-        ), None
-    for decl in getattr(context, "resume_sources", ()):
-        if decl.cached_epoch is None or decl.current_epoch is None:
-            continue
-        if decl.cached_epoch == decl.current_epoch:
-            continue
-        yield make_diagnostic(
-            "MOA905",
-            f"{decl.name}: resume frontier for {decl.var!r} was produced "
-            f"at corpus epoch {decl.cached_epoch} but the run is "
-            f"fingerprinted at epoch {decl.current_epoch}",
-            (), expr,
-        ), None
-
 
 def _unsafe_cutoff_errors(expr, context, flow):
     """(classification, WorstCaseError) per unsafe cut-off."""
@@ -529,7 +387,7 @@ def _walk(expr: Expr, path: ExprPath = ()):
 def analyze_bound_flow(expr: Expr, context: AnalysisContext) -> Iterator[Diagnostic]:
     """The :class:`~repro.analysis.analyzers.BoundFlowAnalyzer` body:
     derive the flow, then certify every pruning decision against it
-    (MOA901/902/903/905; rewrite-step widening MOA904 lives in
+    (MOA901/902/903; rewrite-step widening MOA904 lives in
     :func:`check_bounds_rewrite`)."""
     flow = derive_bounds(expr, context)
     for diagnostic, _error in _iter_bound_diagnostics(expr, context, flow):
@@ -570,8 +428,7 @@ class BoundCertificate:
     ``certified`` is True exactly when every pruning decision is
     dominated by the derived flow (no MOA9xx errors, no unsafe
     cut-offs): the optimizer then grants the ``bound_certified``
-    property that licenses TA/CA threshold use and coordinator bound
-    seeding.  An uncertified plan carries the machine-checkable
+    plan property.  An uncertified plan carries the machine-checkable
     :class:`WorstCaseError` when one is computable — the explicit
     quality/speed trade-off — and MOA9xx diagnostics otherwise."""
 
@@ -585,8 +442,6 @@ class BoundCertificate:
         return {
             "certified": self.certified,
             "root_interval": self.flow.root().to_dict(),
-            "iterations": self.flow.iterations,
-            "widened": self.flow.widened,
             "worst_case": self.worst_case.to_dict() if self.worst_case else None,
             "reasons": list(self.reasons),
             "diagnostics": [d.to_dict() for d in self.diagnostics],

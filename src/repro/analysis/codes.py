@@ -9,11 +9,8 @@ from this table (``MOA001``...).  Codes are grouped by hundreds:
 * ``MOA3xx`` — cardinality monotonicity;
 * ``MOA4xx`` — fragment coverage of fragmented scans;
 * ``MOA5xx`` — rewrite-framework health (budget exhaustion etc.);
-* ``MOA6xx`` — shard safety of parallel plans;
 * ``MOA7xx`` — concurrency effects and lock discipline of the Python
   codebase itself (the ``repro check`` analyzer);
-* ``MOA8xx`` — cache-reuse safety: whether a cached answer, resume
-  state or bound set may soundly serve the query at hand;
 * ``MOA9xx`` — score-bound certification: the interval-domain
   abstract interpreter (``repro bounds``) derives a certified score
   interval at every plan edge and flags every pruning decision the
@@ -147,30 +144,6 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "is non-confluent or cyclic on this expression, and the returned "
         "plan is whatever state the rewriter stopped in.",
     ),
-    # -- shard safety of parallel plans -------------------------------------
-    DiagnosticCode(
-        "MOA601", "shard-local cut-off without a distributed merge", "error",
-        "A cut-off (top-N, prefix slice, stop_after) is applied to a scan "
-        "of a strict subset of the declared shards with no merge above it: "
-        "a document-range shard holds only part of the collection, so its "
-        "local top-N is not the global one.  Shard-local cut-offs are only "
-        "sound under a coordinator that merges every shard.",
-    ),
-    DiagnosticCode(
-        "MOA602", "shard-local cut-off shallower than the global top-N", "warning",
-        "A cut-off pushed below a shard boundary keeps fewer elements than "
-        "the plan's global top-N: the coordinator's round-1 threshold may "
-        "then miss answers unless the round-2 probe re-fetches the shard's "
-        "deeper items.  Sound only with the probing merge "
-        "(certified=True); flagged because stop_after may not push below "
-        "a shard boundary without it.",
-    ),
-    DiagnosticCode(
-        "MOA603", "plan parallelism disagrees with the shard layout", "warning",
-        "The plan declares a `parallel=K` property that does not match the "
-        "number of declared shards: the executor pool would idle workers "
-        "or serialize shard tasks.",
-    ),
     # -- concurrency effects / lock discipline (repro check) -----------------
     DiagnosticCode(
         "MOA701", "unguarded write to declared shared state", "error",
@@ -215,49 +188,6 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "state: either the declaration is missing or the critical "
         "section is dead weight.",
     ),
-    # -- cache-reuse safety ---------------------------------------------------
-    DiagnosticCode(
-        "MOA801", "stale-epoch cache reuse", "error",
-        "A cached answer, resume state or bound set built at an earlier "
-        "corpus epoch would serve a query against the current corpus: "
-        "any mutation that bumped the epoch (fragmenting, sharding, "
-        "attribute or feature registration) may have changed scores, so "
-        "the cached ranking is unverifiable.  The query cache embeds "
-        "the epoch in every fingerprint precisely so this reuse can "
-        "never happen implicitly.",
-    ),
-    DiagnosticCode(
-        "MOA802", "cache reuse across a different aggregate", "error",
-        "A cached multi-source answer or resume frontier is reused for "
-        "a query with a different aggregation function.  Threshold "
-        "bookkeeping (TA frontiers, NRA/CA bounds) is specific to the "
-        "aggregate that produced it; combining under a different one "
-        "yields wrong thresholds and wrong stop decisions.",
-    ),
-    DiagnosticCode(
-        "MOA803", "cached fragment set drifted", "error",
-        "The fragment set the cached answer was computed over differs "
-        "from the fragments the query would read: the cached ranking "
-        "covers a different candidate population (the paper's "
-        "fragment-restricted approximation, silently reused where the "
-        "full answer is expected, or vice versa).",
-    ),
-    DiagnosticCode(
-        "MOA804", "cached bounds under a different shard layout", "error",
-        "Cached per-shard thresholds or rankings are keyed to one "
-        "document-range shard layout; reusing them after re-sharding "
-        "prunes shards against bounds computed for different document "
-        "ranges, and the coordinator's certified merge no longer holds.",
-    ),
-    DiagnosticCode(
-        "MOA805", "deep serve from a non-prefix-safe entry", "error",
-        "A top-N deeper than (or, without prefix safety, different "
-        "from) the cached depth would be served from a cached answer "
-        "whose scores depend on the producing run's stopping depth "
-        "(NRA/CA lower bounds, quality-switched strategies).  Such "
-        "entries serve exact-depth repeats only; deeper requests must "
-        "resume (TA frontier or NRA/CA bound state) or recompute.",
-    ),
     # -- score-bound certification --------------------------------------------
     DiagnosticCode(
         "MOA901", "non-monotone aggregate under a threshold engine", "error",
@@ -292,14 +222,6 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "contained; a widening rule dropped a restriction (the interval "
         "analogue of the MOA301 cardinality check).",
     ),
-    DiagnosticCode(
-        "MOA905", "resume/coordinator bounds inconsistent with the fingerprinted epoch", "error",
-        "A declared bound seed (coordinator threshold cache, resume "
-        "frontier) carries a corpus-epoch stamp different from the epoch "
-        "the query is fingerprinted at: the thresholds were measured "
-        "against scores that may have changed, so pruning against them "
-        "is uncertifiable.  Bounds only transfer within one epoch.",
-    ),
     # -- MOA10xx: serve safety ---------------------------------------------
     DiagnosticCode(
         "MOA1001", "undeclared shared server state", "error",
@@ -316,8 +238,9 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "at a different corpus epoch.  The captured frontier (TA or "
         "NRA/CA state) certifies score bounds only against the issuing "
         "epoch's scores; continuing it after a mutation could silently "
-        "serve a wrong top-N.  The serve-side twin of MOA905: the "
-        "registry refuses the resume and emits this diagnostic.",
+        "serve a wrong top-N.  The serve-side twin of the coordinator's "
+        "epoch gate (CoordinatorBounds.seedable_at): the registry refuses "
+        "the resume and emits this diagnostic.",
     ),
     DiagnosticCode(
         "MOA1003", "engine work scheduled outside admission", "error",

@@ -23,13 +23,11 @@ coordinator's certification argument: a pruned shard is *provably*
 below the final threshold, a served shard is exhausted by construction.
 
 Thresholds are stored as the shared
-:class:`~repro.intervals.ThresholdBound` dataclass — the same record
-the bound-flow analyzer's ``BoundSeedDeclaration`` certifies — stamped
-with the corpus epoch they were measured at.  Reuse at a different
-epoch is unsound (scores may have changed under mutation); the
-:meth:`CoordinatorBounds.seedable_at` gate is the runtime twin of the
-static MOA905 check, and recording at a new epoch purges every stale
-fact first.
+:class:`~repro.intervals.ThresholdBound` dataclass, stamped with the
+corpus epoch they were measured at.  Reuse at a different epoch is
+unsound (scores may have changed under mutation): the
+:meth:`CoordinatorBounds.seedable_at` gate refuses it, and recording
+at a new epoch purges every stale fact first.
 
 All state is lock-guarded: the bound cache is shared through the query
 cache and may be read by concurrent coordinated runs.
@@ -83,9 +81,9 @@ class CoordinatorBounds:
     def seedable_at(self, epoch: int) -> bool:
         """Whether the stored facts may seed a run at ``epoch``.
 
-        The runtime twin of the static MOA905 check: bounds measured
-        at a different corpus epoch may not seed pruning (scores can
-        change under mutation).  An empty cache is trivially seedable.
+        Bounds measured at a different corpus epoch may not seed
+        pruning (scores can change under mutation).  An empty cache is
+        trivially seedable.
         """
         with self._lock:
             if not self.tau_by_n and not self.shards:
@@ -130,8 +128,8 @@ class CoordinatorBounds:
         return min(keys) if keys else None
 
     def threshold_records(self) -> tuple[ThresholdBound, ...]:
-        """Every stored threshold as the shared epoch-stamped record
-        (what the analyzer's ``BoundSeedDeclaration`` certifies)."""
+        """Every stored threshold as the shared epoch-stamped
+        record."""
         with self._lock:
             return tuple(sorted(self.tau_by_n.values(), key=lambda b: b.n))
 

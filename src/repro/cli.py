@@ -97,13 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
              "pruning decision (the MOA9xx bound-flow analyzer)",
         description="Run the interval-domain abstract interpreter over "
                     "algebra plans: derive a certified score interval "
-                    "[lo, hi] at every plan edge (fixpoint dataflow with "
-                    "widening over resume feedback), render the "
-                    "per-operator bound flow, and certify every pruning "
-                    "decision — MOA901 non-monotone aggregate under a "
-                    "threshold engine, MOA902 undominated pruning bound, "
-                    "MOA903 unsafe quit without a computable worst-case "
-                    "error, MOA905 epoch-stale seeded bounds.  Exit codes "
+                    "[lo, hi] at every plan edge (one bottom-up dataflow "
+                    "pass), render the per-operator bound flow, and "
+                    "certify every pruning decision — MOA901 non-monotone "
+                    "aggregate under a threshold engine, MOA902 "
+                    "undominated pruning bound, MOA903 unsafe quit "
+                    "without a computable worst-case error.  Exit codes "
                     "and --json schema match repro lint / repro check.",
     )
     bounds.add_argument("paths", nargs="*", metavar="PLAN_FILE",

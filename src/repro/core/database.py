@@ -322,8 +322,8 @@ class MMDatabase:
             if not bounds.seedable_at(self.epoch):
                 # stale epoch stamp: the fingerprint embeds the epoch, so
                 # this cannot happen through the cache path — but a bound
-                # object must never seed across epochs (MOA905's runtime
-                # twin), so start fresh rather than trust it
+                # object must never seed across epochs, so start fresh
+                # rather than trust it
                 bounds = CoordinatorBounds(epoch=self.epoch)
         pool = self._parallel_pool()
         started = time.perf_counter()

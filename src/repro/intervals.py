@@ -8,8 +8,8 @@ certified runs; the aggregates (:mod:`repro.topn.aggregates`) transfer
 intervals through their combine functions.  Before this module the
 coordinator, the cache and the engines each carried ad-hoc bound
 objects (bare sort keys, ``(lower, upper)`` pairs, floats); sharing one
-dataclass is what lets the analyzer treat every pruning decision — TA
-thresholds, coordinator shard pruning, cache-resume frontiers — as the
+dataclass is what lets every pruning decision — TA thresholds,
+coordinator shard pruning, cache-resume frontiers — be treated as the
 same mathematical object: a certified interval the true score must lie
 in.
 
@@ -106,14 +106,6 @@ class ScoreInterval:
             return None
         return ScoreInterval(lo, hi)
 
-    def widen(self, newer: "ScoreInterval") -> "ScoreInterval":
-        """Classic interval widening: any endpoint still moving after
-        the warm-up iterations jumps straight to infinity, so fixpoint
-        iteration terminates on cyclic (resume-feedback) flows."""
-        lo = self.lo if newer.lo >= self.lo else -_INF
-        hi = self.hi if newer.hi <= self.hi else _INF
-        return ScoreInterval(lo, hi)
-
     # -- arithmetic (all conservative) --------------------------------------
 
     def __add__(self, other: "ScoreInterval") -> "ScoreInterval":
@@ -188,9 +180,9 @@ class ThresholdBound:
     The coordinator's merge threshold ``τ(n)`` — the sort key of the
     n-th best merged item — stamped with the corpus ``epoch`` it was
     measured at.  Reuse is sound only at the same epoch (scores may
-    change across mutations); the MOA905 analyzer check and the
-    runtime's :meth:`~repro.cache.bounds.CoordinatorBounds.seedable_at`
-    gate both consult the stamp.
+    change across mutations); the runtime's
+    :meth:`~repro.cache.bounds.CoordinatorBounds.seedable_at` gate
+    consults the stamp.
     """
 
     #: the merge depth the threshold certifies

@@ -30,8 +30,8 @@ from .vocabulary import Vocabulary
 
 #: documents whose token ids one build step checks and keys together
 _BATCH_DOCS = 512
-#: postings one step of the per-term maxima reads together (512 KB of
-#: float64 ``tf / dl``)
+#: postings one step of the per-term statistics reads together (512 KB
+#: of float64 ``tf / dl``)
 _BATCH_POSTINGS = 1 << 16
 
 
@@ -56,9 +56,13 @@ class InvertedIndex:
         postings_tf: BAT,
         offsets: np.ndarray,
         doc_lengths: BAT,
-        vocabulary: Vocabulary,
+        vocabulary: Vocabulary | None,
         stats_from: "InvertedIndex | None" = None,
+        *,
+        term_strings: list[str] | None = None,
     ) -> None:
+        """With ``vocabulary=None``, one is made from ``term_strings`` and
+        the postings' df and cf."""
         self.postings_terms = postings_terms
         self.postings_docs = postings_docs
         self.postings_tf = postings_tf
@@ -76,9 +80,13 @@ class InvertedIndex:
         else:
             self.avg_dl = float(self._dl.mean()) if self.n_docs else 0.0
             self.total_cf = int(postings_tf.tail.sum(dtype=np.int64))
-        # per-term maxima, for upper-bound administration
-        self._max_tf, self._max_tf_over_dl = _per_term_maxima(
-            postings_tf.tail, postings_docs.tail, self._dl, offsets)
+        # per-term maxima, for upper-bound administration, and the cf
+        # when a vocabulary is to be made
+        cf, self._max_tf, self._max_tf_over_dl = _per_term_stats(
+            postings_tf.tail, postings_docs.tail, self._dl, offsets,
+            with_cf=vocabulary is None)
+        if vocabulary is None:
+            self.vocabulary = Vocabulary.from_counts(term_strings, np.diff(offsets), cf)
 
     # -- construction -------------------------------------------------------
 
@@ -141,17 +149,14 @@ class InvertedIndex:
         terms = pair_keys if key_dtype == term_dtype else np.empty(len(pair_keys), term_dtype)
         np.floor_divide(pair_keys, n_docs, out=terms, casting="same_kind")
         del pair_keys
-        offsets = _offsets(terms, n_terms)
-        if vocabulary is None:
-            vocabulary = Vocabulary.from_counts(
-                collection.term_strings, np.diff(offsets), _per_term(np.add, tfs, offsets))
         return cls(
             BAT(terms, name="postings_terms", tail_sorted=True, persistent=True),
             BAT(docs, name="postings_docs", persistent=True),
             BAT(tfs, name="postings_tf", persistent=True),
-            offsets,
+            _offsets(terms, n_terms),
             BAT(lengths, name="doc_lengths", persistent=True),
             vocabulary,
+            term_strings=collection.term_strings,
         )
 
     @classmethod
@@ -272,14 +277,16 @@ def _offsets(terms: np.ndarray, n_terms: int) -> np.ndarray:
     return np.searchsorted(terms, np.arange(n_terms + 1, dtype=terms.dtype))
 
 
-def _per_term_maxima(tfs: np.ndarray, docs: np.ndarray, dl: np.ndarray,
-                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each term's largest tf (int64) and largest ``tf / dl`` (float64)
-    over its posting range; 0 for a term without postings.  Both are
-    taken ``_BATCH_POSTINGS`` postings at a time, so no int64 or float64
-    copy of a whole column is made; a maximum is exact, so the result
-    does not depend on where the batches cut."""
+def _per_term_stats(tfs: np.ndarray, docs: np.ndarray, dl: np.ndarray, offsets: np.ndarray,
+                    with_cf: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Each term's tf sum, the cf (int64; ``None`` unless ``with_cf``),
+    largest tf (int64) and largest ``tf / dl`` (float64) over its
+    posting range; 0 for a term without postings.  All are taken
+    ``_BATCH_POSTINGS`` postings at a time, so no int64 or float64 copy
+    of a whole column is made; integer sums and maxima are exact, so
+    the result does not depend on where the batches cut."""
     n_terms = len(offsets) - 1
+    cf = np.zeros(n_terms, dtype=np.int64) if with_cf else None
     max_tf = np.zeros(n_terms, dtype=np.int64)
     max_ratio = np.zeros(n_terms, dtype=np.float64)
     for lo in range(0, len(tfs), _BATCH_POSTINGS):
@@ -290,10 +297,12 @@ def _per_term_maxima(tfs: np.ndarray, docs: np.ndarray, dl: np.ndarray,
         ranges = np.clip(offsets[first:stop + 1], lo, hi) - lo
         ratio = dl[docs[lo:hi]]
         np.divide(tfs[lo:hi], ratio, out=ratio)
-        for out, values in ((max_tf, tfs[lo:hi]), (max_ratio, ratio)):
-            np.maximum(out[first:stop], _per_term(np.maximum, values, ranges),
-                       out=out[first:stop])
-    return max_tf, max_ratio
+        columns = [(np.maximum, max_tf, tfs[lo:hi]), (np.maximum, max_ratio, ratio)]
+        if with_cf:
+            columns.append((np.add, cf, tfs[lo:hi]))
+        for ufunc, out, values in columns:
+            ufunc(out[first:stop], _per_term(ufunc, values, ranges), out=out[first:stop])
+    return cf, max_tf, max_ratio
 
 
 def _per_term(ufunc: np.ufunc, values: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -278,8 +278,7 @@ class BlockedSource(ScoreSource):
     of it and the block's later ranks cost nothing, whether a reader
     goes one rank at a time or charges in bulk (:meth:`charge_sorted`).
     On top of it, the block API serves whole ``(doc_ids, grades)``
-    blocks with one bulk sorted-access charge and the per-block score
-    upper bounds.
+    blocks with one bulk sorted-access charge.
     """
 
     def __init__(self, dense_grades: np.ndarray, blocks: ScoredBlocks,
@@ -376,11 +375,3 @@ class BlockedSource(ScoreSource):
         doc_ids, grades = self.blocks.block(b)
         stats.charge_sorted_accesses(len(doc_ids))
         return doc_ids, grades
-
-    def block_upper(self, b: int) -> float:
-        return self.blocks.block_upper(b)
-
-    def threshold_bounds(self, epoch: int = 0):
-        """Per-block upper bounds as epoch-stamped ThresholdBound
-        records (see :meth:`repro.storage.blocks.ScoredBlocks.threshold_bounds`)."""
-        return self.blocks.threshold_bounds(epoch)

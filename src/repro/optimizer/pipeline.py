@@ -34,25 +34,9 @@ class OptimizationReport:
     #: plan-verifier findings (populated in ``verify=True`` mode); a
     #: :class:`repro.analysis.DiagnosticReport` or ``None``
     diagnostics: object = None
-    #: the optimizer's `parallel=K` plan property (None = serial)
-    parallel: int | None = None
-    #: fast-path plan property: every declared cache reuse is sound and
-    #: at least one serves the requested depth outright
-    cache_hit: bool = False
-    #: fast-path plan property: the depth certified resume state
-    #: continues from (None = no sound resume declared)
-    resume_from: int | None = None
-    #: vectorized-execution plan property: the plan may run the
-    #: block-at-a-time engines with block-max pruning, because every
-    #: declared per-block score upper bound was certified by the bound
-    #: interpreter (epoch-fresh, MOA9xx-clean).  ``False`` = blocked
-    #: storage was declared but a block bound failed certification
-    #: (fall back to the scalar oracles); ``None`` = no blocked storage
-    #: declared
-    vectorized: bool | None = None
     #: bound-certification plan property: every pruning decision of the
-    #: chosen plan is dominated by the derived score intervals.  Gates
-    #: TA/CA-style threshold use and coordinator bound seeding; ``None``
+    #: chosen plan is dominated by the derived score intervals (the
+    #: engines make their own pruning decisions at run time); ``None``
     #: means certification was not run
     bound_certified: bool | None = None
     #: machine-checkable worst-case error of an uncertified plan (a
@@ -97,12 +81,6 @@ class OptimizationReport:
             f"{self.chosen_estimate.cost:.1f} "
             f"(x{self.estimated_speedup:.1f})"
         )
-        if self.cache_hit:
-            lines.append("fast path: cache_hit")
-        elif self.resume_from is not None:
-            lines.append(f"fast path: resume_from={self.resume_from}")
-        if self.vectorized is not None:
-            lines.append(f"vectorized: {self.vectorized}")
         if self.bound_certified is not None:
             lines.append(f"bound_certified: {self.bound_certified}")
             if not self.bound_certified and self.worst_case_error is not None:
@@ -125,17 +103,10 @@ class Optimizer:
         intra_object_rules=None,
         cost_based: bool = True,
         verify: bool = False,
-        parallel: int | None = None,
-        shards=None,
-        merge_probe: bool = True,
-        cache_reuse=None,
         score_bounds=None,
         aggregate=None,
         threshold_engine=None,
         pruning=None,
-        bound_seeds=None,
-        block_bounds=None,
-        resume_sources=None,
     ) -> None:
         self.registry = registry or default_registry()
         self.cost_model = cost_model or CostModel()
@@ -150,37 +121,16 @@ class Optimizer:
         #: opt-in plan verification: lint the chosen plan and every
         #: trace step, and consult the rule-soundness verdicts
         self.verify = verify
-        #: the plan's `parallel=K` property: plans are verified as
-        #: running under the K-way distributed coordinator; the shard
-        #: declarations (var name -> ShardDeclaration) describe the
-        #: layout, and ``merge_probe`` whether the coordinator's
-        #: round-2 probe is enabled (shard-local cut-offs below the
-        #: global top-N are unsound without it — MOA601/602/603)
-        self.parallel = parallel
-        self.shards = dict(shards or {})
-        self.merge_probe = merge_probe
-        #: CacheReuseDeclaration records the plan depends on; sound
-        #: reuses grant the report's `cache_hit`/`resume_from` plan
-        #: properties, unsound ones become MOA8xx diagnostics in
-        #: verify mode
-        self.cache_reuse = tuple(cache_reuse or ())
         #: bound-certification inputs (see repro.analysis.bounds): the
         #: declared per-source score intervals, the threshold engine +
-        #: aggregate the plan runs under, and the pruning / seeded-bound
-        #: / resume-frontier declarations to certify.  Every optimize()
-        #: call derives the interval flow and stamps the report with the
-        #: ``bound_certified`` plan property
+        #: aggregate the plan runs under, and the pruning declarations
+        #: to certify.  Every optimize() call derives the interval flow
+        #: and stamps the report with the ``bound_certified`` plan
+        #: property
         self.score_bounds = dict(score_bounds or {})
         self.aggregate = aggregate
         self.threshold_engine = threshold_engine
         self.pruning = tuple(pruning or ())
-        self.bound_seeds = tuple(bound_seeds or ())
-        #: per-block score upper bounds of blocked storage the plan
-        #: wants to prune by (see repro.analysis.block_bound_declarations):
-        #: certified through the same MOA9xx seeded-bound machinery as
-        #: ``bound_seeds``, and granting the ``vectorized`` plan property
-        self.block_bounds = tuple(block_bounds or ())
-        self.resume_sources = tuple(resume_sources or ())
 
     def optimize(self, expr: Expr, env=None, verify: bool | None = None) -> OptimizationReport:
         """Rewrite ``expr`` through the three layers and pick the
@@ -234,9 +184,7 @@ class Optimizer:
                     chosen = min(reversed(estimates), key=lambda pair: pair[1].cost)[0]
                 else:
                     chosen = candidates[-1]
-            report = OptimizationReport(expr, chosen, trace, estimates,
-                                        parallel=self.parallel)
-            self._grant_cache_properties(report)
+            report = OptimizationReport(expr, chosen, trace, estimates)
             with tracer.span("optimizer.certify_bounds"):
                 self._grant_bound_properties(report, env_types)
             if do_verify:
@@ -249,62 +197,29 @@ class Optimizer:
         """Every rule of the three layers, in application order."""
         return self.logical_rules + self.inter_object_rules + self.intra_object_rules
 
-    def _grant_cache_properties(self, report: OptimizationReport) -> None:
-        """Grant the ``cache_hit`` / ``resume_from`` fast-path plan
-        properties when every declared reuse is sound (MOA8xx-clean).
-        One unsound declaration withholds both — a plan must not mix a
-        verified fast path with an unverifiable one."""
-        if not self.cache_reuse:
-            return
-        if any(declaration.violations() for declaration in self.cache_reuse):
-            return
-        for declaration in self.cache_reuse:
-            n, m = declaration.requested_n, declaration.cached_n
-            serves = (m is not None and n is not None
-                      and (declaration.complete
-                           or (n <= m and declaration.prefix_safe)
-                           or n == m))
-            if serves:
-                report.cache_hit = True
-            elif declaration.has_resume and m is not None:
-                if report.resume_from is None or m > report.resume_from:
-                    report.resume_from = m
-
     def _analysis_context(self, env_types):
         # imported lazily: repro.analysis itself imports the rule
         # framework, so a module-level import would be circular
         from ..analysis import AnalysisContext
 
         return AnalysisContext(env_types=env_types, registry=self.registry,
-                               shards=self.shards, parallel=self.parallel,
-                               merge_probe=self.merge_probe,
-                               cache_reuse=self.cache_reuse,
                                score_bounds=self.score_bounds,
                                aggregate=self.aggregate,
                                threshold_engine=self.threshold_engine,
-                               pruning=self.pruning,
-                               bound_seeds=self.bound_seeds + self.block_bounds,
-                               resume_sources=self.resume_sources)
+                               pruning=self.pruning)
 
     def _grant_bound_properties(self, report: OptimizationReport, env_types) -> None:
         """Stamp the ``bound_certified`` plan property.
 
-        Certification gates the threshold fast paths: only a certified
-        plan may use TA/CA-style pruning thresholds or seed the
-        coordinator's bound cache.  An uncertified plan keeps running —
-        but carries its machine-checkable worst-case error (when one is
-        computable) so the quality trade-off is explicit."""
+        An uncertified plan keeps running, but carries its
+        machine-checkable worst-case error (when one is computable) so
+        the quality trade-off is explicit."""
         from ..analysis import certify
 
         certificate = certify(report.optimized, self._analysis_context(env_types))
         report.bound_certificate = certificate
         report.bound_certified = certificate.certified
         report.worst_case_error = certificate.worst_case
-        if self.block_bounds:
-            # block-max pruning is only as sound as its block bounds:
-            # one stale/uncertified bound and the plan must fall back to
-            # the scalar oracles
-            report.vectorized = bool(certificate.certified)
 
     def _verify_report(self, report: OptimizationReport, env_types):
         """Run the plan verifier over a finished optimization."""

@@ -250,9 +250,9 @@ def coordinated_topn(
     so consecutive runs keep tightening the bounds.
 
     ``epoch`` is the corpus epoch this run executes at.  Cached bounds
-    stamped with a *different* epoch seed nothing — the runtime twin of
-    the static MOA905 check (:meth:`CoordinatorBounds.seedable_at`) —
-    and recording this run's outcome purges the stale facts.
+    stamped with a *different* epoch seed nothing
+    (:meth:`CoordinatorBounds.seedable_at`), and recording this run's
+    outcome purges the stale facts.
     """
     if n < 1:
         raise ParallelError(f"need n >= 1, got {n}")
@@ -278,7 +278,7 @@ def coordinated_topn(
     # a cached final threshold from an n at least this deep bounds this
     # run's final τ from above (in key order), so exceeding it proves a
     # shard's unfetched tail irrelevant before the live pool can; an
-    # epoch-mismatched cache seeds nothing (MOA905's runtime twin)
+    # epoch-mismatched cache seeds nothing
     seedable = bounds is not None and bounds.seedable_at(epoch)
     cached_bound = bounds.threshold_bound(n, epoch=epoch) if seedable else None
 

@@ -41,7 +41,7 @@ token ``sv1.<id>.<epoch>`` embeds the corpus epoch the stream started
 at, and redeeming it at a different epoch is refused with the MOA1002
 diagnostic — a frontier captured before a corpus mutation must never
 continue as if nothing changed (the serve-side twin of the cache's
-fingerprint epoch and MOA905).
+fingerprint epoch and :meth:`CoordinatorBounds.seedable_at`).
 """
 
 from __future__ import annotations

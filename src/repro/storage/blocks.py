@@ -1,4 +1,4 @@
-"""Blocked posting storage: contiguous numpy blocks with score bounds.
+"""Blocked posting storage: contiguous numpy blocks.
 
 The paper's central performance argument is MonetDB's block-at-a-time
 flattening of the query loop: instead of interpreting one posting per
@@ -7,19 +7,8 @@ amortizes the interpretation overhead over the whole block.  This
 module is the storage half of that argument for the top-N engines: a
 graded list (one query term of an inverted index, one feature column)
 is partitioned into fixed-size blocks of parallel ``(doc_id, grade)``
-numpy arrays, each carrying a **precomputed per-block score upper
-bound**.
-
-The bounds are what make block-at-a-time compatible with Fagin-style
-threshold administration (and with WAND-style block-max pruning): a
-whole block whose upper bound falls below the current decision
-threshold can be skipped — or, equivalently, the engine can prove its
-stop rule from the bound without touching the block's payload.  Each
-bound is exposed as an epoch-stamped
-:class:`~repro.intervals.ThresholdBound` at block granularity, so the
-MOA9xx bound interpreter certifies blocked plans with the *same*
-machinery (and the same MOA905 staleness gate) it already applies to
-coordinator thresholds and resume frontiers.
+numpy arrays.  The engines read and charge a whole block at a time: the
+block is the unit of a sorted-access charge over this storage.
 
 Two layouts, matching the two access disciplines of the engines:
 
@@ -40,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import StorageError
-from ..intervals import ThresholdBound
 
 
 def blocks_between(lo: int, hi: int, block_size: int, n_postings: int) -> range:
@@ -65,11 +53,7 @@ class ScoredBlocks:
     sorted-access order (grade descending, ties doc-id ascending —
     byte-identical to :class:`~repro.mm.sources.ArraySource` and
     :class:`~repro.mm.sources.PostingsSource`), partitioned into blocks
-    of ``block_size`` postings; the last block may be short.  Because
-    the order is descending, each block's upper bound equals its first
-    grade, but the bound is computed as an explicit per-block maximum
-    so the containment property ("the bound contains every grade stored
-    in the block") holds by construction, not by a sortedness argument.
+    of ``block_size`` postings; the last block may be short.
     """
 
     def __init__(self, doc_ids, grades, block_size: int, *,
@@ -88,12 +72,7 @@ class ScoredBlocks:
             grades = grades[order]
         self.doc_ids = doc_ids
         self.grades = grades
-        if len(grades):
-            self.starts = np.arange(0, len(grades), self.block_size)
-            self.uppers = np.maximum.reduceat(grades, self.starts)
-        else:
-            self.starts = np.empty(0, dtype=np.int64)
-            self.uppers = np.empty(0, dtype=np.float64)
+        self.starts = np.arange(0, len(grades), self.block_size)
 
     @property
     def n_postings(self) -> int:
@@ -113,39 +92,14 @@ class ScoredBlocks:
         start, end = self.block_bounds(b)
         return self.doc_ids[start:end], self.grades[start:end]
 
-    def block_upper(self, b: int) -> float:
-        """The precomputed score upper bound of block ``b``."""
-        return float(self.uppers[b])
-
-    def threshold_bounds(self, epoch: int = 0) -> tuple[ThresholdBound, ...]:
-        """The per-block bounds as epoch-stamped ThresholdBound records.
-
-        Bound ``b`` certifies: every posting at rank >= ``start(b)``
-        grades at most ``uppers[b]`` (grades are descending, so the
-        block maximum also caps the whole tail).  ``n`` records the
-        rank the bound holds from, ``key`` the canonical
-        ``(-score, obj_id)`` sort key of the block's best posting —
-        exactly the shape the coordinator's bound cache records, so the
-        MOA9xx interpreter (and its MOA905 epoch gate) consumes blocked
-        bounds with no new machinery.
-        """
-        return tuple(
-            ThresholdBound(
-                n=int(self.starts[b]),
-                key=(-float(self.uppers[b]), int(self.doc_ids[self.starts[b]])),
-                epoch=epoch,
-            )
-            for b in range(self.n_blocks)
-        )
-
 
 class DocBlocks:
     """A posting list as fixed-size blocks in ascending-doc-id order.
 
     The accumulator engines (quit/continue) read postings in document
-    order; each block carries ``(min_doc, max_doc)`` plus a score upper
-    bound, so a continue-phase pass can skip blocks that provably
-    contain no admitted document without reading their payload.
+    order; each block carries ``(min_doc, max_doc)``, so a
+    continue-phase pass can skip blocks that provably contain no
+    admitted document without reading their payload.
     """
 
     def __init__(self, doc_ids, grades, block_size: int) -> None:
@@ -166,12 +120,10 @@ class DocBlocks:
             ends = np.minimum(self.starts + self.block_size, len(doc_ids))
             self.min_docs = doc_ids[self.starts]
             self.max_docs = doc_ids[ends - 1]
-            self.uppers = np.maximum.reduceat(grades, self.starts)
         else:
             self.starts = np.empty(0, dtype=np.int64)
             self.min_docs = np.empty(0, dtype=np.int64)
             self.max_docs = np.empty(0, dtype=np.int64)
-            self.uppers = np.empty(0, dtype=np.float64)
 
     @property
     def n_postings(self) -> int:
@@ -199,15 +151,3 @@ class DocBlocks:
         mask = lo < len(sorted_ids)
         mask[mask] = sorted_ids[lo[mask]] <= self.max_docs[mask]
         return mask
-
-    def threshold_bounds(self, epoch: int = 0) -> tuple[ThresholdBound, ...]:
-        """Per-block score bounds as epoch-stamped ThresholdBound
-        records (``n`` is the block's start offset in document order)."""
-        return tuple(
-            ThresholdBound(
-                n=int(self.starts[b]),
-                key=(-float(self.uppers[b]), int(self.min_docs[b])),
-                epoch=epoch,
-            )
-            for b in range(self.n_blocks)
-        )

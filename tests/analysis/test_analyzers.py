@@ -163,78 +163,6 @@ class TestFragmentCoverage:
         assert diagnostics == []
 
 
-class TestShardSafety:
-    def make_shards(self, total=3):
-        from repro.analysis import ShardDeclaration
-
-        stype = make_list([1]).stype
-        names = [f"s{i}" for i in range(total)]
-        env_types = {name: stype for name in names}
-        shards = {
-            name: ShardDeclaration(parent="docs", index=i, total=total)
-            for i, name in enumerate(names)
-        }
-        return env_types, shards
-
-    def test_shard_local_cutoff_without_merge_flags_moa601(self):
-        env_types, shards = self.make_shards()
-        context = AnalysisContext(env_types=env_types, shards=shards)
-        diagnostics = analyze_expr(parse("topn(concat(s0, s1), 5)"), context)
-        assert "MOA601" in codes_of(diagnostics)
-        flagged = [d for d in diagnostics if d.code == "MOA601"]
-        assert "2 of 3" in flagged[0].message
-
-    def test_coordinator_with_probe_is_quiet(self):
-        env_types, shards = self.make_shards()
-        context = AnalysisContext(env_types=env_types, shards=shards,
-                                  parallel=3, merge_probe=True)
-        diagnostics = analyze_expr(parse("topn(concat(s0, s1), 5)"), context)
-        assert not any(d.code.startswith("MOA6") for d in diagnostics)
-
-    def test_shallow_cut_without_probe_flags_moa602(self):
-        env_types, shards = self.make_shards()
-        context = AnalysisContext(env_types=env_types, shards=shards,
-                                  parallel=3, merge_probe=False)
-        expr = parse("topn(concat(topn(s0, 2), s1), 5)")
-        diagnostics = analyze_expr(expr, context)
-        flagged = [d for d in diagnostics if d.code == "MOA602"]
-        assert len(flagged) == 1
-        assert "below the global top-5" in flagged[0].message
-
-    def test_cut_at_global_n_without_probe_is_quiet(self):
-        """A shard-local cut at the full global N loses nothing even
-        without the round-2 probe."""
-        env_types, shards = self.make_shards()
-        context = AnalysisContext(env_types=env_types, shards=shards,
-                                  parallel=3, merge_probe=False)
-        expr = parse("topn(concat(topn(s0, 5), s1), 5)")
-        diagnostics = analyze_expr(expr, context)
-        assert "MOA602" not in codes_of(diagnostics)
-
-    def test_parallel_layout_mismatch_flags_moa603(self):
-        env_types, shards = self.make_shards(total=3)
-        context = AnalysisContext(env_types=env_types, shards=shards,
-                                  parallel=2)
-        diagnostics = analyze_expr(parse("topn(concat(concat(s0, s1), s2), 5)"),
-                                   context)
-        flagged = [d for d in diagnostics if d.code == "MOA603"]
-        assert len(flagged) == 1
-        assert "parallel=2" in flagged[0].message
-        assert "3 shards" in flagged[0].message
-
-    def test_full_shard_coverage_is_quiet(self):
-        env_types, shards = self.make_shards()
-        context = AnalysisContext(env_types=env_types, shards=shards)
-        expr = parse("topn(concat(concat(s0, s1), s2), 5)")
-        diagnostics = analyze_expr(expr, context)
-        assert not any(d.code.startswith("MOA6") for d in diagnostics)
-
-    def test_no_declarations_is_quiet(self):
-        context = ctx({"xs": make_list(range(10))})
-        diagnostics = analyze_expr(parse("topn(xs, 3)"), context)
-        assert not any(d.code.startswith("MOA6") for d in diagnostics)
-
-
 class TestRewriteStepChecks:
     def test_dropped_ordering_flags_moa102(self):
         env = {"xs": make_list([3, 1, 2])}

@@ -1,9 +1,8 @@
 """Tests for the bound-flow abstract interpreter (MOA9xx).
 
 Covers the interval domain itself, the per-operator transfer
-functions, the fixpoint (including resumed-from-cache feedback edges),
-each MOA901..MOA905 trigger, the certification verdict, and the
-hypothesis containment property: the derived interval always contains
+functions, each MOA901..MOA904 trigger, the certification verdict, and
+the hypothesis containment property: the derived interval always contains
 every value the plan can actually produce.
 """
 
@@ -18,9 +17,7 @@ from repro.analysis import (
     SEEDED_UNSOUND_RULES,
     WIDENING_DEMO_EXPRESSION,
     AnalysisContext,
-    BoundSeedDeclaration,
     PruningDeclaration,
-    ResumeSourceDeclaration,
     SoundnessHarness,
     analyze_bound_flow,
     certify,
@@ -28,7 +25,7 @@ from repro.analysis import (
     demo_widening_rewrite,
     derive_bounds,
 )
-from repro.intervals import TOP, ScoreInterval, ThresholdBound, join_all, sum_of
+from repro.intervals import TOP, ScoreInterval, join_all, sum_of
 from repro.topn.aggregates import SUM, UserAggregate
 
 from .test_lint_cli import EXAMPLE_PLANS
@@ -54,13 +51,6 @@ class TestScoreInterval:
         assert a.join(b) == ScoreInterval(0, 5)
         assert a.meet(b) == ScoreInterval(1, 2)
         assert a.meet(ScoreInterval(3, 4)) is None
-
-    def test_widen_jumps_moving_endpoints_to_infinity(self):
-        old = ScoreInterval(0, 1)
-        assert old.widen(ScoreInterval(0, 2)) == ScoreInterval(0, math.inf)
-        assert old.widen(ScoreInterval(-1, 1)) == ScoreInterval(-math.inf, 1)
-        # a non-moving interval widens to itself
-        assert old.widen(ScoreInterval(0.5, 1)) == old
 
     def test_scale_handles_negative_and_zero_weights(self):
         interval = ScoreInterval(1, 3)
@@ -127,34 +117,6 @@ class TestTransfers:
         paths = {(), (0,), (0, 0), (0, 0, 0)}
         assert paths <= set(flow.facts)
         assert "topn" in flow.render_text(expr)
-
-
-# -- fixpoint / feedback edges ----------------------------------------------
-
-
-class TestFixpoint:
-    def test_acyclic_plans_converge_in_one_pass(self):
-        _, flow = flow_of("topn(projecttobag([1, 2, 3]), 2)")
-        assert flow.iterations == 1
-        assert not flow.widened
-
-    def test_resume_source_reaches_a_fixpoint(self):
-        """A resumed-from-cache frontier: the feedback edge joins the
-        root interval back into the source until stable."""
-        expr = parse("topn(frontier, 3)")
-        context = AnalysisContext(resume_sources=(
-            ResumeSourceDeclaration("ta-resume", "frontier", lo=0.0, hi=1.0),))
-        flow = derive_bounds(expr, context)
-        assert flow.iterations >= 2  # the feedback edge forced iteration
-        assert flow.root().contains_interval(ScoreInterval(0, 1))
-        assert flow.root().bounded  # joins only: no widening needed
-
-    def test_resume_source_joined_with_literal_growth_terminates(self):
-        expr = parse("concat(frontier, projecttobag([5, 9]))")
-        context = AnalysisContext(resume_sources=(
-            ResumeSourceDeclaration("resume", "frontier", lo=0.0, hi=1.0),))
-        flow = derive_bounds(expr, context)
-        assert flow.root().contains(9.0) and flow.root().contains(0.0)
 
 
 # -- the containment property ------------------------------------------------
@@ -293,31 +255,6 @@ class TestMOA904:
         demo = demo_widening_rewrite()
         assert "MOA904" in demo.report.codes()
         assert not demo.verdict.passed  # the lying "safe" label fails
-
-
-class TestMOA905:
-    def test_stale_seeded_bound(self):
-        expr = parse("topn(xs, 5)")
-        seed = BoundSeedDeclaration(
-            "coordinator", ThresholdBound(n=10, key=(-0.5, 3), epoch=1),
-            current_epoch=2)
-        findings = list(analyze_bound_flow(expr, AnalysisContext(bound_seeds=(seed,))))
-        assert [d.code for d in findings] == ["MOA905"]
-
-    def test_epoch_consistent_seed_is_clean(self):
-        expr = parse("topn(xs, 5)")
-        seed = BoundSeedDeclaration(
-            "coordinator", ThresholdBound(n=10, key=(-0.5, 3), epoch=2),
-            current_epoch=2)
-        assert list(analyze_bound_flow(expr, AnalysisContext(bound_seeds=(seed,)))) == []
-
-    def test_stale_resume_frontier(self):
-        expr = parse("topn(frontier, 3)")
-        decl = ResumeSourceDeclaration("ta-resume", "frontier", lo=0.0, hi=1.0,
-                                       cached_epoch=3, current_epoch=4)
-        findings = list(analyze_bound_flow(expr, AnalysisContext(
-            resume_sources=(decl,))))
-        assert [d.code for d in findings] == ["MOA905"]
 
 
 # -- certification over the shipped corpus -----------------------------------

@@ -42,7 +42,7 @@ def test_titles_and_descriptions_present():
 def test_expected_codes_registered():
     for code in ("MOA001", "MOA002", "MOA003", "MOA101", "MOA102", "MOA103",
                  "MOA201", "MOA202", "MOA203", "MOA301", "MOA401", "MOA501",
-                 "MOA901", "MOA902", "MOA903", "MOA904", "MOA905",
+                 "MOA901", "MOA902", "MOA903", "MOA904",
                  "MOA1001", "MOA1002", "MOA1003", "MOA1004"):
         assert code in CODES
 

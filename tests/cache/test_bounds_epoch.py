@@ -1,5 +1,5 @@
 """Epoch-stamped coordinator bounds: the shared ``ThresholdBound``
-record and the runtime twin of the static MOA905 check."""
+record and the ``seedable_at`` epoch gate."""
 
 import numpy as np
 

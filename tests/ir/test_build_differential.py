@@ -133,10 +133,11 @@ def check_stats_unchanged(index: InvertedIndex, one_batch: InvertedIndex) -> Non
 @settings(max_examples=100, deadline=None)
 @given(collections(), st.integers(1, 9))
 def test_maxima_in_small_batches_match_reference(collection, batch):
-    """With ``_BATCH_POSTINGS`` far below the posting count, the ratios
-    of one index, fragment or shard are taken over many batches, and a
-    term often spans several: the maxima must still equal the per-term
-    reference in bits, and every term's stats the one-batch build's."""
+    """With ``_BATCH_POSTINGS`` far below the posting count, the cf sums
+    and the ratios of one index, fragment or shard are taken over many
+    batches, and a term often spans several: the vocabulary's df and cf
+    and the maxima must still equal the per-term reference in bits, and
+    every term's stats the one-batch build's."""
     one_batch = InvertedIndex.build(collection)
     with mock.patch.object(invindex, "_BATCH_POSTINGS", batch):
         index = InvertedIndex.build(collection)
@@ -144,6 +145,8 @@ def test_maxima_in_small_batches_match_reference(collection, batch):
         sharded = shard_index(index, 2)
     check_index(index, collection)
     check_stats_unchanged(index, one_batch)
+    assert_same(index.vocabulary.df_array(), one_batch.vocabulary.df_array())
+    assert_same(index.vocabulary.cf_array(), one_batch.vocabulary.cf_array())
     terms, docs = reference_postings(collection, collection.n_terms)[:2]
     check_part(fragmented.small, fragmented.in_small[terms], collection)
     for shard in sharded.shards:

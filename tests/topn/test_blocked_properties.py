@@ -1,11 +1,7 @@
 """Property tests for the blocked access path (hypothesis).
 
-Three properties carry the soundness argument of block-max pruning:
+Two properties carry the soundness argument of block-max pruning:
 
-* **Containment** — every block's precomputed upper bound contains the
-  block's maximum grade (and therefore every grade in the block), and
-  the exported epoch-stamped :class:`~repro.intervals.ThresholdBound`
-  records certify exactly that interval.
 * **No dropped documents** — on arbitrary grade matrices (including
   the adversarial tie patterns hypothesis produces) a blocked engine
   returns the scalar oracle's answer bit for bit, so no block-skip
@@ -20,16 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mm import ArraySource, BlockedSource
-from repro.storage.blocks import DocBlocks, ScoredBlocks
 from repro.topn import (
     SUM,
     combined_topn,
     nra_topn,
     threshold_topn,
 )
-
-grades_lists = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, width=32), min_size=0, max_size=200)
 
 matrices = st.lists(
     st.lists(st.floats(min_value=0.0, max_value=1.0, width=32),
@@ -45,44 +37,6 @@ def blocked_sources(grid: np.ndarray, block_size: int):
 
 def scalar_sources(grid: np.ndarray):
     return [ArraySource(grid[:, j], name=f"s{j}") for j in range(grid.shape[1])]
-
-
-class TestBoundContainment:
-    @settings(max_examples=60, deadline=None)
-    @given(grades=grades_lists, block_size=st.integers(min_value=1, max_value=70))
-    def test_scored_block_upper_contains_block_max(self, grades, block_size):
-        doc_ids = np.arange(len(grades), dtype=np.int64)
-        blocks = ScoredBlocks(doc_ids, grades, block_size)
-        for b in range(blocks.n_blocks):
-            _, block_grades = blocks.block(b)
-            assert blocks.block_upper(b) >= float(block_grades.max())
-
-    @settings(max_examples=60, deadline=None)
-    @given(grades=grades_lists, block_size=st.integers(min_value=1, max_value=70))
-    def test_threshold_bounds_certify_every_grade(self, grades, block_size):
-        """The exported ThresholdBound of block ``b`` certifies the
-        whole tail from its start rank: grades are descending, so every
-        grade at rank >= start lies in the bound's interval."""
-        doc_ids = np.arange(len(grades), dtype=np.int64)
-        blocks = ScoredBlocks(doc_ids, grades, block_size)
-        bounds = blocks.threshold_bounds(epoch=3)
-        assert len(bounds) == blocks.n_blocks
-        for b, bound in enumerate(bounds):
-            start, _ = blocks.block_bounds(b)
-            assert bound.n == start
-            assert bound.epoch == 3
-            interval = bound.interval()
-            for grade in blocks.grades[start:]:
-                assert interval.contains(float(grade))
-
-    @settings(max_examples=60, deadline=None)
-    @given(grades=grades_lists, block_size=st.integers(min_value=1, max_value=70))
-    def test_doc_block_upper_contains_block_max(self, grades, block_size):
-        doc_ids = np.arange(len(grades), dtype=np.int64)
-        blocks = DocBlocks(doc_ids, grades, block_size)
-        for b, bound in enumerate(blocks.threshold_bounds()):
-            _, block_grades = blocks.block(b)
-            assert bound.interval().contains(float(block_grades.max()))
 
 
 class TestNoDroppedDocuments:
