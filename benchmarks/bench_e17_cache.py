@@ -97,7 +97,7 @@ def run_e17() -> list:
     db = build(cache=True)
     warm_repeat("text-warm-repeat", db,
                 lambda: [db.search(tids, n=N).result for tids in tid_lists])
-    for algorithm in ("fa",) + RESUME_ENGINES:
+    for algorithm in RESUME_ENGINES:
         db = build(cache=True)
         warm_repeat(f"{algorithm}-warm-repeat", db, lambda: [
             db.feature_search(fq, n=N, algorithm=algorithm).result

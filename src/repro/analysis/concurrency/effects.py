@@ -420,16 +420,9 @@ def _walk_class(node: ast.ClassDef, module: ModuleEffects) -> ClassEffects:
             for write in effects.self_writes:
                 if statement.name in CONSTRUCTORS:
                     cls.init_attrs.add(write.attr)
-    # locks assigned in methods: self.X = threading.Lock() / make_lock(...);
-    # also adopted locks — self.X = lock / self.X = owner_lock — the
-    # shared-lock protocol where a collaborator receives its owner's
-    # lock at construction (e.g. buffer replacement policies)
+    # locks assigned in methods: self.X = threading.Lock() / make_lock(...)
     for statement in ast.walk(node):
-        if isinstance(statement, ast.Assign) and (
-                _is_lock_factory(statement.value)
-                or (isinstance(statement.value, ast.Name)
-                    and (statement.value.id == "lock"
-                         or statement.value.id.endswith("_lock")))):
+        if isinstance(statement, ast.Assign) and _is_lock_factory(statement.value):
             for target in statement.targets:
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)

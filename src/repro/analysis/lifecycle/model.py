@@ -14,12 +14,12 @@ The vocabulary has two layers:
 
 Acquire *sites* are deliberately narrow — only ``h = recv.m(...)``
 and ``with recv.m(...):`` forms acquire, never a discarded call
-result.  ``BufferManager`` calls ``self._policy.admit(key)`` as a
-replacement-policy verb; a name-only rule would flag every such call,
-and a discarded handle cannot be paired anyway.  The two exceptions
-are receiver-keyed pairs (``buf.pin(...)`` / ``buf.unpin(...)``) and
-lock receivers (``self._lock.acquire()``), where the *receiver* is the
-resource.
+result.  A name-only rule would flag every call of a method that
+merely shares a vocabulary name (any object's ``admit``), and a
+discarded handle cannot be paired with its release anyway.  The two
+exceptions are receiver-keyed pairs (``buf.pin(...)`` /
+``buf.unpin(...)``) and lock receivers (``self._lock.acquire()``),
+where the *receiver* is the resource.
 """
 
 from __future__ import annotations

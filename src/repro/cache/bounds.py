@@ -127,12 +127,6 @@ class CoordinatorBounds:
                     if n_c >= n]
         return min(keys) if keys else None
 
-    def threshold_records(self) -> tuple[ThresholdBound, ...]:
-        """Every stored threshold as the shared epoch-stamped
-        record."""
-        with self._lock:
-            return tuple(sorted(self.tau_by_n.values(), key=lambda b: b.n))
-
     def prunable_shards(self, n: int, epoch: int | None = None) -> set[int]:
         """Shards provably unable to contribute to the top-``n``:
         cached best key strictly worse than the threshold bound (or the

@@ -13,7 +13,7 @@ Serving discipline
 A top-``n`` request is served from a cached top-``m`` (``m ≥ n``) only
 when the entry is **prefix-safe**: the engine's reported scores must
 not depend on its stopping depth.  That holds for the exact engines
-(naive, FA, TA, the certified parallel merge — they return true scores
+(naive, TA, the certified parallel merge — they return true scores
 of the true top-N, so any prefix of a deeper answer *is* the shallower
 answer) and for quit/continue (the accumulator is depth-independent and
 the tail cut is deterministic).  It does **not** hold for NRA/CA, whose

@@ -30,23 +30,16 @@ class DatabaseConfig:
         Shard count used by ``shard()`` / ``strategy="parallel"`` when
         none is given; ``None`` defers to the
         ``REPRO_PARALLEL_DEFAULT_SHARDS`` environment variable.
-    executor_kind:
-        Executor pool flavour for parallel search: ``thread``
-        (default) or ``serial``.
-    max_parallel_queries:
-        Admission-control bound: concurrent parallel queries beyond
-        this are rejected with ``AdmissionRejectedError``.
     cache_enabled:
         Turn on the multi-level query cache (results, resumable top-N
         state, coordinator bounds).  Off by default: cached serving
         changes the cost profile of repeated queries, which the
-        cost-model experiments measure cold.
-    cache_max_entries:
-        LRU capacity of the query cache, in fingerprints.
-    buffer_policy:
-        Replacement policy installed on the process-wide buffer pool at
-        database construction (``lru`` / ``slru`` / ``clock``);
-        ``None`` leaves the pool untouched.
+        cost-model experiments measure cold.  The cache is an LRU of
+        64 fingerprints.
+
+    Parallel search runs on a pool of 4 threads that admits 8
+    concurrent queries and rejects more with
+    ``AdmissionRejectedError``.
     """
 
     model: str = "bm25"
@@ -55,11 +48,7 @@ class DatabaseConfig:
     switch_sensitivity: float = 0.35
     default_strategy: str = "auto"
     default_shards: int | None = None
-    executor_kind: str = "thread"
-    max_parallel_queries: int = 8
     cache_enabled: bool = False
-    cache_max_entries: int = 64
-    buffer_policy: str | None = None
 
     def validate(self) -> None:
         if not 0.0 < self.fragment_volume_cut < 1.0:
@@ -74,23 +63,3 @@ class DatabaseConfig:
             raise ReproError(
                 f"default_shards must be positive, got {self.default_shards}"
             )
-        if self.executor_kind not in ("serial", "thread"):
-            raise ReproError(
-                f"executor_kind must be serial/thread, got {self.executor_kind!r}"
-            )
-        if self.max_parallel_queries < 1:
-            raise ReproError(
-                f"max_parallel_queries must be positive, got {self.max_parallel_queries}"
-            )
-        if self.cache_max_entries < 1:
-            raise ReproError(
-                f"cache_max_entries must be positive, got {self.cache_max_entries}"
-            )
-        if self.buffer_policy is not None:
-            from ..storage.policies import POLICIES
-
-            if self.buffer_policy not in POLICIES:
-                raise ReproError(
-                    f"buffer_policy must be one of {sorted(POLICIES)}, "
-                    f"got {self.buffer_policy!r}"
-                )

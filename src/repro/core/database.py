@@ -47,7 +47,6 @@ from ..topn import (
     SUM,
     combined_topn,
     conjunctive_topn,
-    fagin_topn,
     naive_topn,
     nra_topn,
     stop_after_filter,
@@ -59,7 +58,6 @@ from .config import DatabaseConfig
 from .session import SearchResult
 
 _ALGORITHMS = {
-    "fa": fagin_topn,
     "ta": threshold_topn,
     "nra": nra_topn,
     "ca": combined_topn,
@@ -109,12 +107,7 @@ class MMDatabase:
         #: cache keys embed it, so stale entries can never hit
         self.epoch = 0
         self.cache: QueryCache | None = (
-            QueryCache(self.config.cache_max_entries)
-            if self.config.cache_enabled else None)
-        if self.config.buffer_policy is not None:
-            from ..storage.buffer import get_buffer_manager
-
-            get_buffer_manager().set_policy(self.config.buffer_policy)
+            QueryCache(max_entries=64) if self.config.cache_enabled else None)
 
     # -- construction -------------------------------------------------------
 
@@ -171,10 +164,7 @@ class MMDatabase:
         from ..parallel import ExecutorPool
 
         if self._pool is None:
-            self._pool = ExecutorPool(
-                workers=4, kind=self.config.executor_kind,
-                max_queries=self.config.max_parallel_queries,
-            )
+            self._pool = ExecutorPool(workers=4, kind="thread", max_queries=8)
         return self._pool
 
     def close(self) -> None:
@@ -371,21 +361,14 @@ class MMDatabase:
         ``n`` no smaller than the saved one; NRA/CA resume from a saved
         bound administration at any ``n`` (their lower-bound scores
         depend on the stopping depth, which the resumed run recomputes
-        for the new ``n``); FA is prefix-safe, so its results are
-        served from cache but carry no resume state.  A resumed answer
-        equals the cold one, and each run stores its state for the
-        next — a TA run's result and frontier together, which a served
-        stream at the same ``n`` is cut from
-        (:meth:`feature_stream`).
+        for the new ``n``).  A resumed answer equals the cold one, and
+        each run stores its state for the next — a TA run's result and
+        frontier together, which a served stream at the same ``n`` is
+        cut from (:meth:`feature_stream`).
         """
         engine = _ALGORITHMS[algorithm]
         if fingerprint is None:
             return engine(sources, n, agg)
-        if algorithm == "fa":
-            result = engine(sources, n, agg)
-            self.cache.store(fingerprint, n, result, prefix_safe=True,
-                             complete=len(result.items) < n)
-            return result
         resume = entry.resume if entry is not None else None
         if algorithm == "ta" and resume is not None and n < resume.n:
             resume = None
@@ -485,7 +468,7 @@ class MMDatabase:
         frontier: the stream is cut from it and builds, runs and charges
         nothing.  On a miss the stream gets its sources and a ``store``
         that files its final run as the cold library run, for later
-        streams and library calls alike.  NRA, CA and FA streams, and
+        streams and library calls alike.  NRA and CA streams, and
         every stream with the cache off, just get their sources.
         """
         epoch = self.epoch

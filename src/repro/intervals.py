@@ -17,11 +17,11 @@ Interval semantics
 ------------------
 ``ScoreInterval(lo, hi)`` asserts: every value the annotated edge can
 produce lies in ``[lo, hi]``.  ``TOP`` (``[-inf, +inf]``) is "nothing
-known"; :data:`UNIT` (``[0, 1]``) is the graded-source domain;
-``point(v)`` is an exact value.  All operations are *conservative*:
-they may over-approximate, never under-approximate — the containment
-property tests (hypothesis: "the derived interval always contains the
-true score") hold by construction of every method here.
+known"; ``point(v)`` is an exact value.  All operations are
+*conservative*: they may over-approximate, never under-approximate —
+the containment property tests (hypothesis: "the derived interval
+always contains the true score") hold by construction of every method
+here.
 
 This module deliberately has no intra-package imports so every layer
 (storage, topn, cache, parallel, analysis) can use it without cycles.
@@ -77,10 +77,6 @@ class ScoreInterval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
 
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
@@ -149,10 +145,6 @@ class ScoreInterval:
 
 #: nothing known about the edge
 TOP = ScoreInterval(-_INF, _INF)
-#: the graded-source domain of the Fagin engines
-UNIT = ScoreInterval(0.0, 1.0)
-#: non-negative scores (posting-list accumulation, counts)
-NON_NEGATIVE = ScoreInterval(0.0, _INF)
 
 
 def join_all(intervals: Sequence[ScoreInterval]) -> ScoreInterval:

@@ -61,21 +61,24 @@ MAX_RESULT_SIZE = 10_000
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs of one query server."""
+    """Knobs of one query server.
+
+    A tenant not in ``tenants`` streams under ``TenantConfig(name)``'s
+    quotas (a request without a tenant is named ``"default"``).  The
+    registry keeps 256 resumable sessions, and a feature request
+    without a ``measure`` is graded by ``l2``.
+    """
 
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``QueryServer.port``)
     port: int = 0
     tenants: tuple[TenantConfig, ...] = ()
-    default_quota: TenantConfig | None = None
     allow_unknown: bool = True
-    max_sessions: int = 256
     #: sorted-access depth of the first chunk (doubles per chunk)
     chunk_depth: int = 32
     workers: int = 4
     #: pool-wide concurrent query bound (the second admission gate)
     max_concurrent: int = 8
-    measure: str = "l2"
 
 
 @declares_shared_state
@@ -109,10 +112,9 @@ class QueryServer:
         self._owns_pool = pool is None
         self.quotas = QuotaManager(
             configs=list(self.config.tenants),
-            default=self.config.default_quota,
             allow_unknown=self.config.allow_unknown,
         )
-        self.sessions = SessionRegistry(max_sessions=self.config.max_sessions)
+        self.sessions = SessionRegistry(max_sessions=256)
         self._lock = make_lock("serve.server")
         self.requests = 0
         self.errors = 0
@@ -375,7 +377,7 @@ class QueryServer:
                     "feature query needs 'queries': {space: vector, ...}")
             vectors = {name: np.asarray(vec, dtype=np.float64)
                        for name, vec in queries.items()}
-            measure = str(request.get("measure", self.config.measure))
+            measure = str(request.get("measure", "l2"))
             stream = self.db.feature_stream(vectors, n, algorithm, agg, measure)
             runner = AnytimeRunner(stream.sources, n, algorithm, agg,
                                    epoch=stream.epoch, chunk_depth=chunk_depth,

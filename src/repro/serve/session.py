@@ -33,8 +33,9 @@ work stays within a small constant of a single uncapped run):
   bound and stats, except that over block storage the block counts
   are the chunk's own), and the first chunk whose stop reason is not
   ``max_depth`` *is* the cold result, bit for bit.
-* **FA** has no mid-run frontier to certify, so it answers in a single
-  final chunk, which the runner keeps for a post-disconnect re-send.
+
+FA has no mid-run frontier to certify and is not served; it stays a
+direct engine call (:func:`~repro.topn.fagin_topn`).
 
 A disconnected client resumes through :class:`SessionRegistry`: the
 token ``sv1.<id>.<epoch>`` embeds the corpus epoch the stream started
@@ -55,10 +56,10 @@ from ..errors import ResumeTokenError, TopNError
 from ..intervals import ThresholdBound
 from ..obs import metrics
 from ..sync import acquires, declares_shared_state, make_lock, releases
-from ..topn import SUM, combined_topn, fagin_topn, nra_topn, threshold_topn
+from ..topn import SUM, combined_topn, nra_topn, threshold_topn
 from ..topn.ta import answer_at, slab_end
 
-ALGORITHMS = ("fa", "ta", "nra", "ca")
+ALGORITHMS = ("ta", "nra", "ca")
 
 _TOKEN_PREFIX = "sv1"
 _ids = itertools.count()
@@ -177,19 +178,16 @@ class AnytimeRunner:
             if self._store is not None and stats["stop_reason"] != "max_depth":
                 self._store(run)
         else:
-            if self.algorithm == "fa":
-                result = fagin_topn(self.sources, self.n, self.agg)
-            else:
-                engine = nra_topn if self.algorithm == "nra" else combined_topn
-                result = self._run = engine(
-                    self.sources, self.n, self.agg, max_depth=self._depth,
-                    resume_from=(self._run.stats["resume_state"]
-                                 if self._run is not None else None),
-                    capture_state=True)
+            engine = nra_topn if self.algorithm == "nra" else combined_topn
+            result = self._run = engine(
+                self.sources, self.n, self.agg, max_depth=self._depth,
+                resume_from=(self._run.stats["resume_state"]
+                             if self._run is not None else None),
+                capture_state=True)
             items = [(item.obj_id, item.score) for item in result.items]
             stats = {key: value for key, value in result.stats.items()
                      if key != "resume_state"}
-        final = self.algorithm == "fa" or stats.get("stop_reason") != "max_depth"
+        final = stats.get("stop_reason") != "max_depth"
         chunk = Chunk(
             seq=self._seq,
             items=items,

@@ -188,9 +188,10 @@ def percentile(sorted_values: list[float], q: float) -> float | None:
 class QuotaManager:
     """The tenant registry + the first admission gate.
 
-    Unknown tenants are admitted under ``default`` quotas (so a fresh
-    client can talk to a dev server) unless ``allow_unknown=False``, in
-    which case they are rejected as a quota violation.
+    Unknown tenants are admitted under ``TenantConfig(name)``'s default
+    quotas (so a fresh client can talk to a dev server) unless
+    ``allow_unknown=False``, in which case they are rejected as a quota
+    violation.
     """
 
     SHARED_STATE = {
@@ -198,10 +199,8 @@ class QuotaManager:
     }
 
     def __init__(self, configs: list[TenantConfig] | None = None,
-                 default: TenantConfig | None = None,
                  allow_unknown: bool = True,
                  clock=time.monotonic) -> None:
-        self.default = default or TenantConfig("default")
         self.allow_unknown = allow_unknown
         self._clock = clock
         self._lock = make_lock("serve.quotas")
@@ -226,10 +225,7 @@ class QuotaManager:
                 return state
             if not self.allow_unknown:
                 raise QuotaExceededError(f"unknown tenant {name!r}")
-            config = TenantConfig(name, rate=self.default.rate,
-                                  burst=self.default.burst,
-                                  max_concurrent=self.default.max_concurrent)
-            state = TenantState(config, self._clock)
+            state = TenantState(TenantConfig(name), self._clock)
             self._tenants[name] = state
             return state
 

@@ -16,32 +16,27 @@ charges :mod:`repro.storage.stats` counters:
 This is a *simulation*: no bytes are moved, only accounting happens —
 a deterministic, monotone proxy for I/O volume.
 
-Replacement is **pluggable** (:mod:`repro.storage.policies`): ``lru``
-(the seed behaviour), ``slru`` (segmented LRU — scan-resistant), and
-``clock`` (second-chance), selected per manager or installed onto the
-process-wide pool via :meth:`BufferManager.set_policy` /
-``DatabaseConfig.buffer_policy``.  Frames can be **pinned**: a pinned
-page is never chosen as an eviction victim until every pin is
-released, which is how callers keep a working set resident across a
-multi-step operation.
+Replacement is LRU: the pool evicts its least recently requested
+frame.  Frames can be **pinned**: a pinned page is never chosen as an
+eviction victim until every pin is released, which is how callers keep
+a working set resident across a multi-step operation.
 
 The pool is process-wide and the parallel engine's worker threads
 request pages concurrently, so the manager follows the
-:mod:`repro.sync` declaration protocol: the counters, the pin table,
-and the policy's residency structures are all guarded by the
-manager's ``_lock`` (the policy object *shares* that lock — see
-:mod:`repro.storage.policies`), and
-:func:`repro check <repro.analysis.concurrency>` holds both classes
-to it.
+:mod:`repro.sync` declaration protocol: the counters, the pin table
+and the frame table are all guarded by the manager's ``_lock``, and
+:func:`repro check <repro.analysis.concurrency>` holds the class to
+it.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from ..errors import BufferError_
 from ..sync import acquires, declares_shared_state, guarded_by, make_lock, \
     releases
 from . import stats
-from .policies import ReplacementPolicy, make_policy
 from ..obs import metrics as _metrics
 
 #: default number of tuples that fit on one simulated page
@@ -55,23 +50,19 @@ SHARED_STATE = {"_default_buffer": "<config>"}
 
 @declares_shared_state
 class BufferManager:
-    """Pool of simulated page frames with a pluggable eviction policy.
+    """Pool of simulated page frames with LRU eviction.
 
     Parameters
     ----------
     capacity_pages:
         Number of page frames in the pool.  Requests beyond capacity
-        evict the policy's next victim.
+        evict the least recently used unpinned frame.
     page_tuples:
         Tuples per page; converts tuple positions to page numbers.
-    policy:
-        Replacement policy name (``lru`` / ``slru`` / ``clock``), or a
-        ready :class:`~repro.storage.policies.ReplacementPolicy`
-        instance already sharing this manager's lock.
     """
 
     SHARED_STATE = {
-        "_policy": "_lock",
+        "_frames": "_lock",
         "_pins": "_lock",
         "requests": "_lock",
         "hits": "_lock",
@@ -83,7 +74,6 @@ class BufferManager:
         self,
         capacity_pages: int = DEFAULT_CAPACITY_PAGES,
         page_tuples: int = DEFAULT_PAGE_TUPLES,
-        policy: str = "lru",
     ) -> None:
         if capacity_pages <= 0:
             raise BufferError_(f"capacity_pages must be positive, got {capacity_pages}")
@@ -92,18 +82,14 @@ class BufferManager:
         self.capacity_pages = capacity_pages
         self.page_tuples = page_tuples
         self._lock = make_lock("storage.buffer")
-        self._policy: ReplacementPolicy = self._make_policy(policy)
+        #: resident (segment_id, page_no) keys, least recently used first
+        self._frames: OrderedDict[tuple[int, int], None] = OrderedDict()
         #: (segment_id, page_no) -> pin count; pinned frames are never victims
         self._pins: dict[tuple[int, int], int] = {}
         self.requests = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _make_policy(self, policy) -> ReplacementPolicy:
-        if isinstance(policy, ReplacementPolicy):
-            return policy
-        return make_policy(policy, self._lock, capacity_pages=self.capacity_pages)
 
     # -- page-level interface ---------------------------------------------
 
@@ -118,7 +104,7 @@ class BufferManager:
         hit.
 
         Each request is the one-page request's: same residency check,
-        touch or admission, and counter update.  Charges one
+        recency update or admission, and counter update.  Charges one
         ``buffer_hit`` or ``page_read`` per request on every active
         :class:`~repro.storage.stats.CostCounter`, and the ``buffer.*``
         metrics, once for the batch — for the requests made before an
@@ -129,8 +115,8 @@ class BufferManager:
             with self._lock:
                 for key in keys:
                     self.requests += 1
-                    if key in self._policy:
-                        self._policy.touch(key)
+                    if key in self._frames:
+                        self._frames.move_to_end(key)
                         self.hits += 1
                         hits += 1
                     else:
@@ -150,18 +136,20 @@ class BufferManager:
 
     @guarded_by("_lock")
     def _admit(self, key: tuple[int, int]) -> None:
-        """Insert ``key`` (or touch it when resident), evicting the
-        policy's victims while the pool overflows."""
-        if key in self._policy:
-            self._policy.touch(key)
+        """Make ``key`` the most recently used frame, evicting the least
+        recently used unpinned frames while the pool overflows."""
+        if key in self._frames:
+            self._frames.move_to_end(key)
         else:
-            self._policy.admit(key)
-        while len(self._policy) > self.capacity_pages:
-            victim = self._policy.victim(self._pins)
+            self._frames[key] = None
+        while len(self._frames) > self.capacity_pages:
+            victim = next((frame for frame in self._frames
+                           if frame not in self._pins), None)
             if victim is None:
                 raise BufferError_(
                     f"buffer pool overflows capacity ({self.capacity_pages} "
                     f"pages) with every remaining frame pinned")
+            del self._frames[victim]
             self.evictions += 1
             _metrics.inc("buffer.evictions")
 
@@ -174,8 +162,8 @@ class BufferManager:
         until every pin is released."""
         key = (segment_id, page_no)
         with self._lock:
-            if key not in self._policy:
-                self._policy.admit(key)
+            if key not in self._frames:
+                self._frames[key] = None
             self._pins[key] = self._pins.get(key, 0) + 1
 
     @releases("pin")
@@ -240,46 +228,25 @@ class BufferManager:
 
     # -- management ----------------------------------------------------------
 
-    def set_policy(self, policy: str) -> None:
-        """Swap the replacement policy, migrating resident frames.
-
-        Keys are re-admitted coldest-first, so the recency order the
-        old policy tracked is approximately preserved.  Pins are
-        unaffected (the pin table lives on the manager).
-        """
-        with self._lock:
-            survivors = self._policy.keys()
-            fresh = self._make_policy(policy)
-            for key in survivors:
-                fresh.admit(key)
-            self._policy = fresh
-
-    @property
-    def policy_name(self) -> str:
-        return self._policy.name
-
     def flush(self) -> None:
         """Empty the pool (e.g. between benchmark repetitions).
         Pinned frames stay resident — a pin is a residency promise."""
         with self._lock:
-            pinned = [key for key in self._policy.keys() if key in self._pins]
-            self._policy.clear()
-            for key in pinned:
-                self._policy.admit(key)
+            for key in [key for key in self._frames if key not in self._pins]:
+                del self._frames[key]
 
     def evict_segment(self, segment_id: int) -> None:
         """Drop all unpinned frames belonging to one segment (BAT
         dropped)."""
         with self._lock:
-            doomed = [key for key in self._policy.keys()
-                      if key[0] == segment_id and key not in self._pins]
-            for key in doomed:
-                self._policy.remove(key)
+            for key in [key for key in self._frames
+                        if key[0] == segment_id and key not in self._pins]:
+                del self._frames[key]
 
     @property
     def resident_pages(self) -> int:
         """Number of frames currently occupied."""
-        return len(self._policy)
+        return len(self._frames)
 
     def hit_rate(self) -> float:
         """Fraction of requests served from the pool (0.0 if none yet)."""
@@ -290,7 +257,7 @@ class BufferManager:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BufferManager(capacity_pages={self.capacity_pages}, "
-            f"page_tuples={self.page_tuples}, policy={self.policy_name!r}, "
+            f"page_tuples={self.page_tuples}, "
             f"resident={self.resident_pages}, "
             f"hits={self.hits}, misses={self.misses})"
         )

@@ -331,9 +331,8 @@ RESOURCE_KINDS = ("lock", "slot", "session", "pin")
 
 #: method names that hand out a held handle when their result is bound
 #: (``h = recv.admit(...)`` / ``with recv.admit():``); a *discarded*
-#: result is not an acquisition — ``BufferManager._ensure_capacity``'s
-#: ``self._policy.admit(key)`` is a replacement-policy verb, not a
-#: resource, and only the bound/scoped forms can be paired anyway
+#: result is not an acquisition — a handle nobody binds cannot be
+#: paired with its release, so only the bound/scoped forms are tracked
 ACQUIRE_METHODS = {
     "admit": "slot",
     "issue": "session",

@@ -8,6 +8,11 @@ from repro.mm import ArraySource
 from repro.parallel import SourceRangeEvaluator, coordinated_topn
 
 
+def records(bounds):
+    """The stored thresholds, the shared epoch-stamped records, by n."""
+    return sorted(bounds.tau_by_n.values(), key=lambda record: record.n)
+
+
 def evaluators_for(scores, boundaries):
     sources = [ArraySource(np.asarray(scores, dtype=np.float64))]
     return [
@@ -21,10 +26,10 @@ class TestEpochStamping:
         bounds = CoordinatorBounds(epoch=3)
         bounds.record(10, (-0.8, 3), [], epoch=3)
         bounds.record(50, (-0.5, 9), [], epoch=3)
-        records = bounds.threshold_records()
-        assert all(isinstance(r, ThresholdBound) for r in records)
-        assert [(r.n, r.epoch) for r in records] == [(10, 3), (50, 3)]
-        assert records[0].score == 0.8  # keys are (-score, obj_id)
+        stored = records(bounds)
+        assert all(isinstance(r, ThresholdBound) for r in stored)
+        assert [(r.n, r.epoch) for r in stored] == [(10, 3), (50, 3)]
+        assert stored[0].score == 0.8  # keys are (-score, obj_id)
 
     def test_seedable_only_at_the_recorded_epoch(self):
         bounds = CoordinatorBounds(epoch=1)
@@ -46,7 +51,7 @@ class TestEpochStamping:
         bounds.record(10, (-0.8, 3), infos, epoch=1)
         bounds.record(5, (-0.6, 2), [], epoch=2)
         assert bounds.epoch == 2
-        assert [r.n for r in bounds.threshold_records()] == [5]
+        assert [r.n for r in records(bounds)] == [5]
         assert bounds.shards == {}  # stale shard facts went with the epoch
 
     def test_prunable_shards_empty_on_epoch_mismatch(self):
@@ -78,7 +83,7 @@ class TestCoordinatorEpochGate:
         result = coordinated_topn(evaluators_for(self.SCORES, [0, 5, 10]),
                                   n=2, bounds=bounds, epoch=0)
         assert result.certified
-        assert bounds.threshold_records()
+        assert records(bounds)
         # the corpus mutated: the same bounds object must not seed
         result = coordinated_topn(evaluators_for(self.SCORES, [0, 5, 10]),
                                   n=2, bounds=bounds, epoch=1)
@@ -87,7 +92,7 @@ class TestCoordinatorEpochGate:
         assert result.stats["bound_served"] == 0
         # ... and the certified outcome re-stamped the cache at epoch 1
         assert bounds.epoch == 1
-        assert all(r.epoch == 1 for r in bounds.threshold_records())
+        assert all(r.epoch == 1 for r in records(bounds))
 
     def test_same_epoch_bounds_still_prune(self):
         bounds = CoordinatorBounds(epoch=7)

@@ -17,7 +17,7 @@ from repro.workloads import SyntheticCollection, generate_queries, trec
 
 SCALE = 0.02
 SHARD_COUNTS = [1, 2, 4, 7]
-ENGINES = ["fa", "ta", "nra", "ca"]
+ENGINES = ["ta", "nra", "ca"]
 DIMS = 6
 
 

@@ -192,14 +192,9 @@ class TestPackageInference:
 
         modules = infer_package_effects(Path(repro.__file__).parent)
         buffer = modules["repro.storage.buffer"].classes["BufferManager"]
-        assert buffer.shared_state["_policy"] == "_lock"
+        assert buffer.shared_state["_frames"] == "_lock"
         assert buffer.shared_state["_pins"] == "_lock"
         assert buffer.lock_attrs == {"_lock"}
-        # policies adopt the manager's lock (self._lock = lock): the
-        # walker must see the adopted attribute as a lock definition
-        lru = modules["repro.storage.policies"].classes["LRUPolicy"]
-        assert lru.shared_state["_entries"] == "_lock"
-        assert lru.lock_attrs == {"_lock"}
         session = modules["repro.obs.tracer"].classes["TraceSession"]
         assert session.shared_state["roots"] == "<thread-confined>"
         merge = modules["repro.parallel.coordinator"].classes["_MergeState"]

@@ -7,6 +7,7 @@ from repro.core import DatabaseConfig, MMDatabase, QuerySession
 from repro.errors import ReproError, TopNError, WorkloadError
 from repro.fragmentation import Strategy
 from repro.mm import color_histograms, query_near_cluster, texture_features
+from repro.topn import SUM, fagin_topn
 from repro.workloads import SyntheticCollection, generate_queries, trec
 
 
@@ -166,9 +167,9 @@ class TestFeatureSearch:
         queries = {"texture": query, "color": query_near_cluster(
             feature_db.feature_spaces["color"], cluster=1, seed=7)}
         ta = feature_db.feature_search(queries, n=10, algorithm="ta")
-        fa = feature_db.feature_search(queries, n=10, algorithm="fa")
+        fa = fagin_topn(feature_db.feature_sources(queries), 10, SUM)
         nra = feature_db.feature_search(queries, n=10, algorithm="nra")
-        assert ta.result.same_ranking(fa.result)
+        assert ta.result.same_ranking(fa)
         assert set(nra.doc_ids) == set(ta.doc_ids)
 
     def test_combined_search(self, feature_db):
@@ -188,6 +189,10 @@ class TestFeatureSearch:
     def test_unknown_algorithm(self, feature_db):
         with pytest.raises(TopNError):
             feature_db.feature_search({"color": np.zeros(16)}, algorithm="zz")
+
+    def test_fa_is_a_direct_engine_call_only(self, feature_db):
+        with pytest.raises(TopNError, match="unknown algorithm 'fa'"):
+            feature_db.feature_search({"color": np.zeros(16)}, algorithm="fa")
 
     def test_empty_combined_query(self, feature_db):
         with pytest.raises(TopNError):

@@ -1,10 +1,12 @@
-"""Golden outputs of the demo-plan commands: byte for byte.
+"""Golden outputs of the demo commands: byte for byte.
 
 The plan layer serves ``repro example1``, ``repro bounds``, ``repro
 lint`` and ``examples/optimizer_playground.py``; no query path builds a
 plan.  These tests pin the exact stdout of each, so a change to the
 optimizer, the analyzers or the bound interpreter that moves any
 printed byte fails here, not only one that drops a checked substring.
+``examples/image_search.py`` is pinned the same way: its FA line is a
+direct engine call, its TA and NRA lines go through the database.
 
 The goldens live in ``goldens/``.  To re-record one after an intended
 change, run the command from the repository root and redirect its
@@ -51,10 +53,18 @@ def test_cli_prints_the_golden_bytes(name, monkeypatch):
     assert out.getvalue() == golden(name)
 
 
-def test_optimizer_playground_prints_the_golden_bytes():
+def example_stdout(script):
     proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "examples" / "optimizer_playground.py")],
+        [sys.executable, str(REPO_ROOT / "examples" / script)],
         capture_output=True, text=True, timeout=240, cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == golden("optimizer_playground.txt")
+    return proc.stdout
+
+
+def test_optimizer_playground_prints_the_golden_bytes():
+    assert example_stdout("optimizer_playground.py") == golden("optimizer_playground.txt")
+
+
+def test_image_search_prints_the_golden_bytes():
+    assert example_stdout("image_search.py") == golden("image_search.txt")

@@ -5,10 +5,8 @@ import contextlib
 
 import pytest
 
-from repro.core import DatabaseConfig
 from repro.errors import (
     AdmissionRejectedError,
-    ReproError,
     ShardingError,
     TopNError,
 )
@@ -38,11 +36,9 @@ class TestConstruction:
 
     def test_process_kind_rejected(self):
         """Process pools could not pickle the coordinator's shard tasks,
-        so no query ever ran on one; both entry points refuse the kind."""
+        so no query ever ran on one; the pool refuses the kind."""
         with pytest.raises(ShardingError, match="unknown executor kind 'process'"):
             ExecutorPool(kind="process")
-        with pytest.raises(ReproError, match="executor_kind must be serial/thread"):
-            DatabaseConfig(executor_kind="process").validate()
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},

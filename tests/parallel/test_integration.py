@@ -114,8 +114,6 @@ class TestEnvironmentDefault:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"default_shards": 0},
-        {"executor_kind": "fibers"},
-        {"max_parallel_queries": 0},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ReproError):
@@ -125,8 +123,6 @@ class TestConfigValidation:
         config = DatabaseConfig()
         config.validate()
         assert config.default_shards is None
-        assert config.executor_kind == "thread"
-        assert config.max_parallel_queries == 8
 
 
 class TestCli:

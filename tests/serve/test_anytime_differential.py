@@ -285,7 +285,7 @@ def live():
     db = build_db(seed=31)
     # the stop-and-resume loops send requests back to back: no rate limit
     unlimited = TenantConfig("default", rate=1e9, burst=1e9)
-    thread = ServerThread(db, ServerConfig(chunk_depth=1, default_quota=unlimited))
+    thread = ServerThread(db, ServerConfig(chunk_depth=1, tenants=(unlimited,)))
     handle = thread.start()
     yield db, handle
     thread.stop()

@@ -167,7 +167,7 @@ class TestHitDoesNoWork:
 
     def test_other_algorithms_do_not_look_up(self, db):
         query = make_query(4)
-        for algorithm in ("fa", "nra", "ca"):
+        for algorithm in ("nra", "ca"):
             stream = db.feature_stream(query, 10, algorithm)
             assert stream.run is None and stream.store is None
             assert len(stream.sources) == len(SPACES)
@@ -244,7 +244,7 @@ class TestSharedWithTheLibrary:
 def live():
     database = build_db()
     unlimited = TenantConfig("default", rate=1e9, burst=1e9)
-    thread = ServerThread(database, ServerConfig(chunk_depth=1, default_quota=unlimited))
+    thread = ServerThread(database, ServerConfig(chunk_depth=1, tenants=(unlimited,)))
     handle = thread.start()
     yield database, handle
     thread.stop()

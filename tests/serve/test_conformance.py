@@ -16,7 +16,7 @@ from repro.serve.session import AnytimeRunner
 
 from tests.serve.conftest import DIMS, build_db
 
-ALGORITHMS = ("fa", "ta", "nra", "ca")
+ALGORITHMS = ("ta", "nra", "ca")
 SHARD_STATES = (1, 4)
 
 

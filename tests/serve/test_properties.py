@@ -21,10 +21,9 @@ from repro import sync
 from repro.errors import ResumeTokenError
 from repro.mm import ArraySource
 from repro.serve.session import AnytimeRunner, SessionRegistry
-from repro.topn import SUM, combined_topn, fagin_topn, nra_topn, threshold_topn
+from repro.topn import SUM, combined_topn, nra_topn, threshold_topn
 
-COLD = {"fa": fagin_topn, "ta": threshold_topn, "nra": nra_topn,
-        "ca": combined_topn}
+COLD = {"ta": threshold_topn, "nra": nra_topn, "ca": combined_topn}
 
 N_OBJECTS = 48
 N_SOURCES = 3

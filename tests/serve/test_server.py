@@ -84,6 +84,27 @@ class TestQueryValidation:
             time.sleep(0.01)
         assert query_server.quotas.tenant("default").in_flight == 0
 
+    def test_fa_is_refused_and_holds_nothing(self, server, feature_query):
+        """FA is a direct engine call only: a served FA request gets the
+        unknown-algorithm error frame and keeps no quota slot, pool slot
+        or session."""
+        handle, query_server = server
+        sessions_before = query_server.sessions.size()
+        with ServeClient(handle.host, handle.port) as client:
+            with pytest.raises(ServeError,
+                               match="^bad_request: unknown algorithm 'fa'"):
+                collect(client.query(queries=feature_query, n=5, algorithm="fa"))
+            # the error frame is sent inside the admission context: give
+            # the server a beat to leave it and release the slot
+            deadline = time.monotonic() + 5.0
+            while (query_server.quotas.tenant("default").in_flight
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert query_server.quotas.tenant("default").in_flight == 0
+            assert query_server.pool.in_flight == 0
+            assert query_server.sessions.size() == sessions_before
+            assert collect(client.query(queries=feature_query, n=3)).complete
+
 
 class TestStreaming:
     def test_streams_prefinal_chunks_then_completes(self, server, feature_query):

@@ -13,10 +13,9 @@ from repro.serve.session import (
     make_token,
     parse_token,
 )
-from repro.topn import SUM, combined_topn, fagin_topn, nra_topn, threshold_topn
+from repro.topn import SUM, combined_topn, nra_topn, threshold_topn
 
-COLD = {"fa": fagin_topn, "ta": threshold_topn, "nra": nra_topn,
-        "ca": combined_topn}
+COLD = {"ta": threshold_topn, "nra": nra_topn, "ca": combined_topn}
 
 N_OBJECTS = 96
 N_SOURCES = 3
@@ -55,10 +54,9 @@ class TestAnytimeRunner:
         assert all(not chunk.final for chunk in chunks[:-1])
         assert [chunk.seq for chunk in chunks] == list(range(len(chunks)))
 
-    def test_fa_answers_in_one_final_chunk(self):
-        chunks = drain(AnytimeRunner(make_sources(), n=5, algorithm="fa",
-                                     chunk_depth=1))
-        assert len(chunks) == 1 and chunks[0].final
+    def test_fa_is_not_served(self):
+        with pytest.raises(TopNError, match="unknown algorithm 'fa'"):
+            AnytimeRunner(make_sources(), n=5, algorithm="fa")
 
     def test_partial_bounds_dominate_the_final_scores(self):
         chunks = drain(AnytimeRunner(make_sources(), n=10, algorithm="ta",

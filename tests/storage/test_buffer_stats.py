@@ -114,6 +114,69 @@ class TestBufferManager:
             set_buffer_manager(original)
 
 
+def fill(manager, n, segment=0):
+    for page in range(n):
+        manager.request(segment, page)
+
+
+class TestLRU:
+    def test_evicts_coldest(self):
+        manager = BufferManager(capacity_pages=3)
+        fill(manager, 3)
+        manager.request(0, 0)  # page 0 now hottest; page 1 coldest
+        manager.request(0, 3)  # evicts page 1
+        assert manager.request(0, 0)  # hit
+        assert not manager.request(0, 1)  # miss: was evicted
+        assert manager.evictions >= 1
+
+    def test_lru_not_scan_resistant_baseline(self):
+        """A one-pass scan of a large cold segment flushes the
+        re-referenced hot set under LRU."""
+        hot = list(range(4))
+        manager = BufferManager(capacity_pages=8)
+        for page in hot:
+            manager.request(0, page)
+        for page in hot:
+            manager.request(0, page)
+        for page in range(100, 140):
+            manager.request(1, page)
+        hits = sum(manager.request(0, page) for page in hot)
+        assert hits == 0
+
+
+class TestManagerInvariants:
+    def test_pinned_never_evicted(self):
+        manager = BufferManager(capacity_pages=3)
+        manager.request(0, 0)
+        manager.pin(0, 0)
+        fill(manager, 10)
+        assert manager.request(0, 0), "evicted a pinned page"
+        manager.unpin(0, 0)
+
+    def test_all_pinned_overflow_raises(self):
+        # pins beyond capacity (pin admits without evicting); the next
+        # ordinary request cannot shrink the pool back under capacity
+        manager = BufferManager(capacity_pages=2)
+        for page in range(3):
+            manager.pin(0, page)
+        with pytest.raises(BufferError_):
+            manager.request(0, 5)
+
+    def test_flush_keeps_pinned(self):
+        manager = BufferManager(capacity_pages=8)
+        fill(manager, 4)
+        manager.pin(0, 2)
+        manager.flush()
+        assert manager.resident_pages == 1
+        assert manager.request(0, 2)  # still resident
+        manager.unpin(0, 2)
+
+    def test_unpin_unknown_raises(self):
+        manager = BufferManager(capacity_pages=2)
+        with pytest.raises(BufferError_):
+            manager.unpin(0, 7)
+
+
 class TestCostCounter:
     def test_scoped_charging(self):
         with CostCounter.activate() as cost:
