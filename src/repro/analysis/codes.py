@@ -171,9 +171,9 @@ CODES: dict[str, DiagnosticCode] = _build_table(
     DiagnosticCode(
         "MOA704", "write to sealed state without consulting the seal", "error",
         "A method mutates an attribute declared in `SEALED_BY` without "
-        "reading the seal flag first.  The seal discipline (e.g. the "
-        "coordinator's merge pool) requires checking the flag under the "
-        "lock before every write, so a late shard task can never write "
+        "reading the seal flag first.  The seal discipline requires "
+        "checking the flag under the lock before every write, so a late "
+        "writer on another thread can never write "
         "into a result that was already resolved.",
     ),
     DiagnosticCode(

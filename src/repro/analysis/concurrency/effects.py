@@ -55,7 +55,6 @@ MUTATOR_METHODS = frozenset({
 #: call names treated as thread / executor spawns
 SPAWN_CALLS = frozenset({
     "Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "submit",
-    "run_tasks",
 })
 
 _LOCK_FACTORY_NAMES = frozenset({"Lock", "RLock", "make_lock"})

@@ -57,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["auto", "naive", "unfragmented", "unsafe-small",
                                  "safe-switch", "indexed", "parallel"])
     search.add_argument("--shards", type=int, default=None,
-                        help="shard count for --strategy parallel (default: "
-                             "$REPRO_PARALLEL_DEFAULT_SHARDS or 2)")
+                        help="shard count for --strategy parallel (default: 2)")
 
     experiment = sub.add_parser("experiment",
                                 help="run a named experiment (currently: e3)")

@@ -28,8 +28,7 @@ class DatabaseConfig:
         ``indexed`` or ``parallel``.
     default_shards:
         Shard count used by ``shard()`` / ``strategy="parallel"`` when
-        none is given; ``None`` defers to the
-        ``REPRO_PARALLEL_DEFAULT_SHARDS`` environment variable.
+        none is given; ``None`` means 2.
     cache_enabled:
         Turn on the multi-level query cache (results, resumable top-N
         state, coordinator bounds).  Off by default: cached serving
@@ -37,9 +36,8 @@ class DatabaseConfig:
         cost-model experiments measure cold.  The cache is an LRU of
         64 fingerprints.
 
-    Parallel search runs on a pool of 4 threads that admits 8
-    concurrent queries and rejects more with
-    ``AdmissionRejectedError``.
+    Parallel search evaluates its shards one after another on the
+    calling thread.
     """
 
     model: str = "bm25"

@@ -99,7 +99,6 @@ class MMDatabase:
         self.fragmented = None
         self._executor: FragmentedExecutor | None = None
         self.sharded = None
-        self._pool = None
         self.feature_spaces: dict[str, FeatureSpace] = {}
         self.attributes: dict[str, BAT] = {}
         #: corpus epoch: bumped by every mutation that can change scores
@@ -150,28 +149,18 @@ class MMDatabase:
               balance: str = "docs") -> None:
         """Partition the index into document-range shards (enables the
         ``parallel`` strategy).  ``shards`` defaults to the config's
-        ``default_shards``, falling back to the
-        ``REPRO_PARALLEL_DEFAULT_SHARDS`` environment variable."""
-        from ..parallel import default_shard_count, shard_index
+        ``default_shards``, else 2."""
+        from ..parallel import shard_index
 
         if shards is None and boundaries is None:
-            shards = self.config.default_shards or default_shard_count(fallback=2)
+            shards = self.config.default_shards or 2
         self.sharded = shard_index(self.index, shards=shards,
                                    boundaries=boundaries, balance=balance)
         self._bump_epoch()
 
-    def _parallel_pool(self):
-        from ..parallel import ExecutorPool
-
-        if self._pool is None:
-            self._pool = ExecutorPool(workers=4, kind="thread", max_queries=8)
-        return self._pool
-
     def close(self) -> None:
-        """Shut down the parallel executor pool, if one was started."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release the database's resources.  It holds none that need
+        releasing: shard evaluation runs on the caller's thread."""
 
     def add_feature_space(self, space: FeatureSpace, name: str | None = None) -> None:
         """Register a multimedia feature space over the documents."""
@@ -279,8 +268,8 @@ class MMDatabase:
         return SearchResult(result, tids, cost, elapsed, self.collection)
 
     def _parallel_search(self, tids, n) -> SearchResult:
-        """Sharded parallel execution: admission-controlled, certified
-        distributed top-N (auto-shards on first use).
+        """Sharded execution: certified distributed top-N, every shard
+        evaluated on the calling thread (auto-shards on first use).
 
         With the cache enabled, a warm repeat is served outright and a
         cold run seeds/reuses :class:`~repro.cache.CoordinatorBounds`:
@@ -315,13 +304,10 @@ class MMDatabase:
                 # object must never seed across epochs, so start fresh
                 # rather than trust it
                 bounds = CoordinatorBounds(epoch=self.epoch)
-        pool = self._parallel_pool()
         started = time.perf_counter()
         with CostCounter.activate() as cost:
-            with pool.admit():
-                result = parallel_topn(self.sharded, tids, self.model, n,
-                                       pool=pool, bounds=bounds,
-                                       epoch=self.epoch)
+            result = parallel_topn(self.sharded, tids, self.model, n,
+                                   bounds=bounds, epoch=self.epoch)
         elapsed = time.perf_counter() - started
         if fingerprint is not None and result.certified:
             self.cache.store(fingerprint, n, result, prefix_safe=True,

@@ -203,7 +203,7 @@ class TraceSession:
     via ``threading.local``), so the span buffer needs no lock — the
     declaration below states the confinement so the race sanitizer can
     verify that no worker thread ever reaches into a foreign session's
-    buffers (the executor ships span-less cost snapshots instead).
+    buffers.
     """
 
     SHARED_STATE = {

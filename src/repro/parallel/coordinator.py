@@ -18,20 +18,22 @@ locally sorted, so every unfetched item of shard *s* ranks strictly
 below ``L_s``, the last item shard *s* shipped.  If ``key(L_s) ≥ τ``
 the shard is *pruned* — none of its unfetched items can displace the
 current top-N — otherwise it is probed for its full local top-N.
-Probes that are still queued are re-checked against the live threshold
-just before running and skipped when earlier probes have already pushed
-``τ`` past them.
+Probes run one after another, and each is re-checked against the live
+threshold just before it runs: it is skipped when earlier probes have
+already pushed ``τ`` past it.
+
+Every shard is evaluated on the thread that runs the query, in shard
+order, so the merge pool needs no lock and a shard's cost lands on the
+caller's :class:`~repro.storage.stats.CostCounter` stack directly.
 
 Sort keys are the pairs ``(-score, obj_id)`` (ascending = better).
 Keys are unique, so the tie-aware boundary rule — smallest ids win on a
 tied boundary — is enforced by construction and the merged result is
 byte-identical to serial :func:`~repro.topn.naive.naive_topn`.
 
-The returned :class:`TopNResult` carries ``certified=True`` when every
+The returned :class:`TopNResult` carries ``certified=True``: every
 shard was exhausted, pruned by the threshold bound, or fully probed —
-i.e. the coordinator *proved* the answer equals the serial one.  With
-``probe=False`` (round 1 only) certification can fail; the result then
-says ``certified=False`` and ``safe=False``.
+i.e. the coordinator *proved* the answer equals the serial one.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ from ..errors import ParallelError, QueryCancelledError
 from ..ir.ranking import ScoringModel, score_all
 from ..obs import metrics, tracer
 from ..storage import stats as _stats
-from ..sync import declares_shared_state, make_lock
 from ..topn.aggregates import SUM, AggregateFunction
 from ..topn.result import RankedItem, TopNResult
-from .executor import CancelToken, ExecutorPool, replay_cost
+from .executor import CancelToken
 from .sharder import ShardedIndex
 
 
@@ -74,18 +75,12 @@ class ShardAnswer:
     candidates: int
 
 
-@declares_shared_state
 class IndexShardEvaluator:
     """Evaluates one query against one index shard.
 
     The full local ranking is computed once and cached, so a round-2
-    probe reuses round 1's work (thread and serial pools share
-    memory).
+    probe reuses round 1's work.
     """
-
-    #: written by a round-1 worker, read by round 2 — safe because the
-    #: executor resolves every round-1 future before round 2 submits
-    SHARED_STATE = {"_ranked": "<barrier>"}
 
     def __init__(self, shard, tids: list[int], model: ScoringModel) -> None:
         self.shard_id = shard.shard_id
@@ -111,13 +106,10 @@ class IndexShardEvaluator:
                            candidates=len(ranked))
 
 
-@declares_shared_state
 class SourceRangeEvaluator:
     """Evaluates one object-range shard of Fagin-style graded sources
     by exhaustive random access (the ``naive_topn_sources`` discipline,
     restricted to ``[obj_lo, obj_hi)``)."""
-
-    SHARED_STATE = {"_ranked": "<barrier>"}
 
     def __init__(self, shard_id: int, sources: list, obj_lo: int, obj_hi: int,
                  agg: AggregateFunction = SUM) -> None:
@@ -146,48 +138,29 @@ class SourceRangeEvaluator:
                            candidates=len(ranked))
 
 
-# -- sealed merge state -----------------------------------------------------
+# -- merge pool --------------------------------------------------------------
 
 
-@declares_shared_state
 @dataclass
 class _MergeState:
-    """The coordinator's candidate pool.  ``seal()`` makes it
-    permanently read-only: a cancelled or late shard task whose outcome
-    arrives after the result was resolved can never write into it."""
-
-    SHARED_STATE = {
-        "_items": "_lock",
-        "sealed": "_lock",
-        "rejected_writes": "_lock",
-    }
-    SEALED_BY = {"_items": "sealed"}
+    """The coordinator's candidate pool, local to one query."""
 
     n: int
     _items: dict[int, RankedItem] = field(default_factory=dict)
-    _lock: object = field(default_factory=lambda: make_lock("parallel.merge"))
-    sealed: bool = False
-    rejected_writes: int = 0
 
-    def offer(self, items: list[RankedItem]) -> bool:
-        """Merge items in; returns False (and changes nothing) when
-        sealed.  Shards are object-disjoint but a probe re-ships its
-        shard's round-1 items, so merging dedupes by object id."""
-        with self._lock:
-            if self.sealed:
-                self.rejected_writes += 1
-                return False
-            for item in items:
-                self._items[item.obj_id] = item
-            return True
+    def offer(self, items: list[RankedItem]) -> None:
+        """Merge items in.  Shards are object-disjoint but a probe
+        re-ships its shard's round-1 items, so merging dedupes by
+        object id."""
+        for item in items:
+            self._items[item.obj_id] = item
 
     def tau(self) -> tuple[float, int] | None:
         """The uniform threshold: key of the n-th best pooled item, or
         ``None`` while fewer than n candidates are pooled."""
-        with self._lock:
-            if len(self._items) < self.n:
-                return None
-            return heapq.nsmallest(self.n, map(_key, self._items.values()))[-1]
+        if len(self._items) < self.n:
+            return None
+        return heapq.nsmallest(self.n, map(_key, self._items.values()))[-1]
 
     def prunable(self, last_key: tuple[float, int] | None) -> bool:
         """Whether a shard whose deepest shipped item has ``last_key``
@@ -197,15 +170,9 @@ class _MergeState:
         threshold = self.tau()
         return threshold is not None and last_key >= threshold
 
-    def seal(self) -> list[RankedItem]:
-        """Freeze the pool and return the final top-n, best first."""
-        with self._lock:
-            self.sealed = True
-            return sorted(self._items.values(), key=_key)[: self.n]
-
-    def size(self) -> int:
-        with self._lock:
-            return len(self._items)
+    def top(self) -> list[RankedItem]:
+        """The final top-n, best first."""
+        return sorted(self._items.values(), key=_key)[: self.n]
 
 
 # -- the coordinator --------------------------------------------------------
@@ -225,9 +192,6 @@ _MAX_CACHED_RANKING = 1024
 def coordinated_topn(
     evaluators: list,
     n: int,
-    pool: ExecutorPool | None = None,
-    round1_fetch: int | None = None,
-    probe: bool = True,
     token: CancelToken | None = None,
     strategy: str = "parallel",
     bounds=None,
@@ -236,8 +200,9 @@ def coordinated_topn(
     """Run the two-round bounded merge over shard evaluators.
 
     Each evaluator answers ``top(depth) -> ShardAnswer``.  See the
-    module docstring for the protocol; ``probe=False`` stops after
-    round 1 and reports honest (possibly ``certified=False``) results.
+    module docstring for the protocol.  ``token`` is checked before
+    each shard evaluation; a cancelled token raises
+    :class:`~repro.errors.QueryCancelledError`.
 
     ``bounds`` is an optional
     :class:`~repro.cache.bounds.CoordinatorBounds` recorded by a
@@ -245,7 +210,7 @@ def coordinated_topn(
     epoch, shard layout, terms).  Shards whose cached best key is
     provably below a cached final threshold are excluded from round 1
     outright (``bound_pruned``); shards with a cached complete local
-    ranking are served from the cache without scheduling their
+    ranking are served from the cache without running their
     evaluator (``bound_served``).  Certified outcomes are recorded back
     so consecutive runs keep tightening the bounds.
 
@@ -258,12 +223,9 @@ def coordinated_topn(
         raise ParallelError(f"need n >= 1, got {n}")
     if not evaluators:
         raise ParallelError("need at least one shard evaluator")
-    own_pool = pool is None
-    pool = pool or ExecutorPool(kind="serial", max_queries=1)
     token = token or CancelToken()
     k = len(evaluators)
-    fetch = round1_fetch if round1_fetch is not None else default_round1_fetch(n, k)
-    fetch = min(max(1, fetch), n)
+    fetch = default_round1_fetch(n, k)
     state = _MergeState(n)
     last_key: list[tuple[float, int] | None] = [None] * k
     first_key: list[tuple[float, int] | None] = [None] * k
@@ -308,42 +270,33 @@ def coordinated_topn(
                 # shard provably contributes nothing to this top-n
                 precluded[i] = True
 
-    def _absorb(outcomes, idxs, round_no) -> None:
-        """Merge shard outcomes (``idxs`` maps outcome position to
-        evaluator index); per-shard spans carry the replayed cost."""
+    def _evaluate(i: int, depth: int, round_no: int) -> None:
+        """Evaluate shard ``i`` to ``depth`` inside its span and merge
+        its answer into the pool."""
         nonlocal shipped, candidates
-        for pos, outcome in enumerate(outcomes):
-            i = idxs[pos]
-            with tracer.span("parallel.shard", shard=evaluators[i].shard_id,
-                             round=round_no, status=outcome.status):
-                if outcome.status == "error":
-                    raise outcome.error
-                if outcome.status == "cancelled":
-                    raise QueryCancelledError(
-                        f"shard task {evaluators[i].shard_id} cancelled in "
-                        f"round {round_no}")
-                if outcome.status == "skipped":
-                    continue
-                if not outcome.already_charged:
-                    replay_cost(outcome.cost)
-                answer: ShardAnswer = outcome.payload
-                state.offer(answer.items)
-                # the coordinator touches every shipped item once to
-                # merge it — model that transfer as tuple reads
-                _stats.charge_tuples_read(len(answer.items))
-                shipped += len(answer.items)
-                if round_no == 1:
-                    candidates += answer.candidates
-                if answer.items:
-                    last_key[i] = _key(answer.items[-1])
-                    if first_key[i] is None:
-                        first_key[i] = _key(answer.items[0])
-                if answer.exhausted:
-                    exhausted[i] = True
-                    full_ranking[i] = answer.items
-                shard_candidates[i] = answer.candidates
-                tracer.annotate(items=len(answer.items),
-                                exhausted=answer.exhausted)
+        shard_id = evaluators[i].shard_id
+        if token.cancelled():
+            raise QueryCancelledError(
+                f"query cancelled before shard {shard_id} in round {round_no}")
+        with tracer.span("parallel.shard", shard=shard_id, round=round_no):
+            answer: ShardAnswer = evaluators[i].top(depth)
+            state.offer(answer.items)
+            # the coordinator touches every shipped item once to
+            # merge it — model that transfer as tuple reads
+            _stats.charge_tuples_read(len(answer.items))
+            shipped += len(answer.items)
+            if round_no == 1:
+                candidates += answer.candidates
+            if answer.items:
+                last_key[i] = _key(answer.items[-1])
+                if first_key[i] is None:
+                    first_key[i] = _key(answer.items[0])
+            if answer.exhausted:
+                exhausted[i] = True
+                full_ranking[i] = answer.items
+            shard_candidates[i] = answer.candidates
+            tracer.annotate(items=len(answer.items),
+                            exhausted=answer.exhausted)
 
     try:
         with tracer.span(f"topn.{strategy}", n=n, shards=k, fetch=fetch):
@@ -351,11 +304,8 @@ def coordinated_topn(
             run1 = [i for i in range(k) if not served[i] and not precluded[i]]
             with tracer.span("parallel.round", round=1, fetch=fetch,
                              bound_served=k - len(run1)):
-                if run1:
-                    outcomes = pool.run_tasks(
-                        [lambda e=evaluators[i]: e.top(fetch) for i in run1],
-                        token=token)
-                    _absorb(outcomes, idxs=run1, round_no=1)
+                for i in run1:
+                    _evaluate(i, fetch, round_no=1)
 
             # -- threshold: which shards could still matter? --------------
             need = [i for i in range(k)
@@ -364,41 +314,22 @@ def coordinated_topn(
             rounds = 1
             live_skipped = 0
             probed = 0
-            if need and probe:
+            if need:
                 rounds = 2
-
-                def probe_shard(evaluator) -> ShardAnswer:
-                    # merge into the pool as soon as the probe finishes
-                    # (offer is locked and dedupes), so the threshold
-                    # advances while later probes are still queued
-                    answer = evaluator.top(n)
-                    state.offer(answer.items)
-                    return answer
-
                 with tracer.span("parallel.round", round=2, probes=len(need)):
-                    # a queued probe is re-checked against the *live*
-                    # threshold just before it runs: earlier probes may
-                    # have pushed tau past it — this is how a query whose
-                    # top-N is already resolved stops its remaining tasks
-                    probes = pool.run_tasks(
-                        [lambda e=evaluators[i]: probe_shard(e) for i in need],
-                        token=token,
-                        skip_when=lambda j: _tail_prunable(need[j]),
-                    )
-                    live_skipped = sum(1 for o in probes if o.status == "skipped")
-                    probed = sum(1 for o in probes if o.status == "done")
-                    _absorb(probes, idxs=need, round_no=2)
+                    for i in need:
+                        # re-checked against the *live* threshold: earlier
+                        # probes may have pushed tau past this shard
+                        if _tail_prunable(i):
+                            live_skipped += 1
+                            continue
+                        _evaluate(i, n, round_no=2)
+                        probed += 1
 
-            items = state.seal()
-            # precluded shards are certifiably below a previous run's
-            # final threshold for an n at least this large: same-epoch
-            # data makes that proof carry over to this run
-            certified = probe or all(
-                exhausted[i] or precluded[i] or _tail_prunable(i)
-                for i in range(k))
+            items = state.top()
             bound_served = sum(served)
             bound_pruned = sum(precluded)
-            if bounds is not None and certified:
+            if bounds is not None:
                 _record_bounds(bounds, n, items, evaluators, served, precluded,
                                first_key, exhausted, shard_candidates,
                                full_ranking, epoch=epoch)
@@ -410,10 +341,10 @@ def coordinated_topn(
             if bound_pruned:
                 metrics.counter("cache.bound_pruned").inc(bound_pruned)
             tracer.annotate(rounds=rounds, probes=probed,
-                            probes_saved=k - probed, certified=certified,
+                            probes_saved=k - probed, certified=True,
                             bound_served=bound_served, bound_pruned=bound_pruned)
             return TopNResult(
-                items, n, strategy=strategy, safe=certified,
+                items, n, strategy=strategy, safe=True,
                 stats={
                     "shards": k,
                     "rounds": rounds,
@@ -427,12 +358,10 @@ def coordinated_topn(
                     "bound_served": bound_served,
                     "bound_pruned": bound_pruned,
                 },
-                certified=certified,
+                certified=True,
             )
     finally:
-        token.cancel()  # resolved (or failed): stop any straggler tasks
-        if own_pool:
-            pool.close()
+        token.cancel()  # resolved (or failed): later checks of the token stop
 
 
 def _record_bounds(bounds, n, items, evaluators, served, precluded, first_key,
@@ -469,14 +398,11 @@ def parallel_topn(
     tids: list[int],
     model: ScoringModel,
     n: int,
-    pool: ExecutorPool | None = None,
-    round1_fetch: int | None = None,
-    probe: bool = True,
     token: CancelToken | None = None,
     bounds=None,
     epoch: int = 0,
 ) -> TopNResult:
-    """Sharded parallel top-N over an inverted index.
+    """Sharded top-N over an inverted index.
 
     Tie-aware-identical to serial :func:`~repro.topn.naive.naive_topn`
     on the same index: shards share the full index's global statistics,
@@ -486,10 +412,8 @@ def parallel_topn(
     metrics.set_gauge("parallel.shard_skew", sharded.skew())
     evaluators = [IndexShardEvaluator(shard, tids, model)
                   for shard in sharded.shards]
-    result = coordinated_topn(evaluators, n, pool=pool,
-                              round1_fetch=round1_fetch, probe=probe,
-                              token=token, strategy="parallel", bounds=bounds,
-                              epoch=epoch)
+    result = coordinated_topn(evaluators, n, token=token, strategy="parallel",
+                              bounds=bounds, epoch=epoch)
     result.stats["shard_skew"] = sharded.skew()
     return result
 
@@ -500,14 +424,11 @@ def parallel_topn_sources(
     shards: int = 2,
     boundaries: list[int] | None = None,
     agg: AggregateFunction = SUM,
-    pool: ExecutorPool | None = None,
-    round1_fetch: int | None = None,
-    probe: bool = True,
     token: CancelToken | None = None,
     bounds=None,
     epoch: int = 0,
 ) -> TopNResult:
-    """Sharded parallel top-N over Fagin-style graded sources: the
+    """Sharded top-N over Fagin-style graded sources: the
     object id space is split into contiguous ranges, one exhaustive
     range evaluator per shard."""
     n_objects = max((source.n_objects for source in sources), default=0)
@@ -522,7 +443,6 @@ def parallel_topn_sources(
         SourceRangeEvaluator(i, sources, lo, hi, agg=agg)
         for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
     ]
-    return coordinated_topn(evaluators, n, pool=pool,
-                            round1_fetch=round1_fetch, probe=probe,
-                            token=token, strategy="parallel-sources",
-                            bounds=bounds, epoch=epoch)
+    return coordinated_topn(evaluators, n, token=token,
+                            strategy="parallel-sources", bounds=bounds,
+                            epoch=epoch)

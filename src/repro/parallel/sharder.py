@@ -2,8 +2,9 @@
 
 The Step-1 programme fragments the inverted index *vertically in the
 vocabulary* (interesting terms vs the rest); this module partitions it
-*horizontally over documents* so that K workers can evaluate one query
-concurrently.  Each shard is a fully self-contained
+*horizontally over documents* so that the coordinator evaluates one
+query shard by shard and its threshold can skip the shards that cannot
+contribute.  Each shard is a fully self-contained
 :class:`~repro.ir.invindex.InvertedIndex` over a contiguous document
 range ``[doc_lo, doc_hi)``:
 

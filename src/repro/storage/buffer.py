@@ -21,7 +21,7 @@ frame.  Frames can be **pinned**: a pinned page is never chosen as an
 eviction victim until every pin is released, which is how callers keep
 a working set resident across a multi-step operation.
 
-The pool is process-wide and the parallel engine's worker threads
+The pool is process-wide and the query server's worker threads
 request pages concurrently, so the manager follows the
 :mod:`repro.sync` declaration protocol: the counters, the pin table
 and the frame table are all guarded by the manager's ``_lock``, and

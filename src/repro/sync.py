@@ -1,8 +1,8 @@
 """Concurrency declarations, tracked locks and the opt-in race sanitizer.
 
-The parallel engine (PR 3) made the reproduction genuinely concurrent:
-worker threads touch the buffer pool, the metrics registry and the
-coordinator's merge state.  This module is the *declaration protocol*
+The query server runs queries on worker threads, so the buffer pool,
+the metrics registry, the query cache and the server's own tables are
+touched concurrently.  This module is the *declaration protocol*
 that makes that sharing checkable — statically by
 :mod:`repro.analysis.concurrency` and dynamically by the race
 sanitizer defined here.
@@ -21,8 +21,8 @@ markers:
 
 * ``"<thread-confined>"`` — only ever accessed by its owning thread;
 * ``"<barrier>"`` — writes are separated by an external happens-before
-  barrier (e.g. the executor's round boundary: every round-1 future is
-  resolved before any round-2 task is submitted);
+  barrier (e.g. a ``threading.Event`` the reader waits on before its
+  first read);
 * ``"<config>"`` — mutated only during single-threaded configuration
   (module import, test setup), never on a worker path.
 

@@ -11,6 +11,7 @@ locks must already be in the static graph
 """
 
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -95,19 +96,40 @@ class TestShippedGraphConsistency:
         assert lock_order_cycles(graph.edges) == []
 
     def test_runtime_workload_edges_are_a_subset_of_static(self, sanitizer):
-        """Exercise the executor under the sanitizer: every nesting
-        the runtime observes must be predicted by the static graph."""
+        """Serve a cache-on parallel text query under the sanitizer, then
+        one the saturated pool rejects: every nesting the runtime
+        observes must be predicted by the static graph."""
+        from repro.core import DatabaseConfig, MMDatabase
+        from repro.errors import QuotaExceededError
         from repro.obs import metrics
-        from repro.parallel.executor import ExecutorPool
+        from repro.serve import ServeClient, ServerConfig, ServerThread, collect
+        from repro.workloads import SyntheticCollection, trec
 
+        collection = SyntheticCollection.generate(trec.tiny(seed=13))
+        db = MMDatabase.from_collection(
+            collection, config=DatabaseConfig(cache_enabled=True))
+        query = " ".join(collection.term_strings[:4])
+        server = ServerThread(db, ServerConfig(max_concurrent=1))
+        handle = server.start()
         metrics.enable()
         try:
-            with ExecutorPool(workers=2, kind="thread") as pool:
+            with ServeClient(handle.host, handle.port) as client:
+                served = collect(client.query(kind="text", query=query, n=10,
+                                              strategy="parallel"))
+                assert served.complete
+                # the done frame is sent inside the admission: give the
+                # server a beat to release the pool slot
+                pool = server.server.pool
+                deadline = time.monotonic() + 5.0
+                while pool.in_flight and time.monotonic() < deadline:
+                    time.sleep(0.01)
                 with pool.admit():
-                    outcomes = pool.run_tasks([(lambda: 1)] * 4)
-                    assert all(o.status == "done" for o in outcomes)
+                    with pytest.raises(QuotaExceededError, match="max_queries=1"):
+                        collect(client.query(kind="text", query=query, n=10,
+                                             strategy="parallel"))
         finally:
             metrics.disable()
+            server.stop()
         assert sync.lock_order_edges(), "workload recorded no nesting"
         graph = build_lock_graph(parse_src_trees())
         assert crosscheck_lock_order(graph, sync.lock_order_edges()) == []

@@ -197,5 +197,5 @@ class TestPackageInference:
         assert buffer.lock_attrs == {"_lock"}
         session = modules["repro.obs.tracer"].classes["TraceSession"]
         assert session.shared_state["roots"] == "<thread-confined>"
-        merge = modules["repro.parallel.coordinator"].classes["_MergeState"]
-        assert merge.sealed_by == {"_items": "sealed"}
+        server = modules["repro.serve.server"].classes["ServerThread"]
+        assert server.shared_state["_loop"] == "<barrier>"

@@ -2,11 +2,11 @@
 under the thread executor, and correctly locked code stays silent."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import sync
-from repro.parallel.executor import ExecutorPool
 from repro.storage.buffer import BufferManager
 
 from .fixtures import (
@@ -32,10 +32,9 @@ def kinds():
 
 
 def run_threaded(fns, workers=4):
-    with ExecutorPool(workers=workers, kind="thread") as pool:
-        outcomes = pool.run_tasks(list(fns))
-    assert all(o.status == "done" for o in outcomes)
-    return outcomes
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn) for fn in fns]
+    return [future.result() for future in futures]
 
 
 class TestDynamicCatches:

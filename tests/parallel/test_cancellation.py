@@ -9,8 +9,10 @@ import pytest
 
 from repro.errors import QueryCancelledError
 from repro.mm.sources import ArraySource, BlockedSource
+from repro.parallel.coordinator import ShardAnswer, coordinated_topn
 from repro.parallel.executor import CancelToken, ExecutorPool
 from repro.topn import combined_topn, nra_topn, threshold_topn
+from repro.topn.result import RankedItem
 
 ENGINES = pytest.mark.parametrize(
     "engine", (threshold_topn, nra_topn, combined_topn), ids=("ta", "nra", "ca"))
@@ -107,32 +109,39 @@ class TestBlockedEngineCancellation:
 
 
 class TestNoDanglingWork:
-    """After a cancelled run, the pool owes nothing: no queued shard
-    tasks, no in-flight admissions."""
+    """After a cancelled run nothing is owed: no shard evaluated after
+    the cancellation, no in-flight admissions."""
 
-    @pytest.mark.parametrize("kind", ("serial", "thread"))
-    def test_cancelled_run_tasks_leave_no_pending_work(self, kind):
-        with ExecutorPool(workers=2, kind=kind) as pool:
-            token = CancelToken()
+    def test_cancelled_coordinated_run_leaves_no_pending_work(self):
+        token = CancelToken()
+        evaluated = []
 
-            def first():
-                token.cancel()  # cancels everything not yet started
-                return "ran"
+        class Shard:
+            def __init__(self, shard_id):
+                self.shard_id = shard_id
 
-            outcomes = pool.run_tasks([first] + [lambda: "late"] * 6,
-                                      token=token)
-            statuses = [outcome.status for outcome in outcomes]
-            assert statuses[0] == "done"
-            assert "cancelled" in statuses
-            assert pool._pending == 0
-            assert pool.in_flight == 0
+            def top(self, depth):
+                evaluated.append(self.shard_id)
+                token.cancel()  # cancels every shard not yet started
+                return ShardAnswer(self.shard_id, [RankedItem(self.shard_id, 1.0)],
+                                   exhausted=True, candidates=1)
+
+        with pytest.raises(QueryCancelledError, match="before shard 1 in round 1"):
+            coordinated_topn([Shard(i) for i in range(7)], n=3, token=token)
+        assert evaluated == [0]
 
     def test_deadline_expired_before_start_cancels_everything(self):
-        with ExecutorPool(workers=2, kind="thread") as pool:
-            outcomes = pool.run_tasks([lambda: "never"] * 4,
-                                      token=CancelToken.with_timeout(0.0))
-            assert [o.status for o in outcomes] == ["cancelled"] * 4
-            assert pool._pending == 0
+        class Shard:
+            shard_id = 0
+
+            def top(self, depth):  # pragma: no cover - never reached
+                raise AssertionError("evaluated after the deadline")
+
+        with ExecutorPool(workers=2) as pool:
+            with pytest.raises(QueryCancelledError):
+                with pool.admit():
+                    coordinated_topn([Shard()], n=4,
+                                     token=CancelToken.with_timeout(0.0))
             assert pool.in_flight == 0
 
     def test_cancelled_blocked_engine_leaves_admission_clean(self):
@@ -143,6 +152,5 @@ class TestNoDanglingWork:
                 with pool.admit():
                     threshold_topn(make_sources(), 10, cancel=token)
             assert pool.in_flight == 0
-            assert pool._pending == 0
             with pool.admit():  # the slot is reusable immediately
                 pass

@@ -1,7 +1,5 @@
 """Tests for the distributed top-N coordinator: the two-round
-threshold merge, certification, pruning, and the sealed merge state."""
-
-import threading
+threshold merge, certification, pruning, and the merge pool."""
 
 import numpy as np
 import pytest
@@ -11,7 +9,6 @@ from repro.ir import BM25, InvertedIndex
 from repro.mm import ArraySource
 from repro.parallel import (
     CancelToken,
-    ExecutorPool,
     SourceRangeEvaluator,
     coordinated_topn,
     default_round1_fetch,
@@ -53,7 +50,7 @@ class TestThresholdPruning:
         at the threshold, so it is never probed."""
         scores = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
         evaluators, _ = evaluators_for(scores, [0, 5, 10])
-        result = coordinated_topn(evaluators, n=2, round1_fetch=1)
+        result = coordinated_topn(evaluators, n=2)
         assert result.doc_ids == [0, 1]
         assert result.certified is True
         assert result.stats["probes"] == 1
@@ -68,18 +65,19 @@ class TestThresholdPruning:
                   9.4, 0.1, 0.1,     # shard 2
                   1.0, 0.1, 0.1]     # shard 3
         evaluators, _ = evaluators_for(scores, [0, 3, 6, 9, 12])
-        result = coordinated_topn(evaluators, n=3, round1_fetch=1)
+        result = coordinated_topn(evaluators, n=3)
         assert result.doc_ids == [0, 1, 2]
         assert result.certified is True
         assert result.stats["live_skipped"] == 1
         assert result.stats["probes"] == 1
 
     def test_round1_only_when_everything_prunable(self):
-        """When round 1 already certifies the answer there is no round 2
-        even with probing enabled."""
+        """When round 1 already certifies the answer there is no round
+        2: one shard ships its top-2, whose last item is the threshold."""
         scores = [10, 9, 8, 7, 1, 1, 1, 1]
-        evaluators, _ = evaluators_for(scores, [0, 4, 8])
-        result = coordinated_topn(evaluators, n=2, round1_fetch=2)
+        evaluators, _ = evaluators_for(scores, [0, 8])
+        assert default_round1_fetch(2, 1) == 2
+        result = coordinated_topn(evaluators, n=2)
         assert result.stats["rounds"] == 1
         assert result.stats["probes"] == 0
         assert result.certified is True
@@ -87,62 +85,18 @@ class TestThresholdPruning:
 
 
 class TestCertification:
-    def test_probe_false_reports_uncertified(self):
-        """Round 1 alone misses deep items; the result says so."""
-        scores = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
-        evaluators, _ = evaluators_for(scores, [0, 5, 10])
-        result = coordinated_topn(evaluators, n=4, round1_fetch=2, probe=False)
-        assert result.certified is False
-        assert result.safe is False
-        # the uncertified answer is genuinely wrong here: docs 2 and 3
-        # (scores 8 and 7) were never shipped
-        assert result.doc_ids == [0, 1, 5, 6]
-
     def test_probe_true_fixes_the_same_instance(self):
+        """Round 1 ships only docs 0, 1 (shard 0) and 5, 6 (shard 1);
+        the round-2 probe of shard 0 recovers docs 2 and 3."""
         scores = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
         evaluators, _ = evaluators_for(scores, [0, 5, 10])
-        result = coordinated_topn(evaluators, n=4, round1_fetch=2)
-        assert result.certified is True
-        assert result.doc_ids == [0, 1, 2, 3]
-
-    def test_probe_false_can_still_certify(self):
-        """With the full depth fetched in round 1 everything is
-        exhausted, so even probe=False is provably exact."""
-        scores = [5, 4, 3, 2]
-        evaluators, _ = evaluators_for(scores, [0, 2, 4])
-        result = coordinated_topn(evaluators, n=4, round1_fetch=4, probe=False)
+        assert default_round1_fetch(4, 2) == 2
+        result = coordinated_topn(evaluators, n=4)
         assert result.certified is True
         assert result.doc_ids == [0, 1, 2, 3]
 
 
 class TestMergeState:
-    def test_offer_after_seal_is_rejected(self):
-        state = _MergeState(2)
-        state.offer([RankedItem(1, 5.0), RankedItem(2, 4.0)])
-        final = state.seal()
-        assert not state.offer([RankedItem(3, 99.0)])
-        assert state.rejected_writes == 1
-        assert state.seal() == final  # unchanged
-
-    def test_late_writer_thread_never_corrupts_result(self):
-        """A straggler task finishing after the result was sealed has
-        its write refused — completed results are immutable."""
-        state = _MergeState(1)
-        state.offer([RankedItem(0, 1.0)])
-        final = state.seal()
-
-        refused = []
-
-        def straggler():
-            refused.append(state.offer([RankedItem(9, 100.0)]))
-
-        thread = threading.Thread(target=straggler)
-        thread.start()
-        thread.join()
-        assert refused == [False]
-        assert state.rejected_writes == 1
-        assert state.seal() == final == [RankedItem(0, 1.0)]
-
     def test_tau_requires_n_candidates(self):
         state = _MergeState(3)
         state.offer([RankedItem(0, 1.0)])
@@ -151,10 +105,10 @@ class TestMergeState:
         assert state.tau() == _key(RankedItem(0, 1.0))
 
     def test_offer_dedupes_by_object(self):
-        state = _MergeState(2)
+        state = _MergeState(3)
         state.offer([RankedItem(0, 1.0)])
         state.offer([RankedItem(0, 1.0), RankedItem(1, 2.0)])
-        assert state.size() == 2
+        assert state.top() == [RankedItem(1, 2.0), RankedItem(0, 1.0)]
 
 
 class TestCancellationAndErrors:
@@ -165,10 +119,11 @@ class TestCancellationAndErrors:
         token.cancel()
         with pytest.raises(QueryCancelledError):
             coordinated_topn(evaluators, n=2, token=token)
+        assert all(evaluator._ranked is None for evaluator in evaluators)
 
     def test_token_cancelled_after_completion(self):
-        """The coordinator cancels its token on the way out, so any
-        straggler shard task of a finished query stops."""
+        """The coordinator cancels its token on the way out, so other
+        work sharing the token learns the query is resolved."""
         scores = [3, 2, 1, 0]
         evaluators, _ = evaluators_for(scores, [0, 2, 4])
         token = CancelToken()
@@ -208,16 +163,6 @@ class TestParallelTopnSources:
         assert result.doc_ids == reference.doc_ids
         assert result.scores == reference.scores
         assert result.certified is True
-
-    def test_thread_pool_matches_serial(self):
-        rng = np.random.default_rng(23)
-        matrix = rng.random((80, 2))
-        make = lambda: [ArraySource(matrix[:, j]) for j in range(2)]  # noqa: E731
-        reference = parallel_topn_sources(make(), 8, shards=4)
-        with ExecutorPool(kind="thread", workers=3) as pool:
-            threaded = parallel_topn_sources(make(), 8, shards=4, pool=pool)
-        assert threaded.doc_ids == reference.doc_ids
-        assert threaded.scores == reference.scores
 
     def test_bad_boundaries_rejected(self):
         sources = [ArraySource(np.ones(10))]

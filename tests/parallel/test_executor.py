@@ -1,49 +1,70 @@
-"""Tests for the executor pool: admission control, cancellation,
-cross-thread cost replay."""
+"""Tests for the executor pool: construction, admission control, and
+shard evaluation on the caller's thread or the pool's worker thread."""
 
 import contextlib
 
+import numpy as np
 import pytest
 
 from repro.errors import (
     AdmissionRejectedError,
+    QueryCancelledError,
     ShardingError,
     TopNError,
 )
+from repro.mm import ArraySource
 from repro.obs import metrics
 from repro.parallel import (
     CancelToken,
     ExecutorPool,
-    counter_from_snapshot,
-    replay_cost,
+    SourceRangeEvaluator,
+    coordinated_topn,
 )
-from repro.storage.stats import CostCounter, charge_tuples_read
 
 
-def _charge_three():
-    charge_tuples_read(3)
-    return "paid"
+class RecordingEvaluator:
+    """Wraps a shard evaluator and records the depth of every fetch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shard_id = inner.shard_id
+        self.depths = []
+
+    def top(self, depth):
+        self.depths.append(depth)
+        return self.inner.top(depth)
 
 
-def _boom():
-    raise ValueError("shard exploded")
+class Exploding:
+    shard_id = 0
+
+    def top(self, depth):
+        raise ValueError("shard exploded")
+
+
+def recording_evaluators(scores, boundaries):
+    sources = [ArraySource(np.asarray(scores, dtype=np.float64))]
+    return [
+        RecordingEvaluator(SourceRangeEvaluator(i, sources, lo, hi))
+        for i, (lo, hi) in enumerate(zip(boundaries, boundaries[1:]))
+    ]
+
+
+def run_query(pool, kind, fn, *args, **kwargs):
+    """Run one coordinated query on the caller's thread (``serial``) or
+    on one of the pool's worker threads (``thread``), as the server
+    does with admitted engine steps."""
+    with pool.admit():
+        if kind == "serial":
+            return fn(*args, **kwargs)
+        return pool.executor.submit(fn, *args, **kwargs).result()
 
 
 class TestConstruction:
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ShardingError):
-            ExecutorPool(kind="fibers")
-
-    def test_process_kind_rejected(self):
-        """Process pools could not pickle the coordinator's shard tasks,
-        so no query ever ran on one; the pool refuses the kind."""
-        with pytest.raises(ShardingError, match="unknown executor kind 'process'"):
-            ExecutorPool(kind="process")
-
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"max_queries": 0},
-        {"max_pending": 0},
+        {"max_queries": -1},
     ])
     def test_bad_bounds_rejected(self, kwargs):
         with pytest.raises(ShardingError):
@@ -51,15 +72,15 @@ class TestConstruction:
 
     def test_context_manager_closes(self):
         with ExecutorPool(workers=1) as pool:
-            assert pool.kind == "thread"
-        assert pool._executor is None
+            assert pool.executor is not None
+        assert pool.executor is None
 
 
 class TestAdmissionControl:
     def test_max_plus_one_concurrent_query_rejected(self):
         """The (max+1)-th concurrent query is rejected with a typed
         TopNError subclass, not queued."""
-        with ExecutorPool(kind="serial", max_queries=2) as pool:
+        with ExecutorPool(workers=1, max_queries=2) as pool:
             with contextlib.ExitStack() as stack:
                 stack.enter_context(pool.admit())
                 stack.enter_context(pool.admit())
@@ -73,25 +94,17 @@ class TestAdmissionControl:
                 assert pool.in_flight == 1
         assert pool.in_flight == 0
 
-    def test_bounded_task_queue_rejects(self):
-        with ExecutorPool(kind="serial", max_pending=2) as pool:
-            with pytest.raises(AdmissionRejectedError):
-                pool.run_tasks([_charge_three] * 3)
-            # bound applies per batch; smaller batches still run
-            outcomes = pool.run_tasks([_charge_three] * 2)
-            assert [o.status for o in outcomes] == ["done", "done"]
-
     def test_rejections_are_counted(self):
         metrics.enable()
         metrics.reset()
         try:
-            with ExecutorPool(kind="serial", max_queries=1) as pool:
+            with ExecutorPool(workers=1, max_queries=1) as pool:
                 with pool.admit():
                     with pytest.raises(AdmissionRejectedError):
                         with pool.admit():
                             pass  # pragma: no cover
+                assert pool.in_flight == 0
             assert metrics.counter("parallel.rejected").value == 1
-            assert metrics.gauge("parallel.queue_depth").value == 0.0
         finally:
             metrics.reset()
             metrics.disable()
@@ -100,65 +113,44 @@ class TestAdmissionControl:
 class TestCancellation:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_cancelled_token_skips_tasks(self, kind):
+        evaluators = recording_evaluators([3, 2, 1, 0], [0, 2, 4])
         token = CancelToken()
         token.cancel()
-        with ExecutorPool(kind=kind, workers=2) as pool:
-            outcomes = pool.run_tasks([_charge_three, _charge_three], token=token)
-        assert [o.status for o in outcomes] == ["cancelled", "cancelled"]
-        assert all(o.payload is None for o in outcomes)
+        with ExecutorPool(workers=2) as pool:
+            with pytest.raises(QueryCancelledError):
+                run_query(pool, kind, coordinated_topn, evaluators, n=2,
+                          token=token)
+            assert pool.in_flight == 0
+        assert all(evaluator.depths == [] for evaluator in evaluators)
 
     def test_skip_when_prunes_individual_tasks(self):
-        with ExecutorPool(kind="serial") as pool:
-            outcomes = pool.run_tasks([_charge_three, _charge_three],
-                                      skip_when=lambda i: i == 0)
-        assert [o.status for o in outcomes] == ["skipped", "done"]
-        assert outcomes[1].payload == "paid"
+        """Round 2 re-checks each queued probe against the live
+        threshold: the first probe lifts it past shard 1, whose probe
+        is skipped while shard 0's runs."""
+        scores = [10.0, 9.9, 9.8,    # shard 0: the whole top-3
+                  9.5, 0.1, 0.1,     # shard 1: good best, empty tail
+                  9.4, 0.1, 0.1,     # shard 2
+                  1.0, 0.1, 0.1]     # shard 3
+        evaluators = recording_evaluators(scores, [0, 3, 6, 9, 12])
+        with ExecutorPool(workers=1) as pool:
+            result = run_query(pool, "serial", coordinated_topn,
+                               evaluators, n=3)
+        assert result.doc_ids == [0, 1, 2]
+        assert result.stats["live_skipped"] == 1
+        assert [evaluator.depths for evaluator in evaluators] == [
+            [1, 3], [1], [1], [1]]
 
 
 class TestOutcomes:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_errors_become_outcomes(self, kind):
-        with ExecutorPool(kind=kind, workers=2) as pool:
-            outcomes = pool.run_tasks([_boom, _charge_three])
-        assert outcomes[0].status == "error"
-        assert isinstance(outcomes[0].error, ValueError)
-        assert outcomes[1].status == "done"
-
-    def test_empty_task_list(self):
-        with ExecutorPool(kind="serial") as pool:
-            assert pool.run_tasks([]) == []
-
-
-class TestCostReplay:
-    def test_counter_from_snapshot_roundtrip(self):
-        snapshot = {"tuples_read": 7, "page_reads": 2, "made_up_metric": 5}
-        counter = counter_from_snapshot(snapshot)
-        assert counter.tuples_read == 7
-        assert counter.page_reads == 2
-        assert counter.extra["made_up_metric"] == 5
-
-    def test_replay_none_is_noop(self):
-        with CostCounter.activate() as cost:
-            replay_cost(None)
-            replay_cost({})
-        assert cost.tuples_read == 0
-
-    def test_serial_pool_charges_caller_directly(self):
-        with ExecutorPool(kind="serial") as pool:
-            with CostCounter.activate() as cost:
-                outcomes = pool.run_tasks([_charge_three])
-        assert outcomes[0].already_charged
-        assert cost.tuples_read == 3
-
-    def test_thread_pool_cost_replays_to_caller(self):
-        """Worker threads charge a fresh counter; replaying its snapshot
-        on the caller gives the same totals as serial execution."""
-        with ExecutorPool(kind="thread", workers=2) as pool:
-            with CostCounter.activate() as cost:
-                outcomes = pool.run_tasks([_charge_three, _charge_three])
-                assert cost.tuples_read == 0  # not yet replayed
-                for outcome in outcomes:
-                    assert not outcome.already_charged
-                    replay_cost(outcome.cost)
-        assert cost.tuples_read == 6
-
+        """A shard's error reaches the caller as itself, and the pool
+        stays usable for the next query."""
+        with ExecutorPool(workers=2) as pool:
+            with pytest.raises(ValueError, match="shard exploded"):
+                run_query(pool, kind, coordinated_topn, [Exploding()], n=2)
+            assert pool.in_flight == 0
+            evaluators = recording_evaluators([3, 2, 1, 0], [0, 2, 4])
+            result = run_query(pool, kind, coordinated_topn, evaluators, n=2)
+        assert result.doc_ids == [0, 1]
+        assert result.certified is True

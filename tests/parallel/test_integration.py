@@ -1,15 +1,18 @@
-"""Integration: the parallel strategy through MMDatabase, the CLI, the
-profile metrics snapshot and the environment default."""
+"""Integration: the parallel strategy through MMDatabase, the query
+server, the CLI and the profile metrics snapshot."""
 
 import io
 import json
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.core import DatabaseConfig, MMDatabase
-from repro.errors import AdmissionRejectedError, ReproError
-from repro.parallel import DEFAULT_SHARDS_ENV, default_shard_count
+from repro.errors import ReproError
+from repro.parallel import IndexShardEvaluator
+from repro.serve import ServeClient, ServerThread, collect
+from repro.serve.server import _TextRunner
 from repro.workloads import SyntheticCollection, generate_queries, trec
 
 SCALE = ["--scale", "0.006", "--seed", "3"]
@@ -70,18 +73,6 @@ class TestDatabaseStrategy:
         finally:
             fresh.close()
 
-    def test_admission_rejection_surfaces(self, db, query):
-        db.shard(2)
-        pool = db._parallel_pool()
-        original = pool.max_queries
-        pool.max_queries = 1
-        try:
-            with pool.admit():
-                with pytest.raises(AdmissionRejectedError):
-                    db.search(query, n=5, strategy="parallel")
-        finally:
-            pool.max_queries = original
-
     def test_stats_report_sharding(self, db):
         db.shard(3)
         stats = db.stats()
@@ -89,26 +80,70 @@ class TestDatabaseStrategy:
         assert stats["shard_skew"] >= 1.0
 
 
-class TestEnvironmentDefault:
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_SHARDS_ENV, "4")
-        assert default_shard_count() == 4
-        assert default_shard_count(fallback=9) == 4
+class TestShardsRunInline:
+    """Every shard evaluator runs on the thread that runs the query,
+    and no thread is started for it."""
 
-    @pytest.mark.parametrize("raw", ["", "0", "-3", "two", "2.5"])
-    def test_invalid_env_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv(DEFAULT_SHARDS_ENV, raw)
-        assert default_shard_count(fallback=3) == 3
+    @pytest.fixture()
+    def shard_threads(self, monkeypatch):
+        idents = []
+        top = IndexShardEvaluator.top
 
-    def test_db_shard_honors_env(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_SHARDS_ENV, "4")
+        def recording_top(self, depth):
+            idents.append(threading.get_ident())
+            return top(self, depth)
+
+        monkeypatch.setattr(IndexShardEvaluator, "top", recording_top)
+        return idents
+
+    @pytest.mark.parametrize("default_shards", [None, 4])
+    def test_facade_search_evaluates_shards_on_calling_thread(
+            self, query, shard_threads, default_shards):
+        """Auto-sharded on first use: 2 shards with no count
+        configured, else the configured count."""
         collection = SyntheticCollection.generate(trec.tiny(seed=13))
-        database = MMDatabase.from_collection(collection)
+        fresh = MMDatabase.from_collection(
+            collection, config=DatabaseConfig(default_shards=default_shards))
+        before = set(threading.enumerate())
         try:
-            database.shard()
-            assert database.sharded.n_shards == 4
+            result = fresh.search(query, n=10, strategy="parallel")
         finally:
-            database.close()
+            fresh.close()
+        shards = default_shards or 2
+        assert result.result.stats["shards"] == shards
+        assert result.result.certified is True
+        assert len(shard_threads) >= shards  # every shard, round 1
+        assert set(shard_threads) == {threading.get_ident()}
+        assert set(threading.enumerate()) <= before
+
+    def test_served_text_query_evaluates_shards_on_step_thread(
+            self, query, shard_threads, monkeypatch):
+        step_threads = []
+        step = _TextRunner.step
+
+        def recording_step(self):
+            step_threads.append(threading.get_ident())
+            return step(self)
+
+        monkeypatch.setattr(_TextRunner, "step", recording_step)
+        collection = SyntheticCollection.generate(trec.tiny(seed=13))
+        fresh = MMDatabase.from_collection(collection)
+        fresh.shard(4)
+        server = ServerThread(fresh)
+        handle = server.start()
+        try:
+            with ServeClient(handle.host, handle.port) as client:
+                served = collect(client.query(kind="text", query=query, n=10,
+                                              strategy="parallel"))
+        finally:
+            server.stop()
+            fresh.close()
+        assert served.complete
+        assert len(step_threads) == 1
+        assert len(shard_threads) >= 4
+        assert set(shard_threads) == set(step_threads)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-shard")]
 
 
 class TestConfigValidation:
@@ -140,7 +175,7 @@ class TestCli:
         counters = payload["metrics"]["counters"]
         assert counters["parallel.rounds"] >= 1
         assert "parallel.probes" in counters
-        assert "parallel.queue_depth" in payload["metrics"]["gauges"]
+        assert "parallel.probes_saved" in counters
 
     def test_profile_search_with_shards(self):
         code, text = run_cli(SCALE + ["profile", "search", "--terms", "data",
