@@ -62,14 +62,24 @@ class AnalysisContext:
     #: :class:`~repro.topn.aggregates.AggregateFunction` or its name)
     aggregate: object | None = None
     #: which threshold engine the plan runs under ("TA", "NRA", "CA",
-    #: "FA", "coordinator"...; None = no threshold administration)
+    #: "FA"...; None = no threshold administration)
     threshold_engine: str | None = None
     #: pruning decisions to certify (MOA902):
     #: :class:`~repro.analysis.bounds.PruningDeclaration` records
     pruning: tuple = ()
+    #: inferred properties by expression identity (the expression is
+    #: kept alongside so its id cannot be reused while cached)
+    _properties: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def properties(self, expr: Expr) -> dict[ExprPath, PlanProperties]:
-        return infer_properties(expr, self.env_types, self.registry)
+        """Static plan properties of ``expr``, inferred once per
+        expression for the life of this context."""
+        cached = self._properties.get(id(expr))
+        if cached is None or cached[0] is not expr:
+            cached = (expr, infer_properties(expr, self.env_types, self.registry))
+            self._properties[id(expr)] = cached
+        return cached[1]
 
     def order_sensitive_ops(self) -> frozenset:
         """Operator names whose results depend on input order: the

@@ -15,10 +15,9 @@ pruning decision the plan depends on:
 * **MOA901** — a non-monotone aggregate under a threshold engine
   (TA/NRA/CA/FA stop rules argue from monotonicity; static twin of
   :func:`repro.topn.aggregates.require_monotone`);
-* **MOA902** — a declared pruning bound (TA threshold, coordinator
-  ``τ(n)``, quit cut-off) the derived interval does *not* dominate:
-  values above the bound are possible, so pruning by it can drop true
-  answers;
+* **MOA902** — a declared pruning bound (TA threshold, quit cut-off)
+  the derived interval does *not* dominate: values above the bound are
+  possible, so pruning by it can drop true answers;
 * **MOA903** — an unsafe cut-off whose worst-case error is not even
   computable (unbounded derived interval or cardinality): the plan
   trades quality for speed with no machine-checkable error bound.
@@ -58,11 +57,10 @@ class PruningDeclaration:
     """One pruning decision the plan depends on.
 
     ``asserted_upper`` is the bound the runtime prunes by ("nothing cut
-    can score above this"): a TA threshold τ, a coordinator merge
-    threshold ``τ(n)``, a quit/continue cut-off.  The declaration is
-    certified when the derived interval at ``path`` *dominates* the
-    bound (``hi <= asserted_upper``); otherwise MOA902 fires with the
-    worst-case score error ``hi - asserted_upper``.
+    can score above this"): a TA threshold τ, a quit/continue cut-off.
+    The declaration is certified when the derived interval at ``path``
+    *dominates* the bound (``hi <= asserted_upper``); otherwise MOA902
+    fires with the worst-case score error ``hi - asserted_upper``.
     """
 
     #: label for messages (engine or rule name)

@@ -238,9 +238,9 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "at a different corpus epoch.  The captured frontier (TA or "
         "NRA/CA state) certifies score bounds only against the issuing "
         "epoch's scores; continuing it after a mutation could silently "
-        "serve a wrong top-N.  The serve-side twin of the coordinator's "
-        "epoch gate (CoordinatorBounds.seedable_at): the registry refuses "
-        "the resume and emits this diagnostic.",
+        "serve a wrong top-N.  The serve-side twin of the query cache's "
+        "epoch-stamped fingerprints: the registry refuses the resume and "
+        "emits this diagnostic.",
     ),
     DiagnosticCode(
         "MOA1003", "engine work scheduled outside admission", "error",

@@ -1,9 +1,9 @@
-"""Multi-level query cache: results, resumable top-N state, bounds.
+"""Two-level query cache: results and resumable top-N state.
 
 Blok lists reuse of earlier work as a first-class top-N optimization
 issue: the same query re-asked should cost (almost) nothing, and a
 top-100 following a top-10 should *continue*, not restart.  This
-package provides the three cache levels the reproduction layers over
+package provides the two cache levels the reproduction layers over
 one fingerprint space:
 
 * **Result cache** (:class:`QueryCache`): canonical query fingerprints
@@ -15,9 +15,6 @@ one fingerprint space:
   of an engine's own state — TA frontiers, NRA/CA bound
   administrations and quit/continue accumulators — from which a
   resumed run equals the cold run at the new ``n``.
-* **Bound cache** (:mod:`~repro.cache.bounds`): per-shard thresholds
-  from certified parallel runs seed the coordinator's round-1/round-2
-  pruning on later, deeper runs of the same query.
 
 Invalidation is by corpus epoch: every fingerprint embeds the owning
 database's epoch, which is bumped on any mutation that can change
@@ -25,7 +22,6 @@ scores, so stale entries can never hit (and are garbage-collected).
 """
 
 from ..intervals import ThresholdBound
-from .bounds import CoordinatorBounds, ShardBoundInfo
 from .fingerprint import (
     QueryFingerprint,
     feature_token,
@@ -41,10 +37,8 @@ __all__ = [
     "AccumulatorResumeState",
     "BoundResumeState",
     "CacheEntry",
-    "CoordinatorBounds",
     "QueryCache",
     "QueryFingerprint",
-    "ShardBoundInfo",
     "TAResumeState",
     "ThresholdBound",
     "feature_token",

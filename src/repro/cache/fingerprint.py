@@ -15,16 +15,14 @@ encodes every input the engines read:
 * the **aggregate** / scoring model combining the sources;
 * the **fragment set** the strategy reads (an unsafe fragment-restricted
   answer must never serve an unfragmented query);
-* the **shard layout** (a parallel answer is tied to its boundaries:
-  per-shard bound caches are meaningless under a different split);
+* the **shard layout** (a parallel answer is tied to its boundaries);
 * the **corpus epoch** — a counter the database bumps on every mutation
   that can change scores (ingest, fragmentation, sharding, attribute or
   feature registration).  Stale epochs never collide with fresh ones,
   so invalidation is by construction, not by search.
 
 ``n`` is deliberately *not* part of the fingerprint: the whole point of
-the result cache is answering top-``n`` from a cached top-``m``, and
-the bound cache reuses thresholds across depths.
+the result cache is answering top-``n`` from a cached top-``m``.
 """
 
 from __future__ import annotations

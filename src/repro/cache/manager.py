@@ -1,19 +1,18 @@
-"""The query cache: fingerprint-keyed results, resume state, and bounds.
+"""The query cache: fingerprint-keyed results and resume state.
 
 One :class:`QueryCache` holds an LRU map of :class:`CacheEntry` objects,
 keyed by the fingerprint digest.  Each entry can carry, independently:
 
 * exact answers per requested depth (``results[n]``);
 * a resume payload (TA frontier, NRA/CA bound state, or quit/continue
-  accumulator);
-* a :class:`~repro.cache.bounds.CoordinatorBounds` for parallel runs.
+  accumulator).
 
 Serving discipline
 ------------------
 A top-``n`` request is served from a cached top-``m`` (``m ≥ n``) only
 when the entry is **prefix-safe**: the engine's reported scores must
 not depend on its stopping depth.  That holds for the exact engines
-(naive, TA, the certified parallel merge — they return true scores
+(naive, TA, the sharded parallel merge — they return true scores
 of the true top-N, so any prefix of a deeper answer *is* the shallower
 answer) and for quit/continue (the accumulator is depth-independent and
 the tail cut is deterministic).  It does **not** hold for NRA/CA, whose
@@ -35,9 +34,8 @@ dropped rather than kept as dead weight.
 
 Concurrency: the entry map and all counters are guarded by ``_lock``
 under the ``repro.sync`` protocol; entries hand out immutable items
-(:class:`~repro.topn.result.RankedItem` is frozen), resume states are
-never modified once captured, and the one mutable payload (bounds)
-carries its own lock.
+(:class:`~repro.topn.result.RankedItem` is frozen) and resume states
+are never modified once captured.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class CacheEntry:
 
     Plain data: every read and write happens under the owning
     :class:`QueryCache`'s lock (after hand-out, resume states are
-    only read and bounds carry their own lock).
+    only read).
     """
 
     fingerprint: QueryFingerprint
@@ -90,8 +88,6 @@ class CacheEntry:
     #: TAResumeState / BoundResumeState / AccumulatorResumeState,
     #: engine-dependent
     resume: object = None
-    #: CoordinatorBounds for parallel fingerprints
-    bounds: object = None
     #: free-form reuse hints (e.g. recorded stop depth per n)
     hints: dict = field(default_factory=dict)
 
@@ -110,13 +106,12 @@ def _served(cached: TopNResult, n: int, mode: str) -> TopNResult:
         strategy=cached.strategy,
         safe=cached.safe,
         stats=stats,
-        certified=cached.certified,
     )
 
 
 @declares_shared_state
 class QueryCache:
-    """LRU cache of query fingerprints → answers, resume state, bounds."""
+    """LRU cache of query fingerprints → answers and resume state."""
 
     SHARED_STATE = {
         "_entries": "_lock",
@@ -154,7 +149,7 @@ class QueryCache:
         :class:`TopNResult` on a hit (counted), else ``None`` (counted
         as a miss); ``entry`` is the fingerprint's entry when one exists
         — a miss with an entry is the resume opportunity the caller
-        should inspect (resume state / bounds).
+        should inspect (its resume state).
 
         ``frontier=True`` asks for a whole TA run rather than an
         answer: it hits only when the entry holds the run stored at
@@ -207,7 +202,7 @@ class QueryCache:
     def store(self, fingerprint: QueryFingerprint, n: int,
               result: TopNResult | None = None, *,
               prefix_safe: bool = True, complete: bool = False,
-              resume: object = None, bounds: object = None,
+              resume: object = None,
               hints: dict | None = None) -> CacheEntry | None:
         """Record a fresh (not cache-served) outcome for ``fingerprint``.
 
@@ -234,8 +229,6 @@ class QueryCache:
                 entry.complete = True
             if resume is not None:
                 entry.resume = resume
-            if bounds is not None:
-                entry.bounds = bounds
             if hints:
                 entry.hints.update(hints)
             self.stores += 1

@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="middleware algorithm (scenario: topn)")
     profile.add_argument("--shards", type=int, default=None, metavar="K",
                          help="profile the sharded parallel engine with K "
-                              "shards (scenarios: search, topn)")
+                              "shards (scenario: search)")
     profile.add_argument("--n", type=int, default=10, help="top-N size")
     profile.add_argument("--objects", type=int, default=2000,
                          help="synthetic objects (scenario: topn)")
@@ -528,14 +528,6 @@ def _profile_scenario(args):
             "ca": combined_topn,
         }[args.algo]
 
-        if args.shards is not None:
-            from .parallel import parallel_topn_sources
-
-            def run():
-                return parallel_topn_sources(sources, args.n, shards=args.shards)
-
-            return run
-
         def run():
             return algo(sources, args.n)
 
@@ -556,8 +548,13 @@ def _profile_scenario(args):
 
 
 def _cmd_profile(args, out) -> int:
+    from .analysis import EXIT_USAGE
     from .obs import metrics, run_profiled
 
+    if args.shards is not None and args.scenario != "search":
+        print("repro profile: --shards applies to the search scenario only",
+              file=out)
+        return EXIT_USAGE
     scenario = _profile_scenario(args)
     # start from a clean registry so the snapshot covers just this run
     metrics.reset()

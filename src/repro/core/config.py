@@ -30,8 +30,8 @@ class DatabaseConfig:
         Shard count used by ``shard()`` / ``strategy="parallel"`` when
         none is given; ``None`` means 2.
     cache_enabled:
-        Turn on the multi-level query cache (results, resumable top-N
-        state, coordinator bounds).  Off by default: cached serving
+        Turn on the two-level query cache (results and resumable top-N
+        state).  Off by default: cached serving
         changes the cost profile of repeated queries, which the
         cost-model experiments measure cold.  The cache is an LRU of
         64 fingerprints.

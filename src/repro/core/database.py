@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ..cache import (
-    CoordinatorBounds,
     QueryCache,
     feature_token,
     text_fingerprint,
@@ -268,25 +267,21 @@ class MMDatabase:
         return SearchResult(result, tids, cost, elapsed, self.collection)
 
     def _parallel_search(self, tids, n) -> SearchResult:
-        """Sharded execution: certified distributed top-N, every shard
-        evaluated on the calling thread (auto-shards on first use).
-
-        With the cache enabled, a warm repeat is served outright and a
-        cold run seeds/reuses :class:`~repro.cache.CoordinatorBounds`:
-        cached per-shard thresholds preclude shards and prune round-2
-        probes on the next, deeper run of the same query."""
+        """Sharded execution: the exact gather over document-range
+        shards, every shard evaluated on the calling thread (auto-shards
+        on first use).  With the cache enabled, a repeat is served from
+        the cached answer."""
         from ..parallel import parallel_topn
 
         if self.sharded is None:
             self.shard()
         fingerprint = None
-        entry = None
         if self.cache is not None:
             fingerprint = text_fingerprint(
                 tids, self.model.name, self.epoch, strategy="parallel",
                 shard_layout=tuple(self.sharded.boundaries))
             with tracer.span("cache.lookup", kind="parallel", n=n):
-                served, entry = self.cache.lookup(fingerprint, n)
+                served, _entry = self.cache.lookup(fingerprint, n)
                 tracer.annotate(hit=served is not None)
             if served is not None:
                 started = time.perf_counter()
@@ -294,24 +289,13 @@ class MMDatabase:
                     pass  # a cache hit charges no cost-model operations
                 elapsed = time.perf_counter() - started
                 return SearchResult(served, tids, cost, elapsed, self.collection)
-        bounds = None
-        if fingerprint is not None:
-            bounds = (entry.bounds if entry is not None and entry.bounds is not None
-                      else CoordinatorBounds(epoch=self.epoch))
-            if not bounds.seedable_at(self.epoch):
-                # stale epoch stamp: the fingerprint embeds the epoch, so
-                # this cannot happen through the cache path — but a bound
-                # object must never seed across epochs, so start fresh
-                # rather than trust it
-                bounds = CoordinatorBounds(epoch=self.epoch)
         started = time.perf_counter()
         with CostCounter.activate() as cost:
-            result = parallel_topn(self.sharded, tids, self.model, n,
-                                   bounds=bounds, epoch=self.epoch)
+            result = parallel_topn(self.sharded, tids, self.model, n)
         elapsed = time.perf_counter() - started
-        if fingerprint is not None and result.certified:
+        if fingerprint is not None:
             self.cache.store(fingerprint, n, result, prefix_safe=True,
-                             complete=len(result.items) < n, bounds=bounds)
+                             complete=len(result.items) < n)
         return SearchResult(result, tids, cost, elapsed, self.collection)
 
     def _search_with_attr_filter(self, tids, n, resolved, attr_filter) -> TopNResult:

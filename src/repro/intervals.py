@@ -2,16 +2,13 @@
 
 One bound vocabulary for the whole system.  The abstract interpreter
 (:mod:`repro.analysis.bounds`) derives a :class:`ScoreInterval` at every
-plan edge; the parallel coordinator's bound cache
-(:mod:`repro.cache.bounds`) records :class:`ThresholdBound` facts from
-certified runs; the aggregates (:mod:`repro.topn.aggregates`) transfer
-intervals through their combine functions.  Before this module the
-coordinator, the cache and the engines each carried ad-hoc bound
-objects (bare sort keys, ``(lower, upper)`` pairs, floats); sharing one
-dataclass is what lets every pruning decision — TA thresholds,
-coordinator shard pruning, cache-resume frontiers — be treated as the
-same mathematical object: a certified interval the true score must lie
-in.
+plan edge; served anytime chunks (:mod:`repro.serve.session`) carry an
+epoch-stamped :class:`ThresholdBound`; the aggregates
+(:mod:`repro.topn.aggregates`) transfer intervals through their combine
+functions.  Sharing one dataclass is what lets every pruning decision
+— TA thresholds, NRA/CA bottom aggregates, cache-resume frontiers — be
+treated as the same mathematical object: a certified interval the true
+score must lie in.
 
 Interval semantics
 ------------------
@@ -167,19 +164,17 @@ def sum_of(intervals: Sequence[ScoreInterval]) -> ScoreInterval:
 
 @dataclass(frozen=True)
 class ThresholdBound:
-    """One recorded pruning threshold from a certified run.
+    """One pruning threshold from a certified run or stream chunk.
 
-    The coordinator's merge threshold ``τ(n)`` — the sort key of the
-    n-th best merged item — stamped with the corpus ``epoch`` it was
-    measured at.  Reuse is sound only at the same epoch (scores may
-    change across mutations); the runtime's
-    :meth:`~repro.cache.bounds.CoordinatorBounds.seedable_at` gate
-    consults the stamp.
+    A sort key ``(-score, obj_id)`` — for a final answer the key of its
+    n-th item — stamped with the corpus ``epoch`` it was measured at.
+    It bounds scores only at that epoch (scores may change across
+    mutations).
     """
 
-    #: the merge depth the threshold certifies
+    #: the depth the threshold certifies
     n: int
-    #: sort key ``(-score, obj_id)`` of the n-th merged item
+    #: sort key ``(-score, obj_id)`` of the n-th item
     key: tuple
     #: corpus epoch the producing run executed at
     epoch: int = 0

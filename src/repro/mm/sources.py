@@ -271,8 +271,8 @@ class BlockedSource(ScoreSource):
     The :class:`ScoreSource` interface serves the same ranks and grades
     — the block payload is the same descending-grade / id-ascending
     order :class:`ArraySource` and :class:`PostingsSource` use — so
-    every engine, its resumes and served streams, and the parallel
-    coordinator's range evaluators work over blocked storage unchanged.
+    every engine, its resumes and served streams work over blocked
+    storage unchanged.
     Only the unit of a sorted-access charge differs: block storage reads
     a whole block, so the sorted access that opens a block pays for all
     of it and the block's later ranks cost nothing, whether a reader

@@ -10,12 +10,9 @@ The observability layer over the simulated cost model:
 * :mod:`repro.obs.profile` — profiled runs and the span-tree cost
   breakdown behind ``repro profile``.
 
-A note on the cost substrate this layer reads: *work performed* is
-counted by :mod:`repro.storage.stats` (the ``CostCounter`` stack the
-tracer snapshots), which is **not** the same module as
-:mod:`repro.storage.statistics` — that one holds *column statistics*
-(zone maps, histograms) for the optimizer's selectivity estimates.
-Spans attribute the former; they never read the latter.
+The cost substrate this layer reads: *work performed* is counted by
+:mod:`repro.storage.stats` (the ``CostCounter`` stack the tracer
+snapshots); spans attribute it.
 
 Everything is off by default: with no active
 :func:`~repro.obs.tracer.trace_session` and metrics disabled, the

@@ -3,7 +3,7 @@ rules, the novel inter-object layer coordinating rewrites across
 extensions, E-ADT-style intra-object rules, and a centralized cost
 model driving plan choice."""
 
-from .cost import ColumnStatisticsLike, CostModel, PlanEstimate
+from .cost import CostModel, PlanEstimate
 from .interobject import (
     DEFAULT_INTER_OBJECT_RULES,
     AggregateThroughConversion,
@@ -27,7 +27,6 @@ from .rules import (
 __all__ = [
     "AggregateThroughConversion",
     "BUDGET_EXHAUSTED_RULE",
-    "ColumnStatisticsLike",
     "CostModel",
     "DEFAULT_INTER_OBJECT_RULES",
     "DEFAULT_LOGICAL_RULES",

@@ -17,25 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from ..algebra import physical
 from ..algebra.flatten import flatten
 from ..algebra.types import SetType
 from ..algebra.values import CollectionValue
 from ..errors import CostModelError
-from ..obs import tracer
-
-
-@runtime_checkable
-class ColumnStatisticsLike(Protocol):
-    """What the cost model needs from column statistics: a range
-    selectivity estimate.  Satisfied by
-    :class:`repro.storage.statistics.ColumnStatistics` (zone map +
-    equi-depth histogram) and by anything else exposing the method."""
-
-    def range_selectivity(self, lo, hi) -> float:
-        ...  # pragma: no cover - protocol
 
 
 @dataclass(frozen=True)
@@ -49,13 +36,6 @@ class PlanEstimate:
     sorted_desc: bool = False
     min_value: float | None = None
     max_value: float | None = None
-    #: column statistics (histogram) for the output column.  Only
-    #: order-preserving, distribution-preserving operators propagate
-    #: them; anything that filters, truncates, deduplicates or merges
-    #: drops them (with a ``cost.statistics_dropped`` trace marker)
-    #: rather than letting a stale histogram mis-estimate downstream
-    #: selectivities
-    statistics: ColumnStatisticsLike | None = None
 
 
 class CostModel:
@@ -69,7 +49,6 @@ class CostModel:
         select_selectivity: float = 0.33,
         dedup_ratio: float = 0.6,
         default_rows: float = 1000.0,
-        statistics=None,
     ) -> None:
         self.tuple_read = tuple_read
         self.tuple_write = tuple_write
@@ -77,10 +56,6 @@ class CostModel:
         self.select_selectivity = select_selectivity
         self.dedup_ratio = dedup_ratio
         self.default_rows = default_rows
-        #: optional StatisticsRegistry mapping env names to column
-        #: statistics (histograms); improves selectivity estimates on
-        #: skewed columns
-        self.statistics = statistics
 
     # -- entry points -----------------------------------------------------
 
@@ -101,7 +76,7 @@ class CostModel:
     def _estimate(self, op: physical.PhysicalOp, env) -> PlanEstimate:
         children = [self._estimate(child, env) for child in op.children]
         if isinstance(op, physical.SourceVar):
-            return self._source_estimate(env.get(op.name), name=op.name)
+            return self._source_estimate(env.get(op.name))
         if isinstance(op, physical.SourceLiteral):
             return self._source_estimate(op.value)
         if isinstance(op, physical.RangeSelect):
@@ -117,11 +92,9 @@ class CostModel:
         if isinstance(op, physical.Aggregate):
             child = children[0]
             cost = child.cost if op.which == "count" else child.cost + child.rows * self.tuple_read
-            self._drop_statistics(op, child)
             return PlanEstimate(rows=1.0, cost=cost)
         if isinstance(op, physical.ProjectColumn):
             child = children[0]
-            self._drop_statistics(op, child)
             return PlanEstimate(
                 rows=child.rows,
                 cost=child.cost + child.rows * (self.tuple_read + self.tuple_write),
@@ -129,8 +102,6 @@ class CostModel:
         if isinstance(op, physical.Concat):
             rows = children[0].rows + children[1].rows
             cost = children[0].cost + children[1].cost + rows * (self.tuple_read + self.tuple_write)
-            self._drop_statistics(op, children[0])
-            self._drop_statistics(op, children[1])
             return PlanEstimate(rows=rows, cost=cost)
         if isinstance(op, physical.SetOp):
             return self._setop(op, children[0], children[1])
@@ -143,7 +114,6 @@ class CostModel:
                 cost=child.cost + child.rows * (self.tuple_read + self.tuple_write),
                 sorted_asc=child.sorted_desc, sorted_desc=child.sorted_asc,
                 min_value=child.min_value, max_value=child.max_value,
-                statistics=child.statistics,
             )
         if isinstance(op, physical.Contains):
             child = children[0]
@@ -151,30 +121,15 @@ class CostModel:
                 probe = 2 * self._log2(child.rows) * self.comparison
             else:
                 probe = child.rows * (self.tuple_read + self.comparison)
-            self._drop_statistics(op, child)
             return PlanEstimate(rows=1.0, cost=child.cost + probe)
         if isinstance(op, physical.GetAt):
             child = children[0]
-            self._drop_statistics(op, child)
             return PlanEstimate(rows=1.0, cost=child.cost + self.tuple_read)
         raise CostModelError(f"no cost formula for operator {op.label()!r}")
 
-    def _drop_statistics(self, op: physical.PhysicalOp,
-                         child: PlanEstimate) -> None:
-        """Record that ``op`` invalidates its input's column statistics.
-
-        Filtering, truncating, deduplicating and merging operators
-        reshape the value distribution, so the input histogram no
-        longer describes the output — the estimate drops it instead of
-        propagating stale statistics, and leaves a trace marker so
-        ``repro profile`` shows where estimation fell back to the
-        heuristic constants."""
-        if child.statistics is not None:
-            tracer.event("cost.statistics_dropped", op=op.label())
-
     # -- formulas ---------------------------------------------------------------
 
-    def _source_estimate(self, value, name: str | None = None) -> PlanEstimate:
+    def _source_estimate(self, value) -> PlanEstimate:
         if isinstance(value, CollectionValue):
             rows = float(value.count)
             sorted_asc = sorted_desc = False
@@ -188,13 +143,9 @@ class CostModel:
                 if rows and bat.tail_dtype_kind in ("i", "f"):
                     min_value = float(bat.tail.min())
                     max_value = float(bat.tail.max())
-            statistics = None
-            if name is not None and self.statistics is not None:
-                statistics = self.statistics.get(name)
             return PlanEstimate(rows=rows, cost=0.0,
                                 sorted_asc=sorted_asc, sorted_desc=sorted_desc,
-                                min_value=min_value, max_value=max_value,
-                                statistics=statistics)
+                                min_value=min_value, max_value=max_value)
         return PlanEstimate(rows=self.default_rows, cost=0.0)
 
     def _log2(self, n: float) -> float:
@@ -205,8 +156,6 @@ class CostModel:
         configured default when bounds/stats are unavailable."""
         if isinstance(op.lo, str) or isinstance(op.hi, str):
             return self.select_selectivity
-        if child.statistics is not None:
-            return child.statistics.range_selectivity(op.lo, op.hi)
         if child.min_value is None or child.max_value is None:
             return self.select_selectivity
         span = child.max_value - child.min_value
@@ -238,10 +187,6 @@ class CostModel:
         new_max = child.max_value if op.hi is None or child.max_value is None else min(
             child.max_value, float(op.hi) if not isinstance(op.hi, str) else child.max_value
         )
-        # the histogram was consulted for the selectivity above, but it
-        # describes the *unfiltered* column: the selected output follows
-        # a truncated distribution the histogram would mis-estimate
-        self._drop_statistics(op, child)
         return PlanEstimate(rows=out, cost=child.cost + cost,
                             sorted_asc=child.sorted_asc, sorted_desc=child.sorted_desc,
                             min_value=new_min, max_value=new_max)
@@ -250,17 +195,13 @@ class CostModel:
         if isinstance(op.result_type, SetType):
             rows = child.rows * self.dedup_ratio
             cost = child.rows * (self.tuple_read + self.comparison) + rows * self.tuple_write
-            # deduplication reshapes the value distribution (heavy
-            # values lose their mass): the input histogram is stale
-            self._drop_statistics(op, child)
             return PlanEstimate(rows=rows, cost=child.cost + cost, sorted_asc=True)
         # bag conversion is physically the identity, but the ordering
         # knowledge is forgotten (no order exists on a BAG), so later
         # operators cannot plan order-aware fast paths; the value
-        # *multiset* is unchanged, so statistics stay valid
+        # *multiset* is unchanged, so the zone map stays valid
         return PlanEstimate(rows=child.rows, cost=child.cost,
-                            min_value=child.min_value, max_value=child.max_value,
-                            statistics=child.statistics)
+                            min_value=child.min_value, max_value=child.max_value)
 
     def _sort(self, op: physical.Sort, child: PlanEstimate) -> PlanEstimate:
         already = child.sorted_desc if op.descending else child.sorted_asc
@@ -269,11 +210,10 @@ class CostModel:
         n = child.rows
         cost = n * self._log2(n) * self.comparison + n * (self.tuple_read + self.tuple_write)
         # sorting permutes, it does not change the value multiset:
-        # statistics stay valid
+        # the zone map stays valid
         return PlanEstimate(rows=n, cost=child.cost + cost,
                             sorted_asc=not op.descending, sorted_desc=op.descending,
-                            min_value=child.min_value, max_value=child.max_value,
-                            statistics=child.statistics)
+                            min_value=child.min_value, max_value=child.max_value)
 
     def _topn(self, op: physical.TopN, child: PlanEstimate) -> PlanEstimate:
         out = min(float(op.n), child.rows)
@@ -286,14 +226,12 @@ class CostModel:
                 + out * self._log2(max(out, 2)) * self.comparison
                 + out * self.tuple_write
             )
-        self._drop_statistics(op, child)
         return PlanEstimate(rows=out, cost=child.cost + cost,
                             sorted_asc=not op.descending, sorted_desc=op.descending)
 
     def _slice(self, op: physical.Slice, child: PlanEstimate) -> PlanEstimate:
         out = max(min(float(op.count), child.rows - op.offset), 0.0)
         cost = out * (self.tuple_read + self.tuple_write)
-        self._drop_statistics(op, child)
         return PlanEstimate(rows=out, cost=child.cost + cost,
                             sorted_asc=child.sorted_asc, sorted_desc=child.sorted_desc)
 
@@ -305,6 +243,4 @@ class CostModel:
         else:
             rows = a.rows * 0.5
         cost = (a.rows + b.rows) * (self.tuple_read + self.comparison) + rows * self.tuple_write
-        self._drop_statistics(op, a)
-        self._drop_statistics(op, b)
         return PlanEstimate(rows=rows, cost=a.cost + b.cost + cost, sorted_asc=True)

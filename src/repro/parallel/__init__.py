@@ -1,15 +1,13 @@
-"""Sharded execution engine with a bounded distributed top-N merge.
+"""Sharded execution: document-range shards merged by one exact gather.
 
 The subsystem has three modules:
 
 * :mod:`~repro.parallel.sharder` — partition one inverted index into K
-  document-range shards, each with its own BAT storage, local df
-  statistics and per-shard score upper bounds;
-* :mod:`~repro.parallel.coordinator` — the TPUT/TA-style two-round
-  threshold merge producing results that are tie-aware-identical to
-  serial :func:`~repro.topn.naive.naive_topn`, with a
-  ``certified`` correctness flag on the :class:`~repro.topn.result.TopNResult`.
-  It evaluates every shard on the thread that runs the query;
+  document-range shards, each with its own BAT storage;
+* :mod:`~repro.parallel.coordinator` — :func:`parallel_topn`: every
+  shard, evaluated on the thread that runs the query, hands over its
+  canonical top-N, and the coordinator cuts the global top-N from the
+  pool — exactly serial :func:`~repro.topn.naive.naive_topn`;
 * :mod:`~repro.parallel.executor` — the cooperative
   :class:`CancelToken` and the query server's admission-bounded
   worker pool.
@@ -17,15 +15,7 @@ The subsystem has three modules:
 
 from __future__ import annotations
 
-from .coordinator import (
-    IndexShardEvaluator,
-    ShardAnswer,
-    SourceRangeEvaluator,
-    coordinated_topn,
-    default_round1_fetch,
-    parallel_topn,
-    parallel_topn_sources,
-)
+from .coordinator import parallel_topn
 from .executor import CancelToken, ExecutorPool
 from .sharder import IndexShard, ShardedIndex, shard_index
 
@@ -34,13 +24,7 @@ __all__ = [
     "CancelToken",
     "ExecutorPool",
     "IndexShard",
-    "IndexShardEvaluator",
-    "ShardAnswer",
     "ShardedIndex",
-    "SourceRangeEvaluator",
-    "coordinated_topn",
-    "default_round1_fetch",
     "parallel_topn",
-    "parallel_topn_sources",
     "shard_index",
 ]

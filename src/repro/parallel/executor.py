@@ -1,8 +1,7 @@
 """Executor pool: query admission and cancellation.
 
 Both serve the query server (:mod:`repro.serve.server`); the
-coordinator evaluates shards on the thread that runs the query and
-only checks a query's :class:`CancelToken`.
+coordinator evaluates shards on the thread that runs the query.
 
 **Admission control.**  A pool admits at most ``max_queries``
 concurrent queries (:meth:`ExecutorPool.admit`).  Exceeding the bound
@@ -16,8 +15,8 @@ ROADMAP's "heavy traffic" north star).
 steps to with ``run_in_executor``, so the event loop never runs one.
 
 **Cancellation.**  A :class:`CancelToken` carries a query's deadline;
-the server checks it between streamed chunks and the coordinator
-before each shard it evaluates.
+the server checks it between streamed chunks and the TA/NRA/CA
+engines between rounds.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from ..sync import acquires, declares_shared_state, make_lock
 class CancelToken:
     """Cooperative cancellation flag of one query.
 
-    Observers check the token at safe points — the coordinator before
-    each shard evaluation, the server between streamed chunks — so a
+    Observers check the token at safe points — the engines between
+    rounds, the server between streamed chunks — so a
     cancellation never interrupts a computation half way.
 
     A token may carry an absolute ``deadline`` (``time.monotonic``

@@ -2,29 +2,19 @@
 
 The Step-1 programme fragments the inverted index *vertically in the
 vocabulary* (interesting terms vs the rest); this module partitions it
-*horizontally over documents* so that the coordinator evaluates one
-query shard by shard and its threshold can skip the shards that cannot
-contribute.  Each shard is a fully self-contained
+*horizontally over documents*.  Each shard is a fully self-contained
 :class:`~repro.ir.invindex.InvertedIndex` over a contiguous document
-range ``[doc_lo, doc_hi)``:
-
-* its own BAT storage (posting triples restricted to the range, built
-  through :meth:`InvertedIndex.from_postings`, so every shard charges
-  its own scans on the simulated buffer manager);
-* its own *local* df statistics (``local_df``: how many of the shard's
-  documents contain a term) next to the shared global vocabulary
-  statistics — ranking models keep using the **global** df/cf through
-  the shared vocabulary and ``stats_from``, so a document's score is
-  bitwise identical no matter which shard evaluates it;
-* per-shard score upper bounds (:meth:`IndexShard.score_upper_bound`):
-  the shard index recomputes ``max_tf`` / ``max_tf/dl`` over its own
-  postings, so the bound administration of the distributed coordinator
-  can reason about "the best score any document of shard *s* could
-  still achieve" — tighter than the global bound on skewed shards.
+range ``[doc_lo, doc_hi)`` with its own BAT storage (posting triples
+restricted to the range, built through
+:meth:`InvertedIndex.from_postings`, so every shard charges its own
+scans on the simulated buffer manager).  Ranking models keep using the
+**global** df/cf through the shared vocabulary and ``stats_from``, so
+a document's score is bitwise identical no matter which shard
+evaluates it.
 
 Because shards partition *documents* (not terms or sources), a
 document's complete score is computable inside exactly one shard; the
-coordinator's job is a bounded top-N merge, not score assembly.
+coordinator's job is a top-N merge, not score assembly.
 """
 
 from __future__ import annotations
@@ -34,21 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShardingError
-from ..ir.invindex import InvertedIndex, TermStats
-from ..ir.ranking import ScoringModel
+from ..ir.invindex import InvertedIndex
 
 
 @dataclass
 class IndexShard:
     """One document-range shard: a self-contained inverted index over
-    ``[doc_lo, doc_hi)`` plus its local statistics."""
+    ``[doc_lo, doc_hi)``."""
 
     shard_id: int
     doc_lo: int
     doc_hi: int
     index: InvertedIndex
-    #: shard-local document frequency per term (postings in this shard)
-    local_df: np.ndarray
 
     @property
     def n_docs(self) -> int:
@@ -58,29 +45,6 @@ class IndexShard:
     @property
     def n_postings(self) -> int:
         return self.index.total_postings()
-
-    def local_term_stats(self, tid: int) -> TermStats:
-        """Term statistics with shard-local maxima and shard-local df
-        (global df/cf stay available through ``index.term_stats``)."""
-        base = self.index.term_stats(tid)
-        return TermStats(
-            term_id=tid,
-            df=int(self.local_df[tid]),
-            cf=base.cf,
-            max_tf=base.max_tf,
-            max_tf_over_dl=base.max_tf_over_dl,
-        )
-
-    def score_upper_bound(self, model: ScoringModel, tids: list[int]) -> float:
-        """Upper bound on the aggregate score any document *of this
-        shard* can reach for the query — per-term model bounds over the
-        shard-local maxima (zero for terms absent from the shard)."""
-        total = 0.0
-        for tid in tids:
-            if self.local_df[tid] == 0:
-                continue
-            total += model.upper_bound(self.index, self.index.term_stats(tid))
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"IndexShard({self.shard_id}: docs [{self.doc_lo}, {self.doc_hi}), "
@@ -99,14 +63,6 @@ class ShardedIndex:
     @property
     def n_shards(self) -> int:
         return len(self.shards)
-
-    def shard_of(self, doc_id: int) -> IndexShard:
-        """The shard holding ``doc_id``."""
-        if not 0 <= doc_id < self.full.n_docs:
-            raise ShardingError(f"doc id {doc_id} outside collection "
-                                f"(n={self.full.n_docs})")
-        position = int(np.searchsorted(self.boundaries, doc_id, side="right")) - 1
-        return self.shards[min(position, self.n_shards - 1)]
 
     def postings_per_shard(self) -> list[int]:
         return [shard.n_postings for shard in self.shards]
@@ -203,6 +159,5 @@ def shard_index(
             stats_from=full,
             name=f"shard{shard_id}",
         )
-        local_df = np.diff(shard_idx.offsets).astype(np.int64)
-        out.append(IndexShard(shard_id, lo, hi, shard_idx, local_df))
+        out.append(IndexShard(shard_id, lo, hi, shard_idx))
     return ShardedIndex(full, out, bounds)

@@ -42,7 +42,7 @@ token ``sv1.<id>.<epoch>`` embeds the corpus epoch the stream started
 at, and redeeming it at a different epoch is refused with the MOA1002
 diagnostic — a frontier captured before a corpus mutation must never
 continue as if nothing changed (the serve-side twin of the cache's
-fingerprint epoch and :meth:`CoordinatorBounds.seedable_at`).
+fingerprint epoch).
 """
 
 from __future__ import annotations
@@ -212,8 +212,7 @@ class AnytimeRunner:
         Partial chunks bound the *unseen*: TA's τ and NRA/CA's
         bottom aggregate both dominate any object never seen under
         sorted access (monotonicity).  The final chunk's bound is the
-        answer's own n-th sort key — the same shape the coordinator
-        records into :class:`~repro.cache.bounds.CoordinatorBounds`.
+        answer's own n-th sort key.
         """
         if final and items:
             obj_id, score = items[-1]

@@ -1,9 +1,7 @@
 """Cost accounting for the storage kernel and everything above it.
 
-.. note:: Not to be confused with :mod:`repro.storage.statistics`,
-   which holds *column statistics* (zone maps, equi-depth histograms)
-   for the cost model's selectivity estimates.  This module counts
-   *work performed* (pages, tuples, comparisons) while a query runs.
+This module counts *work performed* (pages, tuples, comparisons) while
+a query runs.
 
 The paper's claims are phrased in terms of "how much data is processed"
 (e.g. *"processing only a small portion of the data of approximately 5%

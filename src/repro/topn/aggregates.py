@@ -5,7 +5,7 @@ aggregation function t: increasing any grade never decreases the
 aggregate.  Monotonicity is what makes upper/lower bound
 administration sound — TA's threshold τ = t(last grades) bounds every
 unseen object *only because* t is monotone, and the same goes for
-NRA/CA's upper bounds and the coordinator's merge thresholds.
+NRA/CA's upper bounds.
 
 Every aggregate therefore *declares* its bound-relevant metadata
 instead of the engines assuming it:

@@ -45,12 +45,6 @@ class TopNResult:
     strategy: str
     safe: bool
     stats: dict = field(default_factory=dict)
-    #: distributed-merge certification: ``True`` when a parallel
-    #: coordinator proved (via its threshold bound, or a round-2 probe)
-    #: that this answer equals the serial exact answer; ``False`` when a
-    #: bounded merge could not certify; ``None`` for serial strategies,
-    #: where the ``safe`` taxonomy already answers the question.
-    certified: bool | None = None
 
     def __post_init__(self) -> None:
         if len(self.items) > self.n_requested:

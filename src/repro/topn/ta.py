@@ -113,8 +113,8 @@ def require_slabs(sources: list, engine: str) -> None:
 
 def check_cancel(cancel, engine: str, depth: int) -> None:
     """Raise between rounds when the query's cancel token fired — a
-    deadline expiry or an explicit cancel (e.g. the coordinator already
-    resolved, or a serve-layer request deadline propagated down).
+    deadline expiry or an explicit cancel (e.g. a serve-layer request
+    deadline propagated down).
     Checked only at round boundaries, before anything is charged, so a
     stopped run never leaves a partially applied bound administration
     behind."""

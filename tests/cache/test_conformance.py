@@ -155,4 +155,3 @@ class TestParallelWarmEqualsCold:
             deep = db.search(tids, n=100, strategy="parallel").result
             serial = reference.search(tids, n=100).result
             assert same_answer(deep, serial), shards
-            assert deep.certified

@@ -139,8 +139,7 @@ class TestCounters:
     def test_entry_carries_payloads(self):
         cache = QueryCache()
         entry = cache.store(fp(), 5, result(5), resume="frontier",
-                            bounds="bounds", hints={"depth": 12})
+                            hints={"depth": 12})
         assert entry.resume == "frontier"
-        assert entry.bounds == "bounds"
         assert entry.hints["depth"] == 12
         assert entry.best_n() == 5

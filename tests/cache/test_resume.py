@@ -1,7 +1,6 @@
 """Resume equivalence: a resumed top-``m`` must equal a cold top-``m``
 element for element (ids, scores, tie order), for every mechanism —
-TA frontier, NRA/CA bound state, quit/continue accumulator — plus the
-coordinator-bound primitives.
+TA frontier, NRA/CA bound state, quit/continue accumulator.
 """
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import BoundResumeState, CoordinatorBounds, ShardBoundInfo
+from repro.cache import BoundResumeState
 from repro.errors import TopNError
 from repro.mm import ArraySource
 from repro.storage import CostCounter
@@ -212,46 +211,3 @@ class TestQuitContinue:
                 quit_continue_topn(db.index, tids, db.model, 50,
                                    strategy="continue", resume_from=state)
         assert warm_cost.tuples_read < cold_cost.tuples_read
-
-
-class TestCoordinatorBounds:
-    def test_threshold_bound_covers_only_deeper_caches(self):
-        bounds = CoordinatorBounds()
-        bounds.record(10, (-0.8, 3), [])
-        bounds.record(50, (-0.5, 9), [])
-        # n=10 can use both (n_c >= 10): the tightest is the smaller key
-        assert bounds.threshold_bound(10) == (-0.8, 3)
-        assert bounds.threshold_bound(50) == (-0.5, 9)
-        # deeper than anything cached: no sound bound
-        assert bounds.threshold_bound(51) is None
-
-    def test_prunable_shards(self):
-        bounds = CoordinatorBounds()
-        infos = [
-            ShardBoundInfo(0, top_key=(-0.9, 1), candidates=5, exhausted=False),
-            ShardBoundInfo(1, top_key=(-0.3, 2), candidates=5, exhausted=False),
-            ShardBoundInfo(2, top_key=None, candidates=0, exhausted=True),
-        ]
-        bounds.record(10, (-0.5, 7), infos)
-        prunable = bounds.prunable_shards(10)
-        # shard 1's best key (-0.3) is worse than the bound; shard 2 is empty
-        assert prunable == {1, 2}
-        # deeper than the cache: only the known-empty shard is safe to skip
-        assert bounds.prunable_shards(99) == {2}
-
-    def test_exhausted_observation_never_downgraded(self):
-        bounds = CoordinatorBounds()
-        ranking = ((1, 0.9), (2, 0.5))
-        bounds.record(5, None, [ShardBoundInfo(0, (-0.9, 1), 2, True, ranking)])
-        bounds.record(5, None, [ShardBoundInfo(0, (-0.9, 1), 2, False)])
-        assert bounds.complete_ranking(0) == ranking
-
-    def test_snapshot_is_jsonable(self):
-        import json
-
-        bounds = CoordinatorBounds()
-        bounds.record(5, (-0.7, 4),
-                      [ShardBoundInfo(0, (-0.9, 1), 3, True, ((1, 0.9),))])
-        snapshot = bounds.snapshot()
-        json.dumps(snapshot)
-        assert snapshot["shards"][0]["has_ranking"]

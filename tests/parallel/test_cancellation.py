@@ -9,10 +9,8 @@ import pytest
 
 from repro.errors import QueryCancelledError
 from repro.mm.sources import ArraySource, BlockedSource
-from repro.parallel.coordinator import ShardAnswer, coordinated_topn
 from repro.parallel.executor import CancelToken, ExecutorPool
 from repro.topn import combined_topn, nra_topn, threshold_topn
-from repro.topn.result import RankedItem
 
 ENGINES = pytest.mark.parametrize(
     "engine", (threshold_topn, nra_topn, combined_topn), ids=("ta", "nra", "ca"))
@@ -109,40 +107,7 @@ class TestBlockedEngineCancellation:
 
 
 class TestNoDanglingWork:
-    """After a cancelled run nothing is owed: no shard evaluated after
-    the cancellation, no in-flight admissions."""
-
-    def test_cancelled_coordinated_run_leaves_no_pending_work(self):
-        token = CancelToken()
-        evaluated = []
-
-        class Shard:
-            def __init__(self, shard_id):
-                self.shard_id = shard_id
-
-            def top(self, depth):
-                evaluated.append(self.shard_id)
-                token.cancel()  # cancels every shard not yet started
-                return ShardAnswer(self.shard_id, [RankedItem(self.shard_id, 1.0)],
-                                   exhausted=True, candidates=1)
-
-        with pytest.raises(QueryCancelledError, match="before shard 1 in round 1"):
-            coordinated_topn([Shard(i) for i in range(7)], n=3, token=token)
-        assert evaluated == [0]
-
-    def test_deadline_expired_before_start_cancels_everything(self):
-        class Shard:
-            shard_id = 0
-
-            def top(self, depth):  # pragma: no cover - never reached
-                raise AssertionError("evaluated after the deadline")
-
-        with ExecutorPool(workers=2) as pool:
-            with pytest.raises(QueryCancelledError):
-                with pool.admit():
-                    coordinated_topn([Shard()], n=4,
-                                     token=CancelToken.with_timeout(0.0))
-            assert pool.in_flight == 0
+    """After a cancelled run nothing is owed: no in-flight admissions."""
 
     def test_cancelled_blocked_engine_leaves_admission_clean(self):
         with ExecutorPool(workers=2, max_queries=1) as pool:

@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core import DatabaseConfig, MMDatabase
 from repro.errors import ReproError
-from repro.parallel import IndexShardEvaluator
+from repro.parallel import coordinator
 from repro.serve import ServeClient, ServerThread, collect
 from repro.serve.server import _TextRunner
 from repro.workloads import SyntheticCollection, generate_queries, trec
@@ -47,7 +47,6 @@ class TestDatabaseStrategy:
         parallel = db.search(query, n=10, strategy="parallel")
         assert parallel.result.doc_ids == naive.result.doc_ids
         assert parallel.result.scores == naive.result.scores
-        assert parallel.result.certified is True
         assert parallel.result.stats["shards"] == 3
 
     def test_auto_shards_on_first_parallel_search(self, query):
@@ -58,7 +57,7 @@ class TestDatabaseStrategy:
             assert fresh.sharded is None
             result = fresh.search(query, n=5, strategy="parallel")
             assert fresh.sharded.n_shards == 2
-            assert result.result.certified is True
+            assert result.result.stats["shards"] == 2
         finally:
             fresh.close()
 
@@ -81,19 +80,19 @@ class TestDatabaseStrategy:
 
 
 class TestShardsRunInline:
-    """Every shard evaluator runs on the thread that runs the query,
-    and no thread is started for it."""
+    """Every shard is scored on the thread that runs the query, and no
+    thread is started for it."""
 
     @pytest.fixture()
     def shard_threads(self, monkeypatch):
         idents = []
-        top = IndexShardEvaluator.top
+        score_all = coordinator.score_all
 
-        def recording_top(self, depth):
+        def recording_score_all(index, tids, model):
             idents.append(threading.get_ident())
-            return top(self, depth)
+            return score_all(index, tids, model)
 
-        monkeypatch.setattr(IndexShardEvaluator, "top", recording_top)
+        monkeypatch.setattr(coordinator, "score_all", recording_score_all)
         return idents
 
     @pytest.mark.parametrize("default_shards", [None, 4])
@@ -111,8 +110,7 @@ class TestShardsRunInline:
             fresh.close()
         shards = default_shards or 2
         assert result.result.stats["shards"] == shards
-        assert result.result.certified is True
-        assert len(shard_threads) >= shards  # every shard, round 1
+        assert len(shard_threads) == shards  # every shard, once
         assert set(shard_threads) == {threading.get_ident()}
         assert set(threading.enumerate()) <= before
 
@@ -140,7 +138,7 @@ class TestShardsRunInline:
             fresh.close()
         assert served.complete
         assert len(step_threads) == 1
-        assert len(shard_threads) >= 4
+        assert len(shard_threads) == 4
         assert set(shard_threads) == set(step_threads)
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("repro-shard")]
@@ -168,14 +166,17 @@ class TestCli:
         assert "strategy=parallel" in text or "no results" in text
 
     def test_profile_json_includes_parallel_metrics(self):
-        code, text = run_cli(SCALE + ["profile", "topn", "--shards", "2",
-                                      "--objects", "200", "--json"])
+        code, text = run_cli(SCALE + ["profile", "search", "--terms", "data",
+                                      "--shards", "2", "--json"])
         assert code == 0
         payload = json.loads(text)
-        counters = payload["metrics"]["counters"]
-        assert counters["parallel.rounds"] >= 1
-        assert "parallel.probes" in counters
-        assert "parallel.probes_saved" in counters
+        assert payload["metrics"]["gauges"]["parallel.shard_skew"] >= 1.0
+
+    def test_profile_topn_rejects_shards(self):
+        code, text = run_cli(SCALE + ["profile", "topn", "--shards", "2",
+                                      "--objects", "200"])
+        assert code == 2
+        assert "search scenario only" in text
 
     def test_profile_search_with_shards(self):
         code, text = run_cli(SCALE + ["profile", "search", "--terms", "data",
@@ -185,7 +186,6 @@ class TestCli:
         span_names = {span["name"] for root in payload["spans"]
                       for span in _walk(root)}
         assert "topn.parallel" in span_names
-        assert "parallel.round" in span_names
         assert "parallel.shard" in span_names
 
 

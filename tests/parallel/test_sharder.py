@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ShardingError
-from repro.ir import BM25, InvertedIndex
-from repro.ir.ranking import score_all
+from repro.ir import InvertedIndex
 from repro.parallel import shard_index
-from repro.workloads import SyntheticCollection, generate_queries, trec
+from repro.workloads import SyntheticCollection, trec
 
 
 @pytest.fixture(scope="module")
@@ -85,26 +84,12 @@ class TestBoundaries:
 
 
 class TestShardLookup:
-    def test_shard_of_covers_every_doc(self, index):
-        sharded = shard_index(index, shards=5)
-        for doc in range(index.n_docs):
-            shard = sharded.shard_of(doc)
-            assert shard.doc_lo <= doc < shard.doc_hi
-
-    def test_shard_of_out_of_range(self, index):
-        sharded = shard_index(index, shards=2)
-        with pytest.raises(ShardingError):
-            sharded.shard_of(index.n_docs)
-        with pytest.raises(ShardingError):
-            sharded.shard_of(-1)
-
     def test_empty_shard(self, index):
         n = index.n_docs
         sharded = shard_index(index, boundaries=[0, 0, n])
         empty = sharded.shards[0]
         assert empty.n_docs == 0
         assert empty.n_postings == 0
-        assert sharded.shard_of(0).shard_id == 1
 
     def test_skew(self, index):
         even = shard_index(index, shards=2)
@@ -115,12 +100,6 @@ class TestShardLookup:
 
 
 class TestShardStatistics:
-    def test_local_df_sums_to_global(self, index):
-        sharded = shard_index(index, shards=4)
-        local = np.sum([s.local_df for s in sharded.shards], axis=0)
-        global_df = np.array([index.term_stats(t).df for t in range(index.n_terms)])
-        assert np.array_equal(local, global_df)
-
     def test_global_df_visible_in_shards(self, index):
         """Shards share the global vocabulary: idf inputs are global."""
         sharded = shard_index(index, shards=3)
@@ -128,22 +107,3 @@ class TestShardStatistics:
                              for t in range(index.n_terms)]))
         for shard in sharded.shards:
             assert shard.index.term_stats(tid).df == index.term_stats(tid).df
-            local = shard.local_term_stats(tid)
-            assert local.df == shard.local_df[tid]
-            assert local.df <= index.term_stats(tid).df
-
-    def test_score_upper_bound_dominates_shard_scores(self, index):
-        collection = SyntheticCollection.generate(trec.tiny(seed=11))
-        query = generate_queries(collection, n_queries=1, seed=5).queries[0]
-        tids = list(query.term_ids)
-        model = BM25()
-        sharded = shard_index(index, shards=3)
-        for shard in sharded.shards:
-            bound = shard.score_upper_bound(model, tids)
-            bat = score_all(shard.index, tids, model)
-            if len(bat):
-                assert bound >= float(np.max(bat.tail)) - 1e-9
-
-    def test_empty_shard_upper_bound_is_zero(self, index):
-        sharded = shard_index(index, boundaries=[0, 0, index.n_docs])
-        assert sharded.shards[0].score_upper_bound(BM25(), [0, 1]) == 0.0

@@ -30,12 +30,10 @@ from repro.topn import (
     WeightedSum,
     combined_topn,
     naive_topn,
-    naive_topn_sources,
     nra_topn,
     quit_continue_topn,
     threshold_topn,
 )
-from repro.parallel import parallel_topn_sources
 
 from .test_conformance import SHAPES, corpus, make_sources
 
@@ -172,8 +170,7 @@ class TestBlockedEngineMatrix:
 
 class TestScalarProtocolOverBlockedStorage:
     """BlockedSource serves the ScoreSource protocol's ranks and grades
-    bit for bit: the engines and the certified parallel coordinator run
-    over blocked storage unchanged."""
+    bit for bit: the engines run over blocked storage unchanged."""
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_scalar_engines_agree(self, shape):
@@ -182,15 +179,6 @@ class TestScalarProtocolOverBlockedStorage:
             reference = engine_fn(make_sources(matrix), 10, SUM)
             over_blocks = engine_fn(blocked_sources(matrix, 64), 10, SUM)
             assert_exact(over_blocks, reference, shape)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4, 7])
-    def test_parallel_coordinator(self, shards):
-        matrix = corpus("uniform", seed=1)
-        reference = naive_topn_sources(make_sources(matrix), 10, SUM)
-        result = parallel_topn_sources(blocked_sources(matrix, 64), 10,
-                                       shards=shards)
-        assert result.doc_ids == reference.doc_ids
-        assert result.certified is True
 
 
 class TestBlockedQuitContinue:

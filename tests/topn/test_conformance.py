@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ir import BM25, InvertedIndex
-from repro.mm import ArraySource
+from repro.mm import ArraySource, PostingsSource
 from repro.storage import BAT, kernel
 from repro.topn import (
     SUM,
@@ -47,7 +47,7 @@ from repro.topn import (
     stop_after_filter,
     threshold_topn,
 )
-from repro.parallel import parallel_topn, parallel_topn_sources, shard_index
+from repro.parallel import parallel_topn, shard_index
 from repro.workloads import SyntheticCollection, generate_queries, trec
 
 N_OBJECTS = 300
@@ -212,57 +212,71 @@ class TestStopAfterConformance:
         assert score_multiset(aggressive.scores) == score_multiset(conservative.scores)
 
 
+GRADE_TERMS = ("alpha", "bravo", "charlie")
+
+
+def grade_index(matrix: np.ndarray):
+    """An inverted index over one document per object in which term
+    ``j`` occurs ``round(8 * grade)`` times, padded with a filler token
+    to one document length: BM25 scores inherit the grade matrix's
+    shape, its heavy ties included.  Returns the index and the grade
+    terms' ids."""
+    levels = np.rint(matrix * 8).astype(int)
+    width = 8 * matrix.shape[1] + 1
+    texts = []
+    for row in levels:
+        tokens = [term for term, tf in zip(GRADE_TERMS, row) for _ in range(tf)]
+        texts.append(" ".join(tokens + ["filler"] * (width - len(tokens))))
+    index, collection = InvertedIndex.from_texts(texts)
+    return index, [collection.term_strings.index(term) for term in GRADE_TERMS]
+
+
 class TestParallelConformance:
     """The sharded parallel engine is *exactly* (tie-aware) the serial
     answer: identical ids and scores on every corpus shape and shard
-    count — the certified two-round merge, unlike early-stopping
-    engines, reproduces naive's boundary rule byte for byte."""
+    count — the exact gather, unlike early-stopping engines, reproduces
+    naive's boundary rule byte for byte."""
 
     SHARD_COUNTS = [1, 2, 4, 7]
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_parallel_is_exactly_serial(self, shape, shards):
-        matrix = corpus(shape, seed=1)
-        reference = naive_topn_sources(make_sources(matrix), 10, SUM)
-        result = parallel_topn_sources(make_sources(matrix), 10, shards=shards)
+        index, tids = grade_index(corpus(shape, seed=1))
+        reference = naive_topn(index, tids, BM25(), 10)
+        result = parallel_topn(shard_index(index, shards=shards), tids, BM25(), 10)
         assert result.doc_ids == reference.doc_ids
-        assert [round(s, 12) for s in result.scores] \
-            == [round(s, 12) for s in reference.scores]
-        assert result.certified is True
+        assert result.scores == reference.scores
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_parallel_agrees_with_ta(self, shape):
         """Against the early-stopping family the usual tie-aware
         comparison applies: same score multiset, exact agreement above
         the tied boundary."""
-        matrix = corpus(shape, seed=2)
-        ta = threshold_topn(make_sources(matrix), 10, SUM)
-        result = parallel_topn_sources(make_sources(matrix), 10, shards=4)
+        index, tids = grade_index(corpus(shape, seed=2))
+        sources = [PostingsSource(index, tid, BM25()) for tid in tids]
+        ta = threshold_topn(sources, 10, SUM)
+        result = parallel_topn(shard_index(index, shards=4), tids, BM25(), 10)
         assert score_multiset(result.scores) == score_multiset(ta.scores)
         assert above_boundary(result) == above_boundary(ta)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_skewed_sharding(self, shape):
         """~90% of the objects on one shard: load skew must not change
-        the answer (only the probe pattern)."""
-        matrix = corpus(shape, seed=3)
-        reference = naive_topn_sources(make_sources(matrix), 10, SUM)
-        boundaries = [0, 270, 280, 290, N_OBJECTS]
-        result = parallel_topn_sources(make_sources(matrix), 10,
-                                       boundaries=boundaries)
+        the answer."""
+        index, tids = grade_index(corpus(shape, seed=3))
+        reference = naive_topn(index, tids, BM25(), 10)
+        sharded = shard_index(index, boundaries=[0, 270, 280, 290, N_OBJECTS])
+        result = parallel_topn(sharded, tids, BM25(), 10)
         assert result.doc_ids == reference.doc_ids
-        assert result.certified is True
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_empty_shard(self, shape):
-        matrix = corpus(shape, seed=4)
-        reference = naive_topn_sources(make_sources(matrix), 10, SUM)
-        boundaries = [0, 0, 150, N_OBJECTS]
-        result = parallel_topn_sources(make_sources(matrix), 10,
-                                       boundaries=boundaries)
+        index, tids = grade_index(corpus(shape, seed=4))
+        reference = naive_topn(index, tids, BM25(), 10)
+        sharded = shard_index(index, boundaries=[0, 0, 150, N_OBJECTS])
+        result = parallel_topn(sharded, tids, BM25(), 10)
         assert result.doc_ids == reference.doc_ids
-        assert result.certified is True
 
 
 class TestParallelIndexConformance:
@@ -288,7 +302,6 @@ class TestParallelIndexConformance:
             result = parallel_topn(sharded, tids, model, 10)
             assert result.doc_ids == exact.doc_ids
             assert result.scores == exact.scores
-            assert result.certified is True
 
     @pytest.mark.parametrize("boundaries_of", [
         lambda n: [0, max(1, int(n * 0.9)), n],       # ~90% on shard 0
@@ -303,7 +316,6 @@ class TestParallelIndexConformance:
             result = parallel_topn(sharded, tids, model, 10)
             assert result.doc_ids == exact.doc_ids
             assert result.scores == exact.scores
-            assert result.certified is True
 
 
 class TestSafeModeQuitContinue:
