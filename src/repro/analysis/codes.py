@@ -169,21 +169,13 @@ CODES: dict[str, DiagnosticCode] = _build_table(
         "lock while waiting for the other: a deadlock waiting to happen.",
     ),
     DiagnosticCode(
-        "MOA704", "write to sealed state without consulting the seal", "error",
-        "A method mutates an attribute declared in `SEALED_BY` without "
-        "reading the seal flag first.  The seal discipline requires "
-        "checking the flag under the lock before every write, so a late "
-        "writer on another thread can never write "
-        "into a result that was already resolved.",
-    ),
-    DiagnosticCode(
-        "MOA705", "concurrency declaration references an unknown lock", "warning",
+        "MOA704", "concurrency declaration references an unknown lock", "warning",
         "A `SHARED_STATE` entry or `@guarded_by` decorator names a lock "
         "attribute the class never defines: the declaration is "
         "unenforceable and probably a typo.",
     ),
     DiagnosticCode(
-        "MOA706", "lock held around no declared shared state", "info",
+        "MOA705", "lock held around no declared shared state", "info",
         "A lock is acquired in a scope that writes no declared shared "
         "state: either the declaration is missing or the critical "
         "section is dead weight.",
@@ -290,8 +282,8 @@ CODES: dict[str, DiagnosticCode] = _build_table(
     DiagnosticCode(
         "MOA1104", "held resource escapes its declared scope", "error",
         "A *held* handle escapes the acquiring function — returned, "
-        "stored on `self` outside the class's declared SHARED_STATE / "
-        "SEALED_BY scope, or written to a global — from a function not "
+        "stored on `self` outside the class's declared SHARED_STATE "
+        "scope, or written to a global — from a function not "
         "declared `@acquires` for that kind.  Once the handle outlives "
         "its frame, no path-local discipline can guarantee the release "
         "ever runs; either declare the factory or release before "

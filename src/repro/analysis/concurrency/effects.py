@@ -18,7 +18,7 @@ reasoning —
   resolution.
 
 Per class, the walker also extracts the declaration protocol of
-:mod:`repro.sync` (``SHARED_STATE`` / ``SEALED_BY`` literals), the set
+:mod:`repro.sync` (``SHARED_STATE`` literals), the set
 of lock attributes (anything assigned from ``threading.Lock`` /
 ``RLock`` / ``make_lock``, including dataclass ``field`` factories)
 and which attributes ``__init__`` establishes.
@@ -141,9 +141,6 @@ class FunctionEffects:
     spawns: list = field(default_factory=list)
     guarded_by: str | None = None
 
-    def reads(self, attr: str) -> bool:
-        return attr in self.self_reads
-
 
 @dataclass
 class ClassEffects:
@@ -154,7 +151,6 @@ class ClassEffects:
     methods: dict = field(default_factory=dict)
     lock_attrs: set = field(default_factory=set)
     shared_state: dict | None = None
-    sealed_by: dict | None = None
     init_attrs: set = field(default_factory=set)
 
     @property
@@ -405,8 +401,6 @@ def _walk_class(node: ast.ClassDef, module: ModuleEffects) -> ClassEffects:
                     continue
                 if value is not None and target.id == "SHARED_STATE":
                     cls.shared_state = _literal_str_dict(value) or {}
-                elif value is not None and target.id == "SEALED_BY":
-                    cls.sealed_by = _literal_str_dict(value) or {}
                 elif value is not None and _is_lock_factory(value):
                     cls.lock_attrs.add(target.id)
         elif isinstance(statement, ast.FunctionDef):
@@ -524,7 +518,6 @@ def summarize_effects(modules: dict) -> dict:
             classes[cls_name] = {
                 "declared": cls.declared,
                 "shared_state": cls.shared_state,
-                "sealed_by": cls.sealed_by,
                 "lock_attrs": sorted(cls.lock_attrs),
                 "noninit_written_attrs": sorted(writes),
                 "methods": {

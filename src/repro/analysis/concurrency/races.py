@@ -13,11 +13,9 @@ family:
   paths, or a mutated module global without a module ``SHARED_STATE``;
 * **MOA703** — two locks acquired in opposite nesting orders on
   different code paths (one-level call resolution included);
-* **MOA704** — a method mutates a ``SEALED_BY`` attribute without
-  reading the seal flag;
-* **MOA705** — a declaration references a lock attribute the class
+* **MOA704** — a declaration references a lock attribute the class
   never defines;
-* **MOA706** — a lock held around a scope that writes no declared
+* **MOA705** — a lock held around a scope that writes no declared
   shared state.
 
 *Worker paths* are the modules reachable (package-internal imports,
@@ -139,15 +137,14 @@ class _Analyzer:
 
     def _check_declared_class(self, module: ModuleEffects, cls: ClassEffects) -> None:
         shared = cls.shared_state or {}
-        sealed = cls.sealed_by or {}
 
-        # MOA705: declarations must reference real locks / known attrs
+        # MOA704: declarations must reference real locks / known attrs
         for attr, lock in sorted(shared.items()):
             if lock in _LOCK_FREE_MARKERS:
                 continue
             if lock not in cls.lock_attrs:
                 self.report.add(make_diagnostic(
-                    "MOA705",
+                    "MOA704",
                     f"{cls.name}.SHARED_STATE guards {attr!r} with "
                     f"{lock!r}, but the class defines no such lock attribute",
                     site=_site(module, cls.lineno),
@@ -156,7 +153,7 @@ class _Analyzer:
         for name, fn in sorted(cls.methods.items()):
             if fn.guarded_by and fn.guarded_by not in cls.lock_attrs:
                 self.report.add(make_diagnostic(
-                    "MOA705",
+                    "MOA704",
                     f"@guarded_by({fn.guarded_by!r}) on {cls.name}.{name} "
                     "references a lock attribute the class never defines",
                     site=_site(module, fn.lineno),
@@ -166,7 +163,7 @@ class _Analyzer:
         for name, fn in sorted(cls.methods.items()):
             if name in CONSTRUCTORS:
                 continue
-            self._check_method_writes(module, cls, fn, shared, sealed)
+            self._check_method_writes(module, cls, fn, shared)
             self._check_useless_locks(module, cls, fn, shared)
 
         # MOA702 inside a declared class: post-construction writes to
@@ -187,8 +184,7 @@ class _Analyzer:
             ))
 
     def _check_method_writes(self, module: ModuleEffects, cls: ClassEffects,
-                             fn: FunctionEffects, shared: dict,
-                             sealed: dict) -> None:
+                             fn: FunctionEffects, shared: dict) -> None:
         for write in fn.self_writes:
             decl = shared.get(write.attr)
             if decl is None:
@@ -199,16 +195,6 @@ class _Analyzer:
                     f"{cls.name}.{fn.name} writes shared attribute "
                     f"{write.attr!r} ({write.kind}) without holding its "
                     f"declared lock {decl!r}",
-                    site=_site(module, write.line),
-                    expr=f"{cls.name}.{write.attr}",
-                ))
-            flag = sealed.get(write.attr)
-            if flag is not None and not fn.reads(flag):
-                self.report.add(make_diagnostic(
-                    "MOA704",
-                    f"{cls.name}.{fn.name} mutates sealed attribute "
-                    f"{write.attr!r} without reading its seal flag "
-                    f"{flag!r} first",
                     site=_site(module, write.line),
                     expr=f"{cls.name}.{write.attr}",
                 ))
@@ -242,7 +228,7 @@ class _Analyzer:
             if not calls_under and not writes_under and not reads_guarded:
                 del touches
                 self.report.add(make_diagnostic(
-                    "MOA706",
+                    "MOA705",
                     f"{cls.name}.{fn.name} acquires {acq.token!r} around a "
                     "scope that writes no declared shared state",
                     site=_site(module, acq.line),

@@ -26,7 +26,7 @@ Verdicts:
   layer's *designed* pattern and are not flagged.
 * **MOA1104** — a Held handle escapes: returned from a non-factory,
   stored to an attribute outside the class's declared
-  ``SHARED_STATE``/``SEALED_BY``, or written to a global/container.
+  ``SHARED_STATE``, or written to a global/container.
   ``@acquires(kind)`` factories are exempt — escaping is their job.
 
 One-level call summaries close the gap the PR-8 review bugs lived in:
@@ -164,8 +164,8 @@ class _Analysis:
                     "MOA1104", event.line,
                     f"held {self._kind(event.handle)} {event.handle!r} "
                     f"(acquired at line {line}) is {where}; only an "
-                    "@acquires factory or a declared SHARED_STATE/"
-                    "SEALED_BY attribute may take ownership")
+                    "@acquires factory or a declared SHARED_STATE "
+                    "attribute may take ownership")
             return self._set(state, event.handle, _RELEASED, event.line)
         if isinstance(event, Call):
             return self._apply_call(state, event, on_exception=False)

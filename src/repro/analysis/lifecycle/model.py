@@ -111,7 +111,7 @@ class Vocabulary:
 @dataclass
 class ClassContext:
     """What the enclosing class declares, for escape/lock resolution:
-    the attributes its ``SHARED_STATE`` / ``SEALED_BY`` cover (storing
+    the attributes its ``SHARED_STATE`` covers (storing
     a held handle there is an ownership transfer, not an escape) and
     its lock attributes."""
 
@@ -132,8 +132,7 @@ class ClassContext:
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
-                if (target.id in ("SHARED_STATE", "SEALED_BY")
-                        and isinstance(stmt.value, ast.Dict)):
+                if target.id == "SHARED_STATE" and isinstance(stmt.value, ast.Dict):
                     for key in stmt.value.keys:
                         if (isinstance(key, ast.Constant)
                                 and isinstance(key.value, str)):

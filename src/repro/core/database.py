@@ -51,7 +51,7 @@ from ..topn import (
     stop_after_filter,
     threshold_topn,
 )
-from ..topn.result import TopNResult
+from ..topn.result import RankedItem, TopNResult
 from ..topn.ta import answer_at
 from .config import DatabaseConfig
 from .session import SearchResult
@@ -306,7 +306,6 @@ class MMDatabase:
         # stop/filter plan over the (score, attribute) pair
         from ..ir.ranking import score_all
         from ..storage import kernel
-        from ..topn.result import RankedItem
 
         scores_sparse = score_all(self.index, tids, self.model)
         candidates = scores_sparse.head_array()
@@ -461,8 +460,9 @@ class MMDatabase:
         run is resumed, so its own count only its last stretch) and its
         frontier.  A run whose epoch was invalidated meanwhile is not
         stored (:meth:`~repro.cache.QueryCache.store`)."""
-        _items, stats = answer_at(run, run.stats["depth"])
-        result = TopNResult(run.items, n, strategy=run.strategy, safe=run.safe, stats=stats)
+        items, stats = answer_at(run, run.stats["depth"])
+        result = TopNResult([RankedItem(obj, score) for obj, score in items], n,
+                            strategy=run.strategy, safe=run.safe, stats=stats)
         self.cache.store(fingerprint, n, result, prefix_safe=True,
                          complete=len(result.items) < n,
                          resume=run.stats["resume_state"])

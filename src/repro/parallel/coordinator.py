@@ -1,10 +1,10 @@
 """Distributed top-N over document-range shards: one exact gather.
 
 Every shard is scored on the thread that runs the query, in shard
-order, and hands over its own canonical top-``n`` (score descending,
-ties by smaller id — :func:`~repro.topn.heap.canonical_pairs`).  The
-coordinator cuts the global top-``n`` from the at most ``K·n`` pooled
-items with the same canonical cut.
+order, and hands over its own top-``n`` (score descending, ties by
+smaller id — the one cut, :func:`~repro.storage.kernel.top_positions`).
+The coordinator cuts the global top-``n`` from the at most ``K·n``
+pooled items with the same cut.
 
 Shards are document-disjoint, so every member of the global top-``n``
 is among its own shard's top-``n``; shards share the full index's
@@ -25,8 +25,8 @@ from ..errors import ParallelError
 from ..ir.ranking import ScoringModel, score_all
 from ..obs import metrics, tracer
 from ..storage import stats as _stats
-from ..topn.heap import canonical_pairs, canonical_topn
-from ..topn.result import TopNResult
+from ..storage.kernel import top_positions
+from ..topn.result import TopNResult, top_items
 from .sharder import ShardedIndex
 
 
@@ -45,7 +45,7 @@ def parallel_topn(
     skew = sharded.skew()
     metrics.set_gauge("parallel.shard_skew", skew)
     k = sharded.n_shards
-    pooled: list[tuple[int, float]] = []
+    pooled_ids, pooled_scores = [], []
     candidates = 0
     with tracer.span("topn.parallel", n=n, shards=k):
         for shard in sharded.shards:
@@ -53,22 +53,20 @@ def parallel_topn(
                 bat = score_all(shard.index, tids, model)
                 docs = bat.head_array().astype(np.int64)
                 scores = np.asarray(bat.tail, dtype=np.float64)
-                top = canonical_pairs(docs, scores, n)
+                top = top_positions(scores, docs, n)
                 _stats.charge_tuples_read(len(top))
-                pooled.extend(top)
+                pooled_ids.append(docs[top])
+                pooled_scores.append(scores[top])
                 candidates += len(docs)
                 tracer.annotate(items=len(top), candidates=len(docs))
-        ids = np.fromiter((obj for obj, _ in pooled), dtype=np.int64,
-                          count=len(pooled))
-        values = np.fromiter((score for _, score in pooled), dtype=np.float64,
-                             count=len(pooled))
-        items = canonical_topn(ids, values, n)
-        tracer.annotate(items_shipped=len(pooled))
+        ids = np.concatenate(pooled_ids)
+        items = top_items(ids, np.concatenate(pooled_scores), n)
+        tracer.annotate(items_shipped=len(ids))
     return TopNResult(
         items, n, strategy="parallel", safe=True,
         stats={
             "shards": k,
-            "items_shipped": len(pooled),
+            "items_shipped": len(ids),
             "candidates": candidates,
             "shard_skew": skew,
         },

@@ -431,7 +431,9 @@ class _TextRunner:
     """Single-chunk runner adapter for text queries: the paper-era text
     strategies (incl. parallel shards) are not incremental, so they
     answer in one final chunk through the same streaming plumbing.
-    Serialized by the owning session's busy flag, like
+    The chunk carries the answer, its depth and its certification, not
+    the engine's own stats (candidates, shard counts, ...).  Serialized
+    by the owning session's busy flag, like
     :class:`~repro.serve.session.AnytimeRunner`."""
 
     SHARED_STATE = {"_last": "<barrier>"}
@@ -471,7 +473,6 @@ class _TextRunner:
             bound=bound,
             epoch=self.epoch,
             algorithm=f"text:{result.strategy}",
-            stats=dict(result.stats),
         )
         metrics.inc("serve.chunks")
         return self._last

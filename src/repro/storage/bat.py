@@ -271,9 +271,8 @@ class BAT:
     def verify_properties(self) -> bool:
         """Check that the declared sortedness/key flags actually hold.
 
-        Used by tests and by :func:`repro.storage.kernel.assert_valid`;
-        returns True when all declared properties are consistent with
-        the data.
+        Used by tests; returns True when all declared properties are
+        consistent with the data.
         """
         tail = self.tail
         if self.tail_sorted and len(tail) > 1 and not np.all(tail[:-1] <= tail[1:]):
@@ -323,8 +322,8 @@ class BAT:
         """Structural equality of the (head, tail) multisets *in order*.
 
         Two BATs are considered the same content when their heads and
-        tails compare equal elementwise.  Ordering matters; use
-        :func:`repro.storage.kernel.sort_head` first for set-like
+        tails compare equal elementwise.  Ordering matters: compare
+        sorted pairs (``sorted(bat.to_list())``) for a set-like
         comparison.
         """
         if len(self) != len(other):

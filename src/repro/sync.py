@@ -31,9 +31,6 @@ Helpers called with a lock already held declare it::
     @guarded_by("_lock")
     def _admit(self, key): ...
 
-Classes with a *seal* discipline (a flag after which an attribute is
-read-only) add ``SEALED_BY = {"attr": "flag_name"}``.
-
 Resource-lifecycle declarations (PR 9) extend the protocol for the
 :mod:`repro.analysis.lifecycle` analyzer (the ``MOA11xx`` family):
 
@@ -155,8 +152,8 @@ class RaceViolation:
 
     ``kind`` is ``unguarded-write`` (declared lock not held),
     ``unguarded-call`` (``@guarded_by`` entered without the lock),
-    ``confinement`` (thread-confined state touched cross-thread),
-    ``write-after-seal`` or ``lock-order``.
+    ``confinement`` (thread-confined state touched cross-thread) or
+    ``lock-order``.
     """
 
     kind: str
@@ -385,8 +382,8 @@ def releases(kind: str):
 
 
 def declares_shared_state(cls: type) -> type:
-    """Class decorator registering ``cls.SHARED_STATE`` (and optional
-    ``SEALED_BY``) with the sanitizer.  Free when the sanitizer is off;
+    """Class decorator registering ``cls.SHARED_STATE`` with the
+    sanitizer.  Free when the sanitizer is off;
     when on, the class is instrumented immediately."""
     _shared_classes.append(cls)
     if _active:
@@ -395,17 +392,6 @@ def declares_shared_state(cls: type) -> type:
 
 
 # -- runtime checks ---------------------------------------------------------
-
-
-def _check_seal(owner, attr: str, op: str) -> None:
-    flag = getattr(type(owner), "SEALED_BY", {}).get(attr)
-    if flag and getattr(owner, flag, False):
-        _report(RaceViolation(
-            kind="write-after-seal",
-            where=f"{type(owner).__name__}.{attr}",
-            thread=threading.current_thread().name,
-            detail=f"{op} after {flag!r} was set",
-        ))
 
 
 def _check_write(owner, attr: str, decl: str, op: str) -> None:
@@ -453,8 +439,8 @@ _WRAPPABLE = (dict, list, deque, OrderedDict, set)
 class GuardedContainer:
     """Access-recording proxy around one declared container attribute.
 
-    Mutating operations check the owner's declared lock discipline and
-    the seal flag; reads of thread-confined state check the accessor.
+    Mutating operations check the owner's declared lock discipline;
+    reads of thread-confined state check the accessor.
     Everything else delegates to the wrapped container, so iteration,
     membership, ``len`` and lookups behave identically.
     """
@@ -470,10 +456,7 @@ class GuardedContainer:
     def _repro_check(self, op: str) -> None:
         if not _active:
             return
-        owner = self._repro_owner
-        attr = self._repro_attr
-        _check_seal(owner, attr, op)
-        _check_write(owner, attr, self._repro_decl, op)
+        _check_write(self._repro_owner, self._repro_attr, self._repro_decl, op)
 
     def __getattr__(self, name):
         value = getattr(self._repro_inner, name)
@@ -566,7 +549,6 @@ def _instrument_class(cls: type) -> None:
         decl = decls.get(name)
         if decl is not None and _active:
             if _constructed(self, name):  # first assignment is construction
-                _check_seal(self, name, "assign")
                 _check_write(self, name, decl, "assign")
             value = _maybe_wrap(self, name, decl, value)
         orig_setattr(self, name, value)

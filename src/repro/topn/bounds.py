@@ -48,8 +48,7 @@ import numpy as np
 from ..errors import TopNError
 from ..obs import tracer
 from .aggregates import AggregateFunction, combine_columns
-from .heap import canonical_topn
-from .result import RankedItem
+from .result import RankedItem, top_items
 from .ta import check_cancel, new_objects, read_slab, slab_end
 
 #: the rank of a grade no list has shown yet
@@ -355,7 +354,7 @@ def run_bounds(sources: list, n: int, agg: AggregateFunction, engine: str, *,
                           check_every=check_every, stop_reason=stop_reason,
                           bound_checks=bound_checks)
     return BoundRun(
-        items=canonical_topn(ids, state.bounds(known, 0.0), n),
+        items=top_items(ids, state.bounds(known, 0.0), n),
         depth=depth,
         stop_reason=stop_reason,
         bound_checks=bound_checks,

@@ -10,11 +10,12 @@ required top N answers have been computed" — the paper's Section 2).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import TopNError
 from ..obs import tracer
 from .aggregates import AggregateFunction, SUM, require_monotone
-from .heap import BoundedTopN
-from .result import TopNResult
+from .result import TopNResult, top_items
 
 
 def fagin_topn(sources: list, n: int, agg: AggregateFunction = SUM) -> TopNResult:
@@ -57,23 +58,17 @@ def fagin_topn(sources: list, n: int, agg: AggregateFunction = SUM) -> TopNResul
             tracer.annotate(depth=depth, objects_seen=len(seen_in),
                             stop_reason="seen_in_all" if seen_in_all >= n else "exhausted")
 
-        # phase 2: complete grades by random access for every seen object
-        heap = BoundedTopN(n)
-        random_accesses = 0
-        with tracer.span("fa.random_phase", objects=len(seen_in)):
-            for obj in sorted(seen_in):
-                grades = []
-                for source in sources:
-                    grades.append(source.random_access(obj))
-                    random_accesses += 1
-                heap.push(obj, agg.combine(grades))
-        tracer.annotate(heap_churn=heap.churn())
+        # phase 2: complete grades by random access for every seen
+        # object, then cut the best n of them
+        ids = np.array(sorted(seen_in), dtype=np.int64)
+        with tracer.span("fa.random_phase", objects=len(ids)):
+            scores = np.array([agg.combine([source.random_access(obj) for source in sources])
+                               for obj in ids.tolist()], dtype=np.float64)
         return TopNResult(
-            heap.items_sorted(), n, strategy="fagin-fa", safe=True,
+            top_items(ids, scores, n), n, strategy="fagin-fa", safe=True,
             stats={
                 "depth": depth,
-                "objects_seen": len(seen_in),
-                "random_accesses": random_accesses,
-                "heap_churn": heap.churn(),
+                "objects_seen": len(ids),
+                "random_accesses": len(ids) * m,
             },
         )

@@ -14,13 +14,14 @@ Two entry points matching the two substrates:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..ir.invindex import InvertedIndex
 from ..ir.ranking import ScoringModel, score_all
 from ..obs import tracer
 from ..storage import kernel
 from .aggregates import AggregateFunction, SUM
-from .heap import BoundedTopN
-from .result import TopNResult
+from .result import TopNResult, top_items
 
 
 def naive_topn(index: InvertedIndex, tids: list[int], model: ScoringModel,
@@ -60,8 +61,6 @@ def conjunctive_topn(index: InvertedIndex, tids: list[int], model: ScoringModel,
     as possible — the same "most interesting terms first" ordering the
     paper's Step 1 builds on.
     """
-    import numpy as np
-
     if not tids:
         return TopNResult([], n, strategy="naive-and", safe=True,
                           stats={"candidates": 0})
@@ -101,13 +100,11 @@ def naive_topn_sources(sources: list, n: int,
     """Exact top-N over graded sources by exhaustive random access."""
     agg.validate_arity(len(sources))
     with tracer.span("topn.naive_sources", n=n, m=len(sources), agg=agg.name):
-        heap = BoundedTopN(n)
         n_objects = max((source.n_objects for source in sources), default=0)
-        for obj in range(n_objects):
-            grades = [source.random_access(obj) for source in sources]
-            heap.push(obj, agg.combine(grades))
-        tracer.annotate(objects_scored=n_objects, heap_churn=heap.churn())
+        scores = np.array([agg.combine([source.random_access(obj) for source in sources])
+                           for obj in range(n_objects)], dtype=np.float64)
+        tracer.annotate(objects_scored=n_objects)
         return TopNResult(
-            heap.items_sorted(), n, strategy="naive-sources", safe=True,
-            stats={"objects_scored": n_objects, "heap_churn": heap.churn()},
+            top_items(np.arange(n_objects, dtype=np.int64), scores, n), n,
+            strategy="naive-sources", safe=True, stats={"objects_scored": n_objects},
         )

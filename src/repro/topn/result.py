@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import TopNError
 from ..storage.bat import BAT
+from ..storage.kernel import top_positions
 
 
 @dataclass(frozen=True)
@@ -34,10 +37,15 @@ class TopNResult:
     contract — a result whose tied items are not id-ascending raises
     :class:`~repro.errors.TopNError` — so any two exact engines on the
     same instance return byte-identical rankings and the differential
-    conformance suite can compare them directly.  The producing
-    primitives uphold the boundary half: ``BoundedTopN`` treats larger
-    ids as weaker on equal scores, and ``kernel.topn_tail`` /
-    ``kernel.sort_tail`` break ties by head oid.
+    conformance suite can compare them directly.  Two primitives
+    uphold the boundary half: the one cut,
+    :func:`~repro.storage.kernel.top_positions` (under
+    ``kernel.topn_tail`` and :func:`top_items`, where every engine's
+    answer is cut), keeps a tied boundary group whole and takes its
+    smallest ids; :class:`~repro.topn.heap.BoundedTopN`, for items that
+    arrive one at a time, treats larger ids as weaker on equal scores.
+    ``kernel.sort_tail`` breaks ties by head oid too, so sort + slice
+    plans agree with both.
     """
 
     items: list[RankedItem]
@@ -92,3 +100,12 @@ class TopNResult:
         top-N (e.g. the output of ``kernel.topn_tail``)."""
         items = [RankedItem(int(h), float(t)) for h, t in bat.to_list()[:n]]
         return cls(items, n, strategy, safe, stats or {})
+
+
+def top_items(ids: np.ndarray, values: np.ndarray, n: int) -> list[RankedItem]:
+    """The top ``n`` of aligned ``ids`` and ``values`` as ranked items,
+    cut by :func:`~repro.storage.kernel.top_positions`; charges
+    nothing."""
+    order = top_positions(values, ids, n)
+    return [RankedItem(obj, value)
+            for obj, value in zip(ids[order].tolist(), values[order].tolist())]

@@ -76,9 +76,10 @@ import numpy as np
 from ..errors import QueryCancelledError, TopNError
 from ..obs import metrics, tracer
 from ..storage.blocks import blocks_between
+from ..storage.kernel import top_positions
 from .aggregates import AggregateFunction, SUM, combine_columns, require_monotone
-from .heap import BoundedTopN, canonical_pairs, canonical_topn
-from .result import TopNResult
+from .heap import BoundedTopN
+from .result import TopNResult, top_items
 
 #: Ranks in TA's first slab; each later slab ends at twice the last end.
 _FIRST_SLAB = 128
@@ -385,7 +386,7 @@ def threshold_topn(sources: list, n: int, agg: AggregateFunction = SUM, *,
                 list_lengths=(tuple(source.blocks.n_postings for source in sources)
                               if blocked else None),
             )
-        return TopNResult(canonical_topn(ids, scores, n), n, strategy=strategy,
+        return TopNResult(top_items(ids, scores, n), n, strategy=strategy,
                           safe=True, stats=run_stats)
 
 
@@ -423,7 +424,9 @@ def answer_at(run: TopNResult, depth: int, since: int = 0) -> tuple[list, dict]:
         read = sum(len(blocks_between(since, depth, unit, length)) for unit, length in lists)
         stats.update(block_size=state.sorted_units[0], blocks_read=read,
                      blocks_skipped=sum(-(-length // unit) for unit, length in lists) - read)
-    return canonical_pairs(state.ids[:seen], state.scores[:seen], state.n), stats
+    ids, scores = state.ids[:seen], state.scores[:seen]
+    order = top_positions(scores, ids, state.n)
+    return list(zip(ids[order].tolist(), scores[order].tolist())), stats
 
 
 def _trace_rounds(heap: BoundedTopN, lo: int, tau: np.ndarray, seen_before: int,

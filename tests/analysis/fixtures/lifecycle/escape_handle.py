@@ -1,7 +1,7 @@
 """Seeded MOA1104: held resources escaping their declared scope.
 
 ``stash`` stores a held admission on an attribute no ``SHARED_STATE``
-/ ``SEALED_BY`` declaration covers; ``grab`` returns one from a
+declaration covers; ``grab`` returns one from a
 function that never declared itself an ``@acquires`` factory.  Either
 way the resource's release obligation silently changes owner.
 ``adopt`` shows the sanctioned shape: the attribute is declared, so

@@ -63,35 +63,6 @@ class LockOrderInversion:
                 self.value += 1
 
 
-@declares_shared_state
-class WriteAfterSealPool:
-    """MOA704: mutates sealed state without consulting the seal flag
-    (the coordinator-merge-pool bug class)."""
-
-    SHARED_STATE = {"_items": "_lock", "sealed": "_lock"}
-    SEALED_BY = {"_items": "sealed"}
-
-    def __init__(self) -> None:
-        self._lock = make_lock("fixture.pool")
-        self._items: dict[int, object] = {}
-        self.sealed = False
-
-    def offer(self, key: int, value) -> bool:
-        with self._lock:
-            if self.sealed:
-                return False
-            self._items[key] = value
-            return True
-
-    def bad_offer(self, key: int, value) -> None:
-        with self._lock:
-            self._items[key] = value  # never checks self.sealed
-
-    def seal(self) -> None:
-        with self._lock:
-            self.sealed = True
-
-
 class UndeclaredShared:
     """MOA702: lock-owning class mutating state with no declaration."""
 
@@ -106,7 +77,7 @@ class UndeclaredShared:
 
 @declares_shared_state
 class BadDeclaration:
-    """MOA705: the declaration names a lock that does not exist."""
+    """MOA704: the declaration names a lock that does not exist."""
 
     SHARED_STATE = {"items": "_missing_lock"}
 

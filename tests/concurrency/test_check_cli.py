@@ -28,7 +28,7 @@ class TestCheckCommand:
     def test_fixtures_exit_nonzero_with_codes(self):
         code, output = run_cli("check", FIXTURES)
         assert code == 1
-        for expected in ("MOA701", "MOA702", "MOA703", "MOA704", "MOA705"):
+        for expected in ("MOA701", "MOA702", "MOA703", "MOA704"):
             assert expected in output
         assert "fixtures.py:" in output
 

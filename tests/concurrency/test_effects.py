@@ -77,15 +77,13 @@ class TestSelfWrites:
 
 
 class TestClassDeclarations:
-    def test_shared_state_and_sealed_by_literals(self, tmp_path):
+    def test_shared_state_literals(self, tmp_path):
         module = infer(tmp_path, """
             class C:
                 SHARED_STATE = {"x": "_lock", "y": "<config>"}
-                SEALED_BY = {"x": "sealed"}
         """)
         cls = module.classes["C"]
         assert cls.shared_state == {"x": "_lock", "y": "<config>"}
-        assert cls.sealed_by == {"x": "sealed"}
         assert cls.declared
 
     def test_lock_attrs_detected_for_all_factories(self, tmp_path):

@@ -30,19 +30,12 @@ class TestSeededFixtures:
         assert len(hits) == 1
         assert "_lock_a" in hits[0].message and "_lock_b" in hits[0].message
 
-    def test_write_after_seal_flagged_moa704(self, fixture_report):
-        hits = findings(fixture_report, "MOA704")
-        assert any("bad_offer" in d.message for d in hits)
-        # the correct offer() reads the seal flag: not flagged
-        assert not any(".offer" in d.message or "offer writes" in d.message
-                       for d in hits if "bad_offer" not in d.message)
-
     def test_undeclared_shared_flagged_moa702(self, fixture_report):
         hits = findings(fixture_report, "MOA702")
         assert any("UndeclaredShared" in d.message for d in hits)
 
-    def test_bad_declaration_flagged_moa705(self, fixture_report):
-        hits = findings(fixture_report, "MOA705")
+    def test_bad_declaration_flagged_moa704(self, fixture_report):
+        hits = findings(fixture_report, "MOA704")
         assert any("_missing_lock" in d.message for d in hits)
 
     def test_clean_counter_produces_no_findings(self, fixture_report):

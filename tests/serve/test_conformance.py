@@ -81,6 +81,7 @@ class TestFinalChunkConformance:
         assert final["algorithm"] == "text:parallel"
         assert final["items"] == [[int(item.obj_id), float(item.score)]
                                   for item in want.items]
+        assert final["stats"] == {}  # the answer, not the coordinator's bookkeeping
 
 
 class TestDisconnectResume:

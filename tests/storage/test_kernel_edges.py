@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import BATTypeError
 from repro.storage import BAT, BufferManager, CostCounter, kernel, set_buffer_manager
 from repro.storage.buffer import get_buffer_manager
 
@@ -47,46 +46,36 @@ class TestPageAccounting:
         # binary-search probes + the one matching page
         assert cost.page_reads <= 12
 
-    def test_fetchjoin_random_probe_pages(self, small_pages):
-        left = BAT(np.array([5, 905], dtype=np.int64))  # two far-apart rows
-        right = BAT(np.arange(1000, dtype=np.float64), persistent=True)
+    def test_fetch_values_random_probe_pages(self, small_pages):
+        bat = BAT(np.arange(1000, dtype=np.float64), persistent=True)
         with CostCounter.activate() as cost:
-            kernel.fetchjoin(left, right)
+            kernel.fetch_values(bat, np.array([5, 905]))  # two far-apart rows
         assert cost.page_reads == 2  # one page per touched position
 
-    def test_fetchjoin_same_page_deduped(self, small_pages):
-        left = BAT(np.array([5, 6, 7], dtype=np.int64))
-        right = BAT(np.arange(100, dtype=np.float64), persistent=True)
+    def test_fetch_values_same_page_deduped(self, small_pages):
+        bat = BAT(np.arange(100, dtype=np.float64), persistent=True)
         with CostCounter.activate() as cost:
-            kernel.fetchjoin(left, right)
+            kernel.fetch_values(bat, np.array([5, 6, 7]))
         assert cost.page_reads == 1
 
 
 class TestOperatorEdges:
-    def test_mark_empty(self):
-        assert len(kernel.mark(BAT(np.empty(0, dtype=np.int64)))) == 0
-
     def test_append_empty_sides(self):
         a = BAT([1, 2])
         empty = BAT(np.empty(0, dtype=np.int64))
         assert [t for _, t in kernel.append(a, empty).to_list()] == [1, 2]
         assert [t for _, t in kernel.append(empty, a).to_list()] == [1, 2]
 
-    def test_group_ops_reject_strings(self):
-        bat = BAT(["a", "b"], head=[0, 0])
-        with pytest.raises(BATTypeError):
-            kernel.group_sum(bat)
-        with pytest.raises(BATTypeError):
-            kernel.group_max(bat)
-
-    def test_group_count_accepts_strings(self):
-        bat = BAT(["a", "b"], head=[0, 0])
-        assert kernel.group_count(bat).to_list() == [(0, 2)]
-
     def test_topn_all_equal_scores(self):
         bat = BAT([1.0] * 20)
         out = kernel.topn_tail(bat, 5)
         assert [h for h, _ in out.to_list()] == [0, 1, 2, 3, 4]
+
+    def test_topn_ranks_strings(self):
+        bat = BAT(["b", "a", "c", "a"])
+        assert kernel.topn_tail(bat, 3, descending=False).to_list() == [
+            (1, "a"), (3, "a"), (0, "b")]
+        assert kernel.topn_tail(bat, 2).to_list() == [(2, "c"), (0, "b")]
 
     def test_sort_stability(self):
         bat = BAT([1.0, 1.0, 0.5], head=[10, 11, 12])
@@ -100,25 +89,9 @@ class TestOperatorEdges:
         out = kernel.select_range(bat, 10, 12)
         assert sorted(t for _, t in out.to_list()) == [10, 11, 12]
 
-    def test_scale_by_zero_drops_key(self):
-        bat = BAT([1.0, 2.0], tail_key=True)
-        out = kernel.scale_tail(bat, 0.0)
-        assert not out.tail_key
-        assert [t for _, t in out.to_list()] == [0.0, 0.0]
-
-    def test_semijoin_empty_right(self):
-        left = BAT([1.0, 2.0], head=[3, 4])
-        assert len(kernel.semijoin(left, BAT.from_pairs([]))) == 0
-        assert len(kernel.antijoin(left, BAT.from_pairs([]))) == 2
-
     def test_unique_on_strings(self):
         out = kernel.unique_tail(BAT(["b", "a", "b"]))
         assert [t for _, t in out.to_list()] == ["a", "b"]
-
-    def test_reverse_preserves_keys(self):
-        bat = BAT([5, 3, 4], tail_key=True)
-        rev = kernel.reverse(bat)
-        assert rev.head_key  # unique tails became unique heads
 
 
 class TestCounterScoping:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage import BAT, CostCounter, HashIndex, SparseIndex, kernel
@@ -63,53 +63,67 @@ def test_topn_is_prefix_of_full_ranking(values, n):
     assert top.to_list() == full.to_list()[:n]
 
 
-@given(
-    st.lists(st.tuples(st.integers(0, 30), floats), min_size=0, max_size=100),
-)
-def test_group_sum_matches_python(pairs):
-    bat = BAT.from_pairs(pairs) if pairs else BAT.from_pairs([])
-    out = kernel.group_sum(bat)
-    expected = {}
-    for head, value in pairs:
-        expected[head] = expected.get(head, 0.0) + value
-    got = {h: t for h, t in out.to_list()}
-    assert set(got) == set(expected)
-    for key, value in expected.items():
-        assert abs(got[key] - value) < 1e-6 * max(1.0, abs(value))
+# few distinct values, -0.0 next to 0.0: boundary ties are the rule
+tie_prone = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0, -1.0, 3.0])
+
+
+@st.composite
+def cut_inputs(draw):
+    """``(values, ids, n)`` for the one top-N cut; ``ids`` is None
+    (ids ascend with position) or arbitrary, possibly repeated ints."""
+    values = draw(st.lists(st.one_of(tie_prone, floats), max_size=80))
+    size = len(values)
+    ids = draw(st.one_of(st.none(), st.lists(st.integers(-10**6, 10**6),
+                                             min_size=size, max_size=size)))
+    return (np.asarray(values, dtype=np.float64),
+            None if ids is None else np.asarray(ids, dtype=np.int64),
+            draw(st.integers(0, size + 3)))
+
+
+def _cut_examples(test):
+    """All-equal values, ``n = 0``, ``n >= size`` and signed zeros,
+    each at a boundary."""
+    cases = [([1.0] * 10, None, 3), ([1.0] * 10, [9, 3, 7, 1, 5, 0, 2, 8, 6, 4], 4),
+             ([0.5, 0.2, 0.9], [4, 2, 8], 0), ([0.5, 0.2, 0.9], None, 3),
+             ([0.5, 0.5, 0.9], [40, 20, 80], 7), ([0.0, -0.0, 0.0, -0.0, 1.0], [8, 6, 4, 2, 0], 3),
+             ([-0.0, 0.0, -0.0], None, 2)]
+    for values, ids, n in cases:
+        test = example((np.asarray(values, dtype=np.float64),
+                        None if ids is None else np.asarray(ids, dtype=np.int64), n))(test)
+    return test
+
+
+@_cut_examples
+@given(cut_inputs())
+@settings(max_examples=300)
+def test_top_positions_is_the_full_lexsort_prefix(case):
+    """The one cut keeps exactly the first ``n`` positions of the full
+    ``(value desc, id asc)`` order, ties at every boundary included."""
+    values, ids, n = case
+    full = np.lexsort((np.arange(len(values)) if ids is None else ids, -values))
+    assert kernel.top_positions(values, ids, n).tolist() == full[:n].tolist()
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@_cut_examples
+@given(cut_inputs())
+def test_topn_tail_is_the_full_sort_prefix(descending, case):
+    """``topn_tail`` in both directions (the algebra's ``topn`` also
+    asks for the smallest) equals the head-tie-broken full sort's
+    prefix, signed zeros bit for bit."""
+    values, ids, n = case
+    bat = BAT(values) if ids is None else BAT(values, head=ids)
+    heads = bat.head_array()
+    full = np.lexsort((heads, -values if descending else values))[:n]
+    out = kernel.topn_tail(bat, n, descending=descending)
+    assert out.head_array().tolist() == heads[full].tolist()
+    assert out.tail.tobytes() == values[full].tobytes()
 
 
 @given(int_lists)
 def test_unique_tail_is_sorted_set(values):
     out = kernel.unique_tail(BAT(np.asarray(values, dtype=np.int64)))
     assert [t for _, t in out.to_list()] == sorted(set(values))
-
-
-@given(
-    st.lists(st.integers(0, 20), min_size=0, max_size=50),
-    st.lists(st.integers(0, 20), min_size=0, max_size=50),
-)
-def test_hashjoin_matches_nested_loop(left_keys, right_keys):
-    left = BAT(np.asarray(left_keys, dtype=np.int64))
-    right = BAT(
-        np.asarray(right_keys, dtype=np.int64) * 10,
-        head=np.asarray(right_keys, dtype=np.int64),
-    )
-    out = kernel.hashjoin(left, right)
-    expected = sorted(
-        (i, rk * 10)
-        for i, lk in enumerate(left_keys)
-        for rk in right_keys
-        if lk == rk
-    )
-    assert sorted(out.to_list()) == expected
-
-
-@given(float_lists)
-@settings(max_examples=30)
-def test_reverse_involution(values):
-    int_values = np.arange(len(values), dtype=np.int64)
-    bat = BAT(int_values, head=np.asarray(range(len(values)), dtype=np.int64))
-    assert kernel.reverse(kernel.reverse(bat)).same_content(bat)
 
 
 @given(float_lists, st.integers(0, 20), st.integers(0, 20))
@@ -140,9 +154,6 @@ def head_twins(draw, tail_sorted=False):
     return dense, twin
 
 
-_DENSE_RIGHT = BAT(np.arange(15, dtype=np.int64) * 10)
-_MATERIALISED_RIGHT = BAT(np.arange(15, dtype=np.int64) * 10, head=np.arange(15))
-
 #: op name -> (needs a tail-sorted input, op(bat, lo, hi, k))
 TWIN_OPS = {
     "select_range": (False, lambda bat, lo, hi, k: kernel.select_range(bat, lo, hi)),
@@ -150,14 +161,9 @@ TWIN_OPS = {
     "select_mask": (False, lambda bat, lo, hi, k: kernel.select_mask(bat, bat.tail % 2 == 0)),
     "sort_tail": (False, lambda bat, lo, hi, k: kernel.sort_tail(bat)),
     "sort_tail_desc": (False, lambda bat, lo, hi, k: kernel.sort_tail(bat, descending=True)),
-    "sort_head": (False, lambda bat, lo, hi, k: kernel.sort_head(bat)),
     "topn_tail": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k)),
     "topn_tail_asc": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k, descending=False)),
     "slice_pairs": (False, lambda bat, lo, hi, k: kernel.slice_pairs(bat, k, hi - lo)),
-    "hashjoin_dense_right": (False, lambda bat, lo, hi, k: kernel.hashjoin(bat, _DENSE_RIGHT)),
-    "hashjoin_materialised_right": (
-        False, lambda bat, lo, hi, k: kernel.hashjoin(bat, _MATERIALISED_RIGHT)),
-    "combine_aligned": (False, lambda bat, lo, hi, k: kernel.combine_aligned(bat, bat)),
     "hash_index": (False, lambda bat, lo, hi, k: HashIndex(bat).lookup_eq(lo)),
     "sparse_index": (True, lambda bat, lo, hi, k: SparseIndex(bat, stride=4).lookup_range(lo, hi)),
 }
@@ -179,8 +185,7 @@ def test_dense_head_agrees_with_materialised_twin(name, data, a, b, k):
     assert from_dense.same_content(from_twin)
     assert from_dense.tail_sorted == from_twin.tail_sorted
     assert from_dense.tail_sorted_desc == from_twin.tail_sorted_desc
-    if name != "sort_head":  # a void head is already head-sorted: nothing to charge
-        assert dense_cost.snapshot() == twin_cost.snapshot()
+    assert dense_cost.snapshot() == twin_cost.snapshot()
 
 
 @given(head_twins(), st.data())
