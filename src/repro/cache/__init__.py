@@ -25,8 +25,6 @@ from ..intervals import ThresholdBound
 from .fingerprint import (
     QueryFingerprint,
     feature_token,
-    source_token,
-    sources_fingerprint,
     text_fingerprint,
     tokens_fingerprint,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "TAResumeState",
     "ThresholdBound",
     "feature_token",
-    "source_token",
-    "sources_fingerprint",
     "text_fingerprint",
     "tokens_fingerprint",
 ]

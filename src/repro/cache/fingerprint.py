@@ -10,8 +10,7 @@ encodes every input the engines read:
   stable **token per graded source** (a posting-list source is
   identified by its term id and model; a feature similarity source by
   its feature space, measure and a hash of its query vector, so a
-  request is keyed before any similarity scan runs; any other array
-  source by a content hash of its grade vector);
+  request is keyed before any similarity scan runs);
 * the **aggregate** / scoring model combining the sources;
 * the **fragment set** the strategy reads (an unsafe fragment-restricted
   answer must never serve an unfragmented query);
@@ -73,19 +72,6 @@ class QueryFingerprint:
         ))
         return hashlib.sha1(payload.encode()).hexdigest()
 
-    def describe(self) -> dict:
-        """JSON-able key breakdown (for diagnostics and the CLI)."""
-        return {
-            "kind": self.kind,
-            "terms": list(self.terms),
-            "aggregate": self.aggregate,
-            "fragments": list(self.fragments),
-            "shard_layout": list(self.shard_layout),
-            "epoch": self.epoch,
-            "extra": list(self.extra),
-            "digest": self.digest(),
-        }
-
 
 def feature_token(space: str, measure: str, query) -> tuple:
     """The token of a feature similarity source, from the request alone.
@@ -98,33 +84,6 @@ def feature_token(space: str, measure: str, query) -> tuple:
     """
     vector = np.ascontiguousarray(query, dtype=np.float64)
     return ("feature", space, measure, hashlib.sha1(vector.tobytes()).hexdigest()[:16])
-
-
-def source_token(source) -> tuple:
-    """A stable identity token for one graded score source.
-
-    A feature similarity source carries the ``(space, measure, query)``
-    it was scanned from as its ``request`` and is keyed by
-    :func:`feature_token`, computed here rather than at every scan so
-    that queries with the cache off never pay for it.  Posting-list
-    sources are content-addressed by ``(term id, model)`` — their
-    grades are a pure function of the index and the model, and the
-    index's identity is already covered by the corpus epoch.  Any
-    other dense array source hashes its grade vector: two such sources
-    only share cache state when their score arrays are bit-identical.
-    """
-    request = getattr(source, "request", None)
-    if request is not None:
-        return feature_token(*request)
-    tid = getattr(source, "tid", None)
-    if tid is not None:
-        model = getattr(source, "model", None)
-        return ("term", int(tid), getattr(model, "name", str(model)))
-    scores = getattr(source, "_scores", None)
-    if scores is not None:
-        content = hashlib.sha1(scores.tobytes()).hexdigest()[:16]
-        return ("array", getattr(source, "name", "array"), content)
-    return ("source", getattr(source, "name", repr(source)))
 
 
 def text_fingerprint(tids, model_name: str, epoch: int, strategy: str = "naive",
@@ -141,18 +100,12 @@ def text_fingerprint(tids, model_name: str, epoch: int, strategy: str = "naive",
     )
 
 
-def sources_fingerprint(sources, agg_name: str, epoch: int, algorithm: str,
-                        kind: str = "feature") -> QueryFingerprint:
-    """Fingerprint of a middleware (Fagin-family) multi-source query."""
-    return tokens_fingerprint(tuple(source_token(source) for source in sources),
-                              agg_name, epoch, algorithm, kind)
-
-
 def tokens_fingerprint(tokens: tuple, agg_name: str, epoch: int, algorithm: str,
                        kind: str = "feature") -> QueryFingerprint:
     """Fingerprint of a multi-source query from its per-source tokens
-    (:func:`source_token`), in source order — what a caller that has
-    not built the sources yet keys on."""
+    in source order (:func:`feature_token` for a feature source,
+    ``("term", tid, model)`` for a posting list), so a caller keys a
+    query before it builds the sources."""
     return QueryFingerprint(
         kind=kind,
         terms=tuple(tokens),

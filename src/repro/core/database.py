@@ -33,7 +33,6 @@ from ..cache import (
 )
 from ..errors import ReproError, TopNError, WorkloadError
 from ..fragmentation import FragmentedExecutor, QualityCheck, Strategy, fragment_by_volume
-from ..ir.analysis import Analyzer, DEFAULT_ANALYZER
 from ..ir.documents import Collection
 from ..ir.invindex import InvertedIndex
 from ..ir.ranking import make_model
@@ -45,10 +44,8 @@ from ..storage.stats import CostCounter
 from ..topn import (
     SUM,
     combined_topn,
-    conjunctive_topn,
     naive_topn,
     nra_topn,
-    stop_after_filter,
     threshold_topn,
 )
 from ..topn.result import RankedItem, TopNResult
@@ -114,13 +111,6 @@ class MMDatabase:
                         config: DatabaseConfig | None = None) -> "MMDatabase":
         """Build a database (index included) from a collection."""
         return cls(collection, InvertedIndex.build(collection), config)
-
-    @classmethod
-    def from_texts(cls, texts: list[str], analyzer: Analyzer | None = None,
-                   config: DatabaseConfig | None = None) -> "MMDatabase":
-        """Build a database from raw text documents."""
-        index, collection = InvertedIndex.from_texts(texts, analyzer or DEFAULT_ANALYZER)
-        return cls(collection, index, config)
 
     # -- content registration ---------------------------------------------------
 
@@ -213,20 +203,12 @@ class MMDatabase:
                 return member
         raise ReproError(f"unknown search strategy {name!r}")
 
-    def search(self, query, n: int = 10, strategy=None,
-               attr_filter: tuple[str, object, object] | None = None,
-               mode: str = "any") -> SearchResult:
+    def search(self, query, n: int = 10, strategy=None) -> SearchResult:
         """Top-``n`` text search.
 
         ``query`` is a string (whitespace-split; unknown terms are
-        ignored) or a list of term strings / term ids.  ``attr_filter``
-        = ``(attribute, lo, hi)`` restricts results to documents whose
-        attribute lies in the range, executed with the STOP AFTER
-        machinery over the score stream.  ``mode="all"`` requires every
-        query term (Boolean AND + ranking; naive evaluation only).
+        ignored) or a list of term strings / term ids.
         """
-        if mode not in ("any", "all"):
-            raise ReproError(f"unknown query mode {mode!r}; have any/all")
         tids = self._terms_to_tids(query)
         name = strategy if strategy is not None else self.config.default_strategy
         if name == "parallel":
@@ -234,7 +216,7 @@ class MMDatabase:
         resolved = self._resolve_strategy(strategy)
         fingerprint = None
         label = "naive" if resolved is None else resolved.value
-        if self.cache is not None and mode == "any" and attr_filter is None:
+        if self.cache is not None:
             fingerprint = text_fingerprint(tids, self.model.name, self.epoch,
                                            strategy=label)
             with tracer.span("cache.lookup", kind="text", n=n):
@@ -245,14 +227,10 @@ class MMDatabase:
                 with CostCounter.activate() as cost:
                     pass  # a cache hit charges no cost-model operations
                 elapsed = time.perf_counter() - started
-                return SearchResult(served, tids, cost, elapsed, self.collection)
+                return SearchResult(served, tids, cost, elapsed)
         started = time.perf_counter()
         with CostCounter.activate() as cost:
-            if mode == "all":
-                result = conjunctive_topn(self.index, tids, self.model, n)
-            elif attr_filter is not None:
-                result = self._search_with_attr_filter(tids, n, resolved, attr_filter)
-            elif resolved is None:
+            if resolved is None:
                 result = naive_topn(self.index, tids, self.model, n)
             else:
                 if self._executor is None:
@@ -264,7 +242,7 @@ class MMDatabase:
             self.cache.store(fingerprint, n, result,
                              prefix_safe=label in _PREFIX_SAFE_STRATEGIES,
                              complete=len(result.items) < n)
-        return SearchResult(result, tids, cost, elapsed, self.collection)
+        return SearchResult(result, tids, cost, elapsed)
 
     def _parallel_search(self, tids, n) -> SearchResult:
         """Sharded execution: the exact gather over document-range
@@ -288,7 +266,7 @@ class MMDatabase:
                 with CostCounter.activate() as cost:
                     pass  # a cache hit charges no cost-model operations
                 elapsed = time.perf_counter() - started
-                return SearchResult(served, tids, cost, elapsed, self.collection)
+                return SearchResult(served, tids, cost, elapsed)
         started = time.perf_counter()
         with CostCounter.activate() as cost:
             result = parallel_topn(self.sharded, tids, self.model, n)
@@ -296,27 +274,7 @@ class MMDatabase:
         if fingerprint is not None:
             self.cache.store(fingerprint, n, result, prefix_safe=True,
                              complete=len(result.items) < n)
-        return SearchResult(result, tids, cost, elapsed, self.collection)
-
-    def _search_with_attr_filter(self, tids, n, resolved, attr_filter) -> TopNResult:
-        name, lo, hi = attr_filter
-        if name not in self.attributes:
-            raise WorkloadError(f"unknown attribute {name!r}; have {sorted(self.attributes)}")
-        # score the candidates, then apply the Carey-Kossmann
-        # stop/filter plan over the (score, attribute) pair
-        from ..ir.ranking import score_all
-        from ..storage import kernel
-
-        scores_sparse = score_all(self.index, tids, self.model)
-        candidates = scores_sparse.head_array()
-        attr_values = kernel.fetch_values(self.attributes[name], candidates)
-        result = stop_after_filter(
-            BAT(scores_sparse.tail), BAT(attr_values), n, lo, hi, policy="aggressive"
-        )
-        # map candidate positions back to document ids
-        items = [RankedItem(int(candidates[item.obj_id]), item.score)
-                 for item in result.items]
-        return TopNResult(items, n, result.strategy, result.safe, result.stats)
+        return SearchResult(result, tids, cost, elapsed)
 
     # -- multimedia search ---------------------------------------------------------
 
@@ -397,14 +355,14 @@ class MMDatabase:
                 with CostCounter.activate() as cost:
                     pass  # a cache hit charges no cost-model operations
                 elapsed = time.perf_counter() - started
-                return SearchResult(served, tids, cost, elapsed, self.collection)
+                return SearchResult(served, tids, cost, elapsed)
         sources = [PostingsSource(self.index, tid, self.model) for tid in tids]
         sources += self.feature_sources(queries, measure)
         started = time.perf_counter()
         with CostCounter.activate() as cost:
             result = self._run_multisource(sources, n, algorithm, agg, fingerprint, entry)
         elapsed = time.perf_counter() - started
-        return SearchResult(result, tids, cost, elapsed, self.collection)
+        return SearchResult(result, tids, cost, elapsed)
 
     def feature_search(self, queries: dict[str, np.ndarray], n: int = 10,
                        algorithm: str = "ta", agg=SUM,

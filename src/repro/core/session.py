@@ -23,7 +23,6 @@ class SearchResult:
     term_ids: list[int]
     cost: CostCounter
     elapsed_seconds: float
-    collection: object = None
 
     @property
     def hits(self):
@@ -39,12 +38,6 @@ class SearchResult:
 
     def __len__(self) -> int:
         return len(self.result)
-
-    def terms(self) -> list[str]:
-        """Query terms as strings (when a collection is attached)."""
-        if self.collection is None:
-            return [str(t) for t in self.term_ids]
-        return [self.collection.term_strings[t] for t in self.term_ids]
 
     def describe(self) -> str:
         lines = [
@@ -73,10 +66,6 @@ class SessionReport:
     @property
     def tuples_read(self) -> int:
         return self.total_cost.tuples_read
-
-    @property
-    def page_reads(self) -> int:
-        return self.total_cost.page_reads
 
     @property
     def modeled_seconds(self) -> float:

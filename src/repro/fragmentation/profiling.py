@@ -39,7 +39,7 @@ from ..mm.distances import l2_distances
 from ..mm.features import FeatureSpace
 from ..storage import stats
 from ..topn.heap import BoundedTopN
-from ..topn.result import TopNResult
+from ..topn.result import TopNResult, top_items
 
 
 def profile_hits(
@@ -166,34 +166,41 @@ def profiled_topn(
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise TopNError(f"query dimension {query.shape} != space dimension {space.dim}")
+    if n < 0:
+        raise TopNError(f"n must be non-negative, got {n}")
     scale = max(float(np.std(space.vectors)) * np.sqrt(space.dim), 1e-9)
-
-    heap = BoundedTopN(n)
     scored = 0
 
-    def score_objects(object_ids: np.ndarray) -> None:
+    def similarities(object_ids: np.ndarray) -> np.ndarray:
         nonlocal scored
         if len(object_ids) == 0:
-            return
+            return np.empty(0)
         sims = _similarities(space.columns[:, object_ids].T, query, scale)
         stats.charge_tuples_read(len(object_ids))
         stats.charge_comparisons(len(object_ids))
         scored += len(object_ids)
-        for obj, sim in zip(object_ids, sims):
-            heap.push(int(obj), float(sim))
+        return sims
 
+    # full and unsafe mode score one id set and cut it once
     if mode == "full":
-        score_objects(np.arange(space.n_objects))
-        return TopNResult(heap.items_sorted(), n, "profiled-full", True,
+        ids = np.arange(space.n_objects)
+        return TopNResult(top_items(ids, similarities(ids), n), n, "profiled-full", True,
                           {"objects_scored": scored, "groups_pruned": 0})
-
-    score_objects(fragments.hot_ids)
     if mode == "unsafe":
-        return TopNResult(heap.items_sorted(), n, "profiled-unsafe", False,
+        ids = fragments.hot_ids
+        return TopNResult(top_items(ids, similarities(ids), n), n, "profiled-unsafe", False,
                           {"objects_scored": scored, "groups_pruned": 0,
                            "hot_share": fragments.hot_share()})
 
-    # safe mode: bound-administrate the cold groups
+    # safe mode reads the N-th best between groups, so it keeps a heap
+    heap = BoundedTopN(n)
+
+    def score_objects(object_ids: np.ndarray) -> None:
+        for obj, sim in zip(object_ids.tolist(), similarities(object_ids).tolist()):
+            heap.push(obj, sim)
+
+    score_objects(fragments.hot_ids)
+    # bound-administrate the cold groups
     pruned = 0
     # visit most promising groups first so the threshold tightens early
     def group_bound(group: ColdGroup) -> float:

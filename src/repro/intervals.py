@@ -3,12 +3,10 @@
 One bound vocabulary for the whole system.  The abstract interpreter
 (:mod:`repro.analysis.bounds`) derives a :class:`ScoreInterval` at every
 plan edge; served anytime chunks (:mod:`repro.serve.session`) carry an
-epoch-stamped :class:`ThresholdBound`; the aggregates
-(:mod:`repro.topn.aggregates`) transfer intervals through their combine
-functions.  Sharing one dataclass is what lets every pruning decision
-— TA thresholds, NRA/CA bottom aggregates, cache-resume frontiers — be
-treated as the same mathematical object: a certified interval the true
-score must lie in.
+epoch-stamped :class:`ThresholdBound`.  Sharing one dataclass is what
+lets every pruning decision — TA thresholds, NRA/CA bottom aggregates,
+cache-resume frontiers — be treated as the same mathematical object: a
+certified interval the true score must lie in.
 
 Interval semantics
 ------------------
@@ -101,25 +99,11 @@ class ScoreInterval:
 
     # -- arithmetic (all conservative) --------------------------------------
 
-    def __add__(self, other: "ScoreInterval") -> "ScoreInterval":
-        return ScoreInterval(_add(self.lo, other.lo), _add(self.hi, other.hi))
-
     def scale(self, factor: float) -> "ScoreInterval":
-        """Multiply by a known scalar (weights; sign handled)."""
-        a, b = _mul(self.lo, factor), _mul(self.hi, factor)
+        """Multiply by a known scalar (weights; sign handled).  A zero
+        factor or endpoint gives 0.0, so ``0 * inf`` is 0."""
+        a, b = (v * factor if v and factor else 0.0 for v in (self.lo, self.hi))
         return ScoreInterval(min(a, b), max(a, b))
-
-    def multiply(self, other: "ScoreInterval") -> "ScoreInterval":
-        """Interval product (probabilistic conjunction)."""
-        products = [_mul(self.lo, other.lo), _mul(self.lo, other.hi),
-                    _mul(self.hi, other.lo), _mul(self.hi, other.hi)]
-        return ScoreInterval(min(products), max(products))
-
-    def min_with(self, other: "ScoreInterval") -> "ScoreInterval":
-        return ScoreInterval(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def max_with(self, other: "ScoreInterval") -> "ScoreInterval":
-        return ScoreInterval(max(self.lo, other.lo), max(self.hi, other.hi))
 
     def clamp(self, lo: float, hi: float) -> "ScoreInterval | None":
         """Meet with ``[lo, hi]`` (selection pushdown transfer)."""
@@ -154,14 +138,6 @@ def join_all(intervals: Sequence[ScoreInterval]) -> ScoreInterval:
     return out
 
 
-def sum_of(intervals: Sequence[ScoreInterval]) -> ScoreInterval:
-    """Interval sum (the Sum aggregate's transfer); empty sums to 0."""
-    out = ScoreInterval.point(0.0)
-    for interval in intervals:
-        out = out + interval
-    return out
-
-
 @dataclass(frozen=True)
 class ThresholdBound:
     """One pruning threshold from a certified run or stream chunk.
@@ -192,20 +168,6 @@ class ThresholdBound:
     def to_dict(self) -> dict:
         return {"n": self.n, "key": list(self.key), "epoch": self.epoch,
                 "score": _json_float(self.score)}
-
-
-def _add(a: float, b: float) -> float:
-    # inf + -inf never occurs for valid intervals added endpoint-wise
-    # (lo+lo and hi+hi keep signs aligned), but be safe:
-    if math.isinf(a) and math.isinf(b) and (a > 0) != (b > 0):
-        return -_INF if a < 0 or b < 0 else _INF
-    return a + b
-
-
-def _mul(a: float, b: float) -> float:
-    if a == 0.0 or b == 0.0:
-        return 0.0  # 0 * inf = 0 under measure-style convention
-    return a * b
 
 
 def _json_float(v: float):

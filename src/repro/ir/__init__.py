@@ -1,7 +1,6 @@
-"""Information-retrieval substrate: documents, analysis, vocabulary,
+"""Information-retrieval substrate: documents, vocabulary,
 inverted index on BATs, ranking models and Zipf analysis."""
 
-from .analysis import Analyzer, DEFAULT_ANALYZER, STOPWORDS, stem, tokenize
 from .documents import Collection, Document
 from .invindex import InvertedIndex, TermStats
 from .ranking import BM25, LanguageModel, MODELS, ScoringModel, TfIdf, make_model, score_all
@@ -15,15 +14,12 @@ from .zipf import (
 )
 
 __all__ = [
-    "Analyzer",
     "BM25",
     "Collection",
-    "DEFAULT_ANALYZER",
     "Document",
     "InvertedIndex",
     "LanguageModel",
     "MODELS",
-    "STOPWORDS",
     "ScoringModel",
     "TermStats",
     "TfIdf",
@@ -33,8 +29,6 @@ __all__ = [
     "make_model",
     "rank_frequency_table",
     "score_all",
-    "stem",
-    "tokenize",
     "vocabulary_share_for_volume",
     "volume_share_of_top_terms",
 ]

@@ -1,10 +1,8 @@
 """Document and collection model for the IR substrate.
 
 Documents carry their content as *term-id sequences* (the form the
-inverted index consumes); text documents are turned into term ids by
-the analysis pipeline (:mod:`repro.ir.analysis` +
-:mod:`repro.ir.vocabulary`).  Synthetic collections generate term ids
-directly and render text lazily.
+inverted index consumes).  Synthetic collections generate term ids
+directly.
 
 A :class:`Collection` optionally carries topic labels (ground truth
 planted by the generator) which the workload layer uses to derive
@@ -32,10 +30,6 @@ class Document:
     def length(self) -> int:
         """Document length in tokens."""
         return len(self.token_ids)
-
-    def render_text(self, term_strings: list[str]) -> str:
-        """The document as whitespace-joined term strings."""
-        return " ".join(term_strings[t] for t in self.token_ids)
 
 
 @dataclass
@@ -77,21 +71,7 @@ class Collection:
         except IndexError:
             raise WorkloadError(f"no document with id {doc_id}") from None
 
-    def term_id(self, term: str) -> int:
-        """Look up a term string (linear scan cached on first use)."""
-        index = self.extras.get("_term_index")
-        if index is None:
-            index = {t: i for i, t in enumerate(self.term_strings)}
-            self.extras["_term_index"] = index
-        try:
-            return index[term]
-        except KeyError:
-            raise WorkloadError(f"unknown term {term!r}") from None
-
     def doc_lengths(self) -> np.ndarray:
         """Array of document lengths, indexed by doc id."""
         return np.asarray([doc.length for doc in self.documents], dtype=np.int64)
 
-    def texts(self) -> list[str]:
-        """All documents rendered to text (slow; for examples/tests)."""
-        return [doc.render_text(self.term_strings) for doc in self.documents]

@@ -23,8 +23,7 @@ import numpy as np
 from ..errors import WorkloadError
 from ..storage import kernel
 from ..storage.bat import BAT
-from .analysis import Analyzer, DEFAULT_ANALYZER
-from .documents import Collection, Document
+from .documents import Collection
 from .vocabulary import Vocabulary
 
 
@@ -188,19 +187,6 @@ class InvertedIndex:
             vocabulary,
             stats_from=stats_from,
         )
-
-    @classmethod
-    def from_texts(cls, texts: list[str], analyzer: Analyzer | None = None,
-                   name: str = "texts") -> tuple["InvertedIndex", Collection]:
-        """Analyze raw text documents and build an index over them."""
-        analyzer = analyzer or DEFAULT_ANALYZER
-        vocabulary = Vocabulary()
-        documents = []
-        for doc_id, text in enumerate(texts):
-            token_ids = vocabulary.add_document_terms(analyzer.analyze(text))
-            documents.append(Document(doc_id, np.asarray(token_ids, dtype=np.int64)))
-        collection = Collection(documents, vocabulary.terms(), name=name)
-        return cls.build(collection, vocabulary), collection
 
     # -- access ---------------------------------------------------------------
 

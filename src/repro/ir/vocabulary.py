@@ -26,26 +26,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_term)
 
-    def add_document_terms(self, terms: Iterable[str]) -> list[int]:
-        """Register one document's term list; updates df/cf and returns
-        the document's term ids (one per token, in order)."""
-        token_ids = []
-        seen: set[int] = set()
-        for term in terms:
-            tid = self._term_to_id.get(term)
-            if tid is None:
-                tid = len(self._id_to_term)
-                self._term_to_id[term] = tid
-                self._id_to_term.append(term)
-                self._df.append(0)
-                self._cf.append(0)
-            self._cf[tid] += 1
-            token_ids.append(tid)
-            seen.add(tid)
-        for tid in seen:
-            self._df[tid] += 1
-        return token_ids
-
     @classmethod
     def from_token_id_docs(cls, docs_token_ids: Iterable[np.ndarray],
                            term_strings: list[str]) -> "Vocabulary":

@@ -48,11 +48,6 @@ class FeatureSpace:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, obj_id: int) -> np.ndarray:
-        if not 0 <= obj_id < self.n_objects:
-            raise WorkloadError(f"object id {obj_id} outside feature space")
-        return self.vectors[obj_id]
-
 
 def color_histograms(
     n_objects: int,

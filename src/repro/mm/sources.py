@@ -126,9 +126,8 @@ class ArraySource(ScoreSource):
     split and each prefix equals the same ranks of the full sort.
     Construction charges nothing and sorts nothing.  ``request`` is
     the ``(space, measure, query)`` a feature similarity source was
-    scanned from: the cache keys the source by it
-    (:func:`~repro.cache.fingerprint.source_token`), and without one
-    hashes the grades.
+    scanned from, the triple the cache keys that query by
+    (:func:`~repro.cache.fingerprint.feature_token`).
     """
 
     def __init__(self, scores: np.ndarray, name: str = "array",

@@ -1,22 +1,16 @@
-"""Retrieval-quality metrics: precision/recall/AP against qrels and
-ranking-agreement metrics (overlap, Kendall tau) against exact rankings."""
+"""Retrieval-quality metrics: precision and AP against qrels, and the
+ranking-agreement metric (top-n overlap) against exact rankings."""
 
 from .metrics import (
     average_precision,
-    kendall_tau,
     mean_over_queries,
     overlap_at,
     precision_at,
-    r_precision,
-    recall_at,
 )
 
 __all__ = [
     "average_precision",
-    "kendall_tau",
     "mean_over_queries",
     "overlap_at",
     "precision_at",
-    "r_precision",
-    "recall_at",
 ]

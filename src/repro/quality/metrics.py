@@ -1,11 +1,11 @@
 """Retrieval-quality metrics.
 
 The paper evaluates unsafe optimizations by their effect on "answer
-quality (e.g. precision and/or recall)".  This module provides the
-standard ranked-retrieval metrics against qrels, plus *ranking
-agreement* metrics (overlap, Kendall's tau) used to compare an
-optimized ranking against the exact (naive) ranking independent of
-relevance judgments.
+quality (e.g. precision and/or recall)".  This module provides
+precision and average precision against qrels, plus the *ranking
+agreement* metric (top-``n`` overlap) used to compare an optimized
+ranking against the exact (naive) ranking independent of relevance
+judgments.
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ def precision_at(ranking: Sequence[int], relevant: Iterable[int], n: int) -> flo
     return hits / n
 
 
-def recall_at(ranking: Sequence[int], relevant: Iterable[int], n: int) -> float:
-    """Fraction of the relevant documents found in the top ``n``."""
-    if n <= 0:
-        raise QualityError(f"n must be positive, got {n}")
-    relevant = set(relevant)
-    if not relevant:
-        return 0.0
-    ranking = _check_ranking(ranking)[:n]
-    hits = sum(1 for doc in ranking if doc in relevant)
-    return hits / len(relevant)
-
-
 def average_precision(ranking: Sequence[int], relevant: Iterable[int],
                       cutoff: int | None = None) -> float:
     """Non-interpolated average precision (AP) at an optional cutoff.
@@ -69,14 +57,6 @@ def average_precision(ranking: Sequence[int], relevant: Iterable[int],
     return precision_sum / len(relevant)
 
 
-def r_precision(ranking: Sequence[int], relevant: Iterable[int]) -> float:
-    """Precision at rank R, where R is the number of relevant docs."""
-    relevant = set(relevant)
-    if not relevant:
-        return 0.0
-    return precision_at(ranking, relevant, len(relevant))
-
-
 def overlap_at(ranking: Sequence[int], reference: Sequence[int], n: int) -> float:
     """Set overlap of two top-``n`` prefixes (1.0 = identical sets).
 
@@ -89,29 +69,6 @@ def overlap_at(ranking: Sequence[int], reference: Sequence[int], n: int) -> floa
     if not ref:
         return 1.0 if not top else 0.0
     return len(top & ref) / max(len(ref), 1)
-
-
-def kendall_tau(ranking: Sequence[int], reference: Sequence[int]) -> float:
-    """Kendall's tau between two rankings of the same item set.
-
-    +1 = identical order, -1 = reversed.  Items must coincide."""
-    ranking = _check_ranking(ranking)
-    reference = _check_ranking(reference)
-    if set(ranking) != set(reference):
-        raise QualityError("kendall_tau requires rankings over the same items")
-    n = len(ranking)
-    if n < 2:
-        return 1.0
-    position = {doc: i for i, doc in enumerate(reference)}
-    mapped = [position[doc] for doc in ranking]
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mapped[i] < mapped[j]:
-                concordant += 1
-            else:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)
 
 
 def mean_over_queries(per_query_values: Iterable[float]) -> float:

@@ -9,9 +9,8 @@ Public surface:
   buffer simulation;
 * :class:`~repro.storage.stats.CostCounter` — scoped cost counters
   (runtime cost accounting);
-* :class:`~repro.storage.index.SparseIndex` /
-  :class:`~repro.storage.index.HashIndex` — the paper's non-dense index
-  and its dense counterpart;
+* :class:`~repro.storage.index.SparseIndex` — the paper's non-dense
+  index;
 * :class:`~repro.storage.catalog.Catalog` — named-BAT registry with
   persistence.
 """
@@ -20,7 +19,7 @@ from .bat import BAT
 from .blocks import DocBlocks, ScoredBlocks
 from .buffer import BufferManager, get_buffer_manager, set_buffer_manager
 from .catalog import Catalog
-from .index import HashIndex, SparseIndex
+from .index import SparseIndex
 from .stats import CostCounter
 from . import kernel, stats
 
@@ -31,7 +30,6 @@ __all__ = [
     "CostCounter",
     "DocBlocks",
     "ScoredBlocks",
-    "HashIndex",
     "SparseIndex",
     "get_buffer_manager",
     "set_buffer_manager",

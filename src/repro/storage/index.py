@@ -1,5 +1,4 @@
-"""Index structures over BATs: a dense hash index and the paper's
-*non-dense* (sparse) index.
+"""The paper's *non-dense* (sparse) index over a sorted BAT.
 
 The paper's Step 1 plans to "introduce a non-dense index in the system
 to speed up processing the large fragment".  A non-dense (sparse)
@@ -7,10 +6,6 @@ index keeps one entry per *page-sized stride* of a sorted column rather
 than one per tuple, so it is tiny and cheap to maintain, and a probe
 touches only ``O(log(n/stride))`` in-memory entries plus the one stride
 of the base BAT that can contain the key.
-
-:class:`HashIndex` is the conventional dense alternative (one entry per
-distinct value); it answers equality probes in one step but costs a
-full build pass and memory proportional to the data.
 """
 
 from __future__ import annotations
@@ -134,44 +129,3 @@ class SparseIndex:
         """Equality probe."""
         return self.lookup_range(lo=value, hi=value)
 
-
-class HashIndex:
-    """Dense hash index: distinct tail value → tuple positions.
-
-    Build cost is a full scan; probes charge one random page access per
-    distinct page containing a matching tuple.
-    """
-
-    def __init__(self, base: BAT) -> None:
-        self.base = base
-        from .kernel import scan_cost
-
-        scan_cost(base)
-        order = np.argsort(base.tail, kind="stable")
-        sorted_tail = base.tail[order]
-        self._order = order
-        self._sorted_tail = sorted_tail
-        stats.charge_comparisons(len(base) * max(1, math.ceil(math.log2(max(len(base), 2)))))
-
-    @property
-    def entries(self) -> int:
-        """Number of indexed tuples."""
-        return len(self.base)
-
-    def lookup_eq(self, value) -> BAT:
-        """Return the base pairs whose tail equals ``value``."""
-        lo = int(np.searchsorted(self._sorted_tail, value, "left"))
-        hi = int(np.searchsorted(self._sorted_tail, value, "right"))
-        stats.charge_comparisons(2 * max(1, math.ceil(math.log2(max(len(self.base), 2)))))
-        positions = np.sort(self._order[lo:hi])
-        if self.base.persistent and len(positions):
-            manager = get_buffer_manager()
-            manager.request_pages([(self.base.segment_id, page_no) for page_no
-                                   in np.unique(positions // manager.page_tuples).tolist()])
-        stats.charge_tuples_read(len(positions))
-        stats.charge_tuples_written(len(positions))
-        return BAT(
-            self.base.tail[positions],
-            head=self.base.heads_at(positions),
-            head_key=self.base.head_key,
-        )

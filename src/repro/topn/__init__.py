@@ -37,7 +37,7 @@ from .aggregates import (
 from .ca import combined_topn
 from .fagin import fagin_topn
 from .heap import BoundedTopN
-from .naive import conjunctive_topn, naive_full_ranking, naive_topn, naive_topn_sources
+from .naive import naive_full_ranking, naive_topn, naive_topn_sources
 from .nra import nra_topn
 from .probabilistic import ScoreHistogram, probabilistic_topn, probabilistic_topn_indexed
 from .quit_continue import quit_continue_topn
@@ -62,7 +62,6 @@ __all__ = [
     "WeightedSum",
     "require_monotone",
     "classic_topn",
-    "conjunctive_topn",
     "combined_topn",
     "fagin_topn",
     "naive_full_ranking",

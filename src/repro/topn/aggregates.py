@@ -18,13 +18,7 @@ instead of the engines assuming it:
   to silently produce wrong stop decisions;
 * ``strict`` — strictly increasing in every argument (a zero-weighted
   source makes ``WeightedSum`` monotone but not strict: ties can then
-  hide grade differences the bound administration cannot see);
-* ``combine_interval`` — the aggregate's *interval transfer function*:
-  given a certified :class:`~repro.intervals.ScoreInterval` per source,
-  it returns a certified interval for the aggregate.  The bound-flow
-  analyzer (:mod:`repro.analysis.bounds`) uses this to derive score
-  intervals across plan edges; conservativeness ("the derived interval
-  always contains the true score") is property-tested per aggregate.
+  hide grade differences the bound administration cannot see).
 
 :class:`WeightedSum` implements the user-weighted query terms of
 Fagin & Maarek [FM] cited by the paper; :class:`Product` is the
@@ -43,7 +37,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import TopNError
-from ..intervals import ScoreInterval, sum_of
 
 
 @dataclass(frozen=True)
@@ -51,8 +44,7 @@ class AggregateFunction:
     """A named aggregation over an m-vector of grades.
 
     Subclasses declare ``monotone`` / ``strict`` class attributes and
-    implement :meth:`combine` plus the interval transfer
-    :meth:`combine_interval`.
+    implement :meth:`combine`.
     """
 
     name: str
@@ -65,15 +57,6 @@ class AggregateFunction:
 
     def combine(self, grades: Sequence[float]) -> float:
         raise NotImplementedError
-
-    def combine_interval(self, intervals: Sequence[ScoreInterval]) -> ScoreInterval:
-        """Certified interval of ``combine`` over per-source intervals.
-
-        The default refuses (no transfer declared): the bound analyzer
-        then derives nothing and flags threshold use (MOA901/903)."""
-        raise TopNError(
-            f"aggregate {self.name!r} declares no interval transfer; "
-            f"the bound analyzer cannot certify plans that use it")
 
     def validate_arity(self, m: int) -> None:
         """Hook for aggregates that require a fixed arity."""
@@ -88,9 +71,6 @@ class Sum(AggregateFunction):
     def combine(self, grades):
         return float(sum(grades))
 
-    def combine_interval(self, intervals):
-        return sum_of(intervals)
-
 
 class Avg(AggregateFunction):
     """Arithmetic mean (monotone; order-equivalent to sum)."""
@@ -100,11 +80,6 @@ class Avg(AggregateFunction):
 
     def combine(self, grades):
         return float(sum(grades)) / len(grades) if grades else 0.0
-
-    def combine_interval(self, intervals):
-        if not intervals:
-            return ScoreInterval.point(0.0)
-        return sum_of(intervals).scale(1.0 / len(intervals))
 
 
 class Min(AggregateFunction):
@@ -117,14 +92,6 @@ class Min(AggregateFunction):
     def combine(self, grades):
         return float(min(grades)) if grades else 0.0
 
-    def combine_interval(self, intervals):
-        if not intervals:
-            return ScoreInterval.point(0.0)
-        out = intervals[0]
-        for interval in intervals[1:]:
-            out = out.min_with(interval)
-        return out
-
 
 class Max(AggregateFunction):
     """Fuzzy disjunction.  Monotone, not strict."""
@@ -134,14 +101,6 @@ class Max(AggregateFunction):
 
     def combine(self, grades):
         return float(max(grades)) if grades else 0.0
-
-    def combine_interval(self, intervals):
-        if not intervals:
-            return ScoreInterval.point(0.0)
-        out = intervals[0]
-        for interval in intervals[1:]:
-            out = out.max_with(interval)
-        return out
 
 
 class WeightedSum(AggregateFunction):
@@ -165,14 +124,6 @@ class WeightedSum(AggregateFunction):
                 f"WeightedSum arity mismatch: {len(grades)} grades, {len(self.weights)} weights"
             )
         return float(sum(w * g for w, g in zip(self.weights, grades)))
-
-    def combine_interval(self, intervals):
-        if len(intervals) != len(self.weights):
-            raise TopNError(
-                f"WeightedSum arity mismatch: {len(intervals)} intervals, "
-                f"{len(self.weights)} weights")
-        return sum_of([interval.scale(w)
-                       for w, interval in zip(self.weights, intervals)])
 
     def validate_arity(self, m: int) -> None:
         if m != len(self.weights):
@@ -199,19 +150,6 @@ class Product(AggregateFunction):
             out *= float(grade)
         return out
 
-    def combine_interval(self, intervals):
-        # clamp to the declared non-negative domain first: the product
-        # transfer is only monotone (and hence certified) there
-        out = ScoreInterval.point(1.0)
-        for interval in intervals:
-            clamped = interval.clamp(0.0, math.inf)
-            if clamped is None:
-                raise TopNError(
-                    f"Product transfer needs non-negative grades, got "
-                    f"{interval.describe()}")
-            out = out.multiply(clamped)
-        return out
-
 
 @dataclass(frozen=True, init=False)
 class UserAggregate(AggregateFunction):
@@ -220,25 +158,16 @@ class UserAggregate(AggregateFunction):
     Defaults to ``monotone=False``: an undeclared aggregate certifies
     nothing, and the threshold engines will refuse it via
     :func:`require_monotone`.  Users who know their function is
-    monotone declare it — and may supply an interval ``transfer`` so
-    the bound analyzer can certify plans that use it.
+    monotone declare it.
     """
 
     def __init__(self, name: str, fn: Callable[[Sequence[float]], float],
-                 monotone: bool = False, strict: bool = False,
-                 transfer: Callable[[Sequence[ScoreInterval]], ScoreInterval] | None = None,
-                 ) -> None:
+                 monotone: bool = False, strict: bool = False) -> None:
         super().__init__(name, monotone=monotone, strict=strict)
         object.__setattr__(self, "fn", fn)
-        object.__setattr__(self, "transfer", transfer)
 
     def combine(self, grades):
         return float(self.fn(grades))
-
-    def combine_interval(self, intervals):
-        if self.transfer is None:
-            return super().combine_interval(intervals)
-        return self.transfer(intervals)
 
 
 def require_monotone(agg: AggregateFunction, engine: str) -> None:

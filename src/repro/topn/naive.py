@@ -52,49 +52,6 @@ def naive_full_ranking(index: InvertedIndex, tids: list[int],
     )
 
 
-def conjunctive_topn(index: InvertedIndex, tids: list[int], model: ScoringModel,
-                     n: int) -> TopNResult:
-    """Exact top-N restricted to documents containing *all* query terms
-    (Boolean AND + ranking, the classic IR hybrid).
-
-    Processes terms rarest-first so the candidate set shrinks as early
-    as possible — the same "most interesting terms first" ordering the
-    paper's Step 1 builds on.
-    """
-    if not tids:
-        return TopNResult([], n, strategy="naive-and", safe=True,
-                          stats={"candidates": 0})
-    ordered = sorted(tids, key=index.posting_length)
-    candidates = None
-    postings = {}
-    postings_read = 0
-    for tid in ordered:
-        doc_ids, tfs = index.postings(tid)
-        postings_read += len(doc_ids)
-        postings[tid] = (doc_ids, tfs)
-        candidates = doc_ids if candidates is None else np.intersect1d(candidates, doc_ids)
-        if len(candidates) == 0:
-            break
-    if candidates is None or len(candidates) == 0:
-        return TopNResult([], n, strategy="naive-and", safe=True,
-                          stats={"candidates": 0, "postings_read": postings_read})
-    scores = np.zeros(len(candidates))
-    for tid in ordered:
-        doc_ids, tfs = postings[tid]
-        mask = np.isin(doc_ids, candidates)
-        partials = model.partial_scores(index, tid, doc_ids[mask], tfs[mask])
-        positions = np.searchsorted(candidates, doc_ids[mask])
-        scores[positions] += partials
-    from ..storage.bat import BAT
-
-    bat = BAT(scores, head=candidates.astype("int64"), head_key=True)
-    top = kernel.topn_tail(bat, n, descending=True)
-    return TopNResult.from_bat(
-        top, n, strategy="naive-and", safe=True,
-        stats={"candidates": len(candidates), "postings_read": postings_read},
-    )
-
-
 def naive_topn_sources(sources: list, n: int,
                        agg: AggregateFunction = SUM) -> TopNResult:
     """Exact top-N over graded sources by exhaustive random access."""

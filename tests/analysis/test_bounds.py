@@ -25,7 +25,7 @@ from repro.analysis import (
     demo_widening_rewrite,
     derive_bounds,
 )
-from repro.intervals import TOP, ScoreInterval, join_all, sum_of
+from repro.intervals import TOP, ScoreInterval, join_all
 from repro.topn.aggregates import SUM, UserAggregate
 
 from .test_lint_cli import EXAMPLE_PLANS
@@ -61,11 +61,9 @@ class TestScoreInterval:
         assert ScoreInterval(0, 4).dominates(4.0)
         assert not ScoreInterval(0, 4.5).dominates(4.0)
 
-    def test_join_all_and_sum_of(self):
+    def test_join_all(self):
         assert join_all([]) == TOP
         assert join_all([ScoreInterval(0, 1), ScoreInterval(2, 3)]) == ScoreInterval(0, 3)
-        assert sum_of([ScoreInterval(1, 2), ScoreInterval(3, 4)]) == ScoreInterval(4, 6)
-        assert sum_of([]) == ScoreInterval.point(0.0)
 
 
 # -- transfer functions ------------------------------------------------------

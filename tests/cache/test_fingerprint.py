@@ -5,9 +5,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.cache import QueryFingerprint, sources_fingerprint, text_fingerprint
-from repro.cache.fingerprint import source_token
-from repro.mm import ArraySource
+from repro.cache import QueryFingerprint, feature_token, text_fingerprint, tokens_fingerprint
 
 
 def base():
@@ -35,12 +33,6 @@ class TestDigest:
         assert reference not in digests
         assert len(digests) == len(variants)
 
-    def test_describe_roundtrip(self):
-        d = base().describe()
-        assert d["digest"] == base().digest()
-        assert d["terms"] == [1, 2, 3]
-        assert d["epoch"] == 4
-
 
 class TestTextFingerprint:
     def test_term_order_irrelevant(self):
@@ -62,34 +54,17 @@ class TestTextFingerprint:
 
 
 class TestSourceTokens:
-    def test_array_sources_content_addressed(self):
-        grades = np.linspace(0, 1, 10)
-        a = ArraySource(grades.copy(), name="f")
-        b = ArraySource(grades.copy(), name="f")
-        c = ArraySource(grades + 0.001, name="f")
-        assert source_token(a) == source_token(b)
-        assert source_token(a) != source_token(c)
-
-    def test_posting_sources_keyed_by_term_and_model(self):
-        class FakePostings:
-            tid = 7
-
-            class model:
-                name = "bm25"
-
-        assert source_token(FakePostings()) == ("term", 7, "bm25")
-
     def test_source_order_preserved(self):
         """Weighted aggregates are not symmetric: source order is
         part of the key."""
-        x = ArraySource(np.array([0.1, 0.2]), name="x")
-        y = ArraySource(np.array([0.3, 0.4]), name="y")
-        a = sources_fingerprint([x, y], "sum", 0, "ta")
-        b = sources_fingerprint([y, x], "sum", 0, "ta")
+        x = feature_token("x", "l2", np.array([0.1, 0.2]))
+        y = feature_token("y", "l2", np.array([0.3, 0.4]))
+        a = tokens_fingerprint((x, y), "sum", 0, "ta")
+        b = tokens_fingerprint((y, x), "sum", 0, "ta")
         assert a.digest() != b.digest()
 
     def test_algorithm_and_kind_separate(self):
-        x = ArraySource(np.array([0.1, 0.2]), name="x")
-        a = sources_fingerprint([x], "sum", 0, "ta")
-        assert a.digest() != sources_fingerprint([x], "sum", 0, "nra").digest()
-        assert a.digest() != sources_fingerprint([x], "sum", 0, "ta", kind="combined").digest()
+        x = (feature_token("x", "l2", np.array([0.1, 0.2])),)
+        a = tokens_fingerprint(x, "sum", 0, "ta")
+        assert a.digest() != tokens_fingerprint(x, "sum", 0, "nra").digest()
+        assert a.digest() != tokens_fingerprint(x, "sum", 0, "ta", kind="combined").digest()

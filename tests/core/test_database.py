@@ -31,14 +31,6 @@ class TestConstruction:
         assert stats["fragmented"]
         assert 0 < stats["small_volume_share"] < 0.2
 
-    def test_from_texts(self):
-        database = MMDatabase.from_texts(
-            ["the quick brown fox jumps", "lazy dogs sleep all day",
-             "foxes and dogs are animals"]
-        )
-        result = database.search("fox", n=2)
-        assert 0 in result.doc_ids
-
     def test_config_validation(self):
         with pytest.raises(ReproError):
             DatabaseConfig(fragment_volume_cut=2.0).validate()
@@ -114,30 +106,6 @@ class TestTextSearch:
 
 
 class TestAttributeFilter:
-    def test_attr_filter(self, db, queries):
-        rng = np.random.default_rng(9)
-        years = rng.integers(1990, 2000, db.collection.n_docs)
-        db.set_attribute("year", years)
-        tids = list(queries.queries[0].term_ids)
-        result = db.search(tids, n=10, attr_filter=("year", 1995, 1997))
-        for doc_id in result.doc_ids:
-            assert 1995 <= years[doc_id] <= 1997
-
-    def test_attr_filter_is_exact_topn(self, db, queries):
-        rng = np.random.default_rng(9)
-        years = rng.integers(1990, 2000, db.collection.n_docs)
-        db.set_attribute("year2", years)
-        tids = list(queries.queries[2].term_ids)
-        filtered = db.search(tids, n=5, attr_filter=("year2", 1990, 1994))
-        # reference: naive search over many, filter manually
-        broad = db.search(tids, n=db.collection.n_docs, strategy="naive")
-        expected = [d for d in broad.doc_ids if 1990 <= years[d] <= 1994][:5]
-        assert filtered.doc_ids == expected
-
-    def test_unknown_attribute(self, db):
-        with pytest.raises(WorkloadError):
-            db.search("anything", attr_filter=("nope", 0, 1))
-
     def test_attribute_length_mismatch(self, db):
         with pytest.raises(WorkloadError):
             db.set_attribute("bad", np.zeros(3))

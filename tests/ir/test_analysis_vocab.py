@@ -1,82 +1,20 @@
-"""Unit tests for text analysis and vocabulary."""
+"""Unit tests for the vocabulary."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.ir import Analyzer, STOPWORDS, Vocabulary, stem, tokenize
-
-
-class TestTokenize:
-    def test_basic(self):
-        assert list(tokenize("Hello, World!")) == ["hello", "world"]
-
-    def test_digits_kept(self):
-        assert list(tokenize("top10 queries")) == ["top10", "queries"]
-
-    def test_empty(self):
-        assert list(tokenize("")) == []
-        assert list(tokenize("!!! ---")) == []
-
-
-class TestStem:
-    def test_plural(self):
-        assert stem("databases") == "databas"
-        assert stem("queries") == "query"
-
-    def test_ing_ed(self):
-        assert stem("ranking") == "rank"
-        assert stem("ranked") == "rank"
-
-    def test_short_words_untouched(self):
-        assert stem("is") == "is"
-        assert stem("bed") == "bed"  # would leave < 3 chars
-
-    def test_no_suffix(self):
-        assert stem("zipf") == "zipf"
-
-
-class TestAnalyzer:
-    def test_full_pipeline(self):
-        analyzer = Analyzer()
-        terms = analyzer.analyze("The rankings of the databases")
-        assert "the" not in terms
-        assert "rank" in terms
-
-    def test_stopwords_optional(self):
-        analyzer = Analyzer(use_stopwords=False)
-        assert "the" in analyzer.analyze("the fox")
-
-    def test_stemming_optional(self):
-        analyzer = Analyzer(use_stemming=False)
-        assert "ranking" in analyzer.analyze("ranking")
-
-    def test_extra_stopwords(self):
-        analyzer = Analyzer(extra_stopwords=["fox"])
-        assert analyzer.analyze("the fox runs") == ["run"]
-
-    def test_stopword_list_sane(self):
-        assert "the" in STOPWORDS and "zipf" not in STOPWORDS
+from repro.ir import Vocabulary
 
 
 class TestVocabulary:
-    def test_add_document_terms(self):
-        vocab = Vocabulary()
-        ids = vocab.add_document_terms(["a", "b", "a"])
-        assert ids == [0, 1, 0]
-        assert vocab.df(0) == 1  # one document
-        assert vocab.cf(0) == 2  # two occurrences
-
     def test_df_counts_documents(self):
-        vocab = Vocabulary()
-        vocab.add_document_terms(["x", "x"])
-        vocab.add_document_terms(["x"])
+        vocab = Vocabulary.from_token_id_docs([np.array([0, 0]), np.array([0])], ["x"])
         assert vocab.df(vocab.term_id("x")) == 2
         assert vocab.cf(vocab.term_id("x")) == 3
 
     def test_lookup(self):
-        vocab = Vocabulary()
-        vocab.add_document_terms(["alpha"])
+        vocab = Vocabulary.from_token_id_docs([np.array([0])], ["alpha"])
         assert vocab.term(0) == "alpha"
         assert vocab.term_id("alpha") == 0
         assert "alpha" in vocab
@@ -100,8 +38,7 @@ class TestVocabulary:
             Vocabulary.from_token_id_docs([np.array([5])], ["a"])
 
     def test_arrays(self):
-        vocab = Vocabulary()
-        vocab.add_document_terms(["a", "b", "b"])
+        vocab = Vocabulary.from_token_id_docs([np.array([0, 1, 1])], ["a", "b"])
         assert list(vocab.df_array()) == [1, 1]
         assert list(vocab.cf_array()) == [1, 2]
         assert vocab.terms() == ["a", "b"]

@@ -70,16 +70,6 @@ class TestBuild:
         assert list(index.candidate_documents([1, 2])) == [0, 1]
         assert list(index.candidate_documents([])) == []
 
-    def test_from_texts(self):
-        index, collection = InvertedIndex.from_texts(
-            ["the quick brown fox", "the lazy dog", "quick quick dog"]
-        )
-        assert index.n_docs == 3
-        tid = collection.term_id("quick")
-        docs, tfs = index.postings(tid)
-        assert list(docs) == [0, 2]
-        assert list(tfs) == [1, 2]
-
     def test_empty_collection(self):
         index = InvertedIndex.build(Collection([], ["a"], name="empty"))
         assert index.n_docs == 0

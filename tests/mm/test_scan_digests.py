@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cache.fingerprint import source_token
+from repro.cache import feature_token
 from repro.mm import (
     color_histograms,
     feature_source,
@@ -108,7 +108,7 @@ TOKENS = {
     ),
 }
 
-#: the digest in ``source_token(feature_source(space, query, measure))``:
+#: the digest in ``feature_token(*feature_source(space, query, measure).request)``:
 #: the first 16 hex digits of ``sha1`` of each query of :func:`queries`,
 #: whatever the measure
 QUERY_TOKENS = {
@@ -169,5 +169,6 @@ def test_feature_query_tokens(spaces, name, measure):
     """A feature source's cache token is its request, computed without
     its grades: the same on every platform."""
     space = spaces[name]
-    got = tuple(source_token(feature_source(space, q, measure)) for q in queries(space))
+    got = tuple(feature_token(*feature_source(space, q, measure).request)
+                for q in queries(space))
     assert got == tuple(("feature", name, measure, digest) for digest in QUERY_TOKENS[name])

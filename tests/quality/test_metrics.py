@@ -7,30 +7,22 @@ from hypothesis import strategies as st
 from repro.errors import QualityError
 from repro.quality import (
     average_precision,
-    kendall_tau,
     mean_over_queries,
     overlap_at,
     precision_at,
-    r_precision,
-    recall_at,
 )
 
 
 class TestPrecisionRecall:
     def test_perfect(self):
         assert precision_at([1, 2, 3], {1, 2, 3}, 3) == 1.0
-        assert recall_at([1, 2, 3], {1, 2, 3}, 3) == 1.0
 
     def test_half(self):
         assert precision_at([1, 9, 2, 8], {1, 2}, 4) == 0.5
-        assert recall_at([1, 9], {1, 2, 3, 4}, 2) == 0.25
 
     def test_short_ranking_penalized(self):
         # only 1 result returned but n=10: precision counts the misses
         assert precision_at([1], {1}, 10) == 0.1
-
-    def test_empty_relevant(self):
-        assert recall_at([1, 2], set(), 2) == 0.0
 
     def test_empty_ranking(self):
         assert precision_at([], {1}, 5) == 0.0
@@ -42,8 +34,6 @@ class TestPrecisionRecall:
     def test_invalid_n(self):
         with pytest.raises(QualityError):
             precision_at([1], {1}, 0)
-        with pytest.raises(QualityError):
-            recall_at([1], {1}, -1)
 
 
 class TestAveragePrecision:
@@ -67,11 +57,6 @@ class TestAveragePrecision:
     def test_empty_relevant(self):
         assert average_precision([1, 2], set()) == 0.0
 
-    def test_r_precision(self):
-        assert r_precision([1, 2, 9], {1, 2}) == 1.0
-        assert r_precision([9, 1], {1, 2}) == 0.5
-        assert r_precision([1], set()) == 0.0
-
 
 class TestOverlap:
     def test_identical(self):
@@ -92,24 +77,6 @@ class TestOverlap:
             overlap_at([1], [1], 0)
 
 
-class TestKendallTau:
-    def test_identical(self):
-        assert kendall_tau([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_reversed(self):
-        assert kendall_tau([3, 2, 1], [1, 2, 3]) == -1.0
-
-    def test_one_swap(self):
-        assert kendall_tau([2, 1, 3], [1, 2, 3]) == pytest.approx(1 / 3)
-
-    def test_singleton(self):
-        assert kendall_tau([1], [1]) == 1.0
-
-    def test_item_mismatch(self):
-        with pytest.raises(QualityError):
-            kendall_tau([1, 2], [1, 3])
-
-
 class TestMean:
     def test_mean(self):
         assert mean_over_queries([0.5, 1.0]) == 0.75
@@ -121,7 +88,6 @@ class TestMean:
        st.integers(1, 40))
 def test_precision_recall_bounds(ranking, relevant, n):
     assert 0.0 <= precision_at(ranking, relevant, n) <= 1.0
-    assert 0.0 <= recall_at(ranking, relevant, n) <= 1.0
     assert 0.0 <= average_precision(ranking, relevant) <= 1.0
 
 
@@ -130,9 +96,3 @@ def test_ap_of_exact_ranking_is_one_when_all_relevant(ranking):
     if ranking:
         assert average_precision(ranking, set(ranking)) == 1.0
 
-
-@given(st.lists(st.integers(0, 50), unique=True, min_size=2, max_size=20))
-def test_kendall_tau_symmetric_range(items):
-    reference = sorted(items)
-    tau = kendall_tau(items, reference)
-    assert -1.0 <= tau <= 1.0

@@ -1,10 +1,10 @@
-"""Unit tests for the sparse/non-dense index, hash index and catalog."""
+"""Unit tests for the sparse/non-dense index and the catalog."""
 
 import numpy as np
 import pytest
 
 from repro.errors import CatalogError, IndexError_
-from repro.storage import BAT, Catalog, CostCounter, HashIndex, SparseIndex
+from repro.storage import BAT, Catalog, CostCounter, SparseIndex
 from repro.storage import kernel
 
 
@@ -116,25 +116,6 @@ class TestSparseIndex:
         out = index.lookup_eq(7)
         assert len(out) == 25
         assert all(t == 7 for _, t in out.to_list())
-
-
-class TestHashIndex:
-    def test_lookup_eq(self):
-        base = BAT([5, 3, 5, 1])
-        index = HashIndex(base)
-        out = index.lookup_eq(5)
-        assert [h for h, _ in out.to_list()] == [0, 2]
-
-    def test_lookup_missing(self):
-        index = HashIndex(BAT([1, 2]))
-        assert len(index.lookup_eq(9)) == 0
-
-    def test_entries(self):
-        assert HashIndex(BAT([1, 2, 3])).entries == 3
-
-    def test_string_keys(self):
-        index = HashIndex(BAT(["b", "a", "b"]))
-        assert [h for h, _ in index.lookup_eq("b").to_list()] == [0, 2]
 
 
 class TestCatalog:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.storage import BAT, CostCounter, HashIndex, SparseIndex, kernel
+from repro.storage import BAT, CostCounter, SparseIndex, kernel
 
 floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 float_lists = st.lists(floats, min_size=0, max_size=200)
@@ -164,7 +164,6 @@ TWIN_OPS = {
     "topn_tail": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k)),
     "topn_tail_asc": (False, lambda bat, lo, hi, k: kernel.topn_tail(bat, k, descending=False)),
     "slice_pairs": (False, lambda bat, lo, hi, k: kernel.slice_pairs(bat, k, hi - lo)),
-    "hash_index": (False, lambda bat, lo, hi, k: HashIndex(bat).lookup_eq(lo)),
     "sparse_index": (True, lambda bat, lo, hi, k: SparseIndex(bat, stride=4).lookup_range(lo, hi)),
 }
 

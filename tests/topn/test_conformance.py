@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir import BM25, InvertedIndex
+from repro.ir import BM25, Collection, Document, InvertedIndex
 from repro.mm import ArraySource, PostingsSource
 from repro.storage import BAT, kernel
 from repro.topn import (
@@ -219,16 +219,19 @@ def grade_index(matrix: np.ndarray):
     """An inverted index over one document per object in which term
     ``j`` occurs ``round(8 * grade)`` times, padded with a filler token
     to one document length: BM25 scores inherit the grade matrix's
-    shape, its heavy ties included.  Returns the index and the grade
-    terms' ids."""
+    shape, its heavy ties included.  Term ids are numbered in order of
+    first occurrence.  Returns the index and the grade terms' ids."""
     levels = np.rint(matrix * 8).astype(int)
     width = 8 * matrix.shape[1] + 1
-    texts = []
+    docs = []
     for row in levels:
         tokens = [term for term, tf in zip(GRADE_TERMS, row) for _ in range(tf)]
-        texts.append(" ".join(tokens + ["filler"] * (width - len(tokens))))
-    index, collection = InvertedIndex.from_texts(texts)
-    return index, [collection.term_strings.index(term) for term in GRADE_TERMS]
+        docs.append(tokens + ["filler"] * (width - len(tokens)))
+    terms = list(dict.fromkeys(term for tokens in docs for term in tokens))
+    tid = {term: i for i, term in enumerate(terms)}
+    collection = Collection([Document(doc_id, np.array([tid[t] for t in tokens], dtype=np.int64))
+                             for doc_id, tokens in enumerate(docs)], terms)
+    return InvertedIndex.build(collection), [tid[term] for term in GRADE_TERMS]
 
 
 class TestParallelConformance:

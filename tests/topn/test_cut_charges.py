@@ -21,7 +21,7 @@ from repro.ir.ranking import score_all
 from repro.mm import ArraySource, texture_features, query_near_cluster
 from repro.storage import BAT, CostCounter, SparseIndex
 from repro.storage.buffer import BufferManager, set_buffer_manager
-from repro.topn import (ScoreHistogram, classic_topn, conjunctive_topn, fagin_topn,
+from repro.topn import (ScoreHistogram, classic_topn, fagin_topn,
                         naive_full_ranking, naive_topn, naive_topn_sources,
                         probabilistic_topn, probabilistic_topn_indexed,
                         quit_continue_topn, sort_stop, stop_after_filter)
@@ -104,8 +104,6 @@ def _sites() -> dict:
                        for t in queries for n in (0, 1, 10, 100_000)],
         "naive_full_ranking": [lambda t=t: naive_full_ranking(index, t, model)
                                for t in queries],
-        "conjunctive_topn": [lambda t=t, n=n: conjunctive_topn(index, t[:2], model, n)
-                             for t in queries for n in (1, 10)],
         **{f"step1_{strategy.value}": [lambda t=t, s=strategy: executor.query(t, 10, s)
                                        for t in queries]
            for strategy in Strategy},
@@ -128,18 +126,6 @@ def _sites() -> dict:
 
 
 GOLDEN = {  # (counters, answer digest) per call
-    'conjunctive_topn': [
-        ((6, 0, 0, 37, 1, 1, 0, 0), 'e6050f6113de'),
-        ((0, 0, 6, 37, 1, 1, 0, 0), 'e6050f6113de'),
-        ((4, 0, 0, 14, 0, 0, 0, 0), 'c5184a3bd7b6'),
-        ((0, 0, 4, 14, 0, 0, 0, 0), 'c5184a3bd7b6'),
-        ((4, 0, 0, 12, 0, 0, 0, 0), 'e41e81a3b0a4'),
-        ((0, 0, 4, 12, 0, 0, 0, 0), 'e41e81a3b0a4'),
-        ((2, 0, 2, 12, 0, 0, 0, 0), 'e41e81a3b0a4'),
-        ((0, 0, 4, 12, 0, 0, 0, 0), 'e41e81a3b0a4'),
-        ((2, 0, 2, 10, 0, 0, 0, 0), '804bbcfc16d3'),
-        ((0, 0, 4, 10, 0, 0, 0, 0), '804bbcfc16d3'),
-    ],
     'fagin_fa': [
         ((0, 0, 0, 0, 0, 0, 552, 225), '9f70623edb17'),
         ((0, 0, 0, 0, 0, 0, 681, 303), '817e7de58226'),
